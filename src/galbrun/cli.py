@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--serial-deterministic",
             action="store_true",
-            help="force single-threaded deterministic assembly and stepping",
+            help="set serial_deterministic = true; pins no BLAS threads",
         )
 
     p_run = sub.add_parser("run", help="execute one configured simulation")

@@ -106,14 +106,13 @@ def _bump(spec: SourceSpec, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     return g, dx, dy
 
 
-def eval_source(spec: SourceSpec, pts: np.ndarray, t: float) -> np.ndarray:
-    """Force vectors at points of shape (..., 2); same leading shape out."""
+def source_spatial(spec: SourceSpec, pts: np.ndarray) -> np.ndarray:
+    """Spatial factor amplitude * g_vec of f = source_spatial * p(t)."""
     out = np.zeros(pts.shape)
     if spec.kind == SourceKind.NONE:
         return out
     g, dx, dy = _bump(spec, pts)
-    w2 = spec.width * spec.width
-    amp = spec.amplitude * float(spec.time_profile(t)) / w2
+    amp = spec.amplitude / (spec.width * spec.width)
     if spec.kind == SourceKind.ROTATIONAL:
         out[..., 0] = -amp * dy * g
         out[..., 1] = amp * dx * g
@@ -121,6 +120,11 @@ def eval_source(spec: SourceSpec, pts: np.ndarray, t: float) -> np.ndarray:
         out[..., 0] = -amp * dx * g
         out[..., 1] = -amp * dy * g
     return out
+
+
+def eval_source(spec: SourceSpec, pts: np.ndarray, t: float) -> np.ndarray:
+    """Force vectors at points of shape (..., 2); same leading shape out."""
+    return source_spatial(spec, pts) * float(spec.time_profile(t))
 
 
 def source_curl_spatial(spec: SourceSpec, pts: np.ndarray) -> np.ndarray:
@@ -167,14 +171,30 @@ class CausalVorticity:
     for a separable curl f = W(x, y) p(t). This equals the general closed
     form alpha + x beta + convected double integral with alpha, beta chosen
     to cancel the state at t = 0 (see analytic_vorticity for that form).
-    Evaluation is Gauss-Legendre over the overlap of [0, t] with the
-    support window of p, vectorized over points.
+    The integral is Gauss-Legendre over the overlap of [0, t] with the
+    support window of p.
+
+    The rotational source has W = A g_x(x - c_x) g_y(y - c_y) times a
+    polynomial in the offsets, and the characteristic shift moves only x.
+    So psi and grad psi are combinations of the four 1-D moments
+
+        I_m(x, t) = sum_q w_q tau_q p(t - tau_q) g_x(xi_q) xi_q^m,
+        xi_q = x - c_x - M tau_q,   m = 0..3,
+
+    evaluated once per distinct x of the points and scaled per point by
+    g_y and powers of y - c_y. The distinct x, their inverse map and the
+    y factors are cached for the last pts object seen: RhsAssembler passes
+    the same read-only quadrature array every step. Callers must not
+    modify a pts array in place between calls.
     """
 
     def __init__(self, source: SourceSpec, M: float, n_nodes: int = 48):
         self.source = source
         self.M = float(M)
         self.n_nodes = n_nodes
+        self._z, self._w = leggauss(n_nodes)
+        self._pts = None
+        self._layout = None
 
     def _tau_nodes(self, t: float) -> tuple[np.ndarray, np.ndarray] | None:
         lo, hi = 0.0, t
@@ -184,31 +204,60 @@ class CausalVorticity:
             hi = min(hi, t - win[0])
         if hi <= lo:
             return None
-        z, w = leggauss(self.n_nodes)
-        tau = 0.5 * (hi - lo) * z + 0.5 * (hi + lo)
-        return tau, 0.5 * (hi - lo) * w
+        tau = 0.5 * (hi - lo) * self._z + 0.5 * (hi + lo)
+        return tau, 0.5 * (hi - lo) * self._w
 
-    def _accumulate(self, pts: np.ndarray, t: float, spatial) -> np.ndarray:
+    def _point_layout(self, pts: np.ndarray):
+        """Distinct x offsets, inverse map, y offsets and g_y of pts."""
+        if pts is not self._pts:
+            cx, cy = self.source.center
+            w2 = self.source.width * self.source.width
+            ux, inv = np.unique(pts[..., 0], return_inverse=True)
+            dy = pts[..., 1] - cy
+            self._layout = (ux - cx, inv.reshape(pts.shape[:-1]), dy,
+                            np.exp(-0.5 * dy * dy / w2))
+            self._pts = pts
+        return self._layout
+
+    def _moments(self, pts: np.ndarray, t: float):
+        """(I0..I3 at each point, dy, A g_y), or None when psi is zero."""
+        if self.source.kind != SourceKind.ROTATIONAL:
+            return None
         nodes = self._tau_nodes(t)
-        shape = spatial(pts).shape
-        acc = np.zeros(shape)
         if nodes is None:
-            return acc
+            return None
         tau, w = nodes
-        p = self.source.time_profile(t - tau)
-        shifted = np.array(pts, copy=True)
-        for tq, wq, pq in zip(tau, w, p):
-            shifted[..., 0] = pts[..., 0] - self.M * tq
-            acc += (wq * tq * pq) * spatial(shifted)
-        return acc
+        dx, inv, dy, gy = self._point_layout(pts)
+        coef = w * tau * self.source.time_profile(t - tau)
+        xi = dx[:, None] - self.M * tau[None, :]
+        w2 = self.source.width * self.source.width
+        gx = np.exp(-0.5 * xi * xi / w2)
+        moments = []
+        for _ in range(4):
+            moments.append((gx @ coef)[inv])
+            gx = gx * xi
+        return moments, dy, self.source.amplitude * gy
 
     def __call__(self, pts: np.ndarray, t: float) -> np.ndarray:
-        return self._accumulate(pts, t, lambda q: source_curl_spatial(self.source, q))
+        parts = self._moments(pts, t)
+        if parts is None:
+            return np.zeros(pts.shape[:-1])
+        (i0, _, i2, _), dy, agy = parts
+        w2 = self.source.width * self.source.width
+        return agy * (2.0 / w2 * i0 - (i2 + dy * dy * i0) / (w2 * w2))
 
     def gradient(self, pts: np.ndarray, t: float) -> np.ndarray:
-        return self._accumulate(
-            pts, t, lambda q: source_curl_spatial_gradient(self.source, q)
-        )
+        out = np.zeros(pts.shape)
+        parts = self._moments(pts, t)
+        if parts is None:
+            return out
+        (i0, i1, i2, i3), dy, agy = parts
+        w2 = self.source.width * self.source.width
+        w4, w6 = w2 * w2, w2 * w2 * w2
+        dy2 = dy * dy
+        out[..., 0] = agy * ((i3 + dy2 * i1) / w6 - 4.0 * i1 / w4)
+        out[..., 1] = agy * dy * ((i2 + dy2 * i0) / w6 - 4.0 * i0 / w4)
+        return out
 
 
 class AnalyticVorticity:
@@ -298,9 +347,12 @@ class RhsAssembler:
     """Per-step load vector F(t) of the regularized right-hand side.
 
     F_i(t) = int (f + s curl psi) . phi_i, with curl of the scalar psi
-    taken as (dpsi/dy, -dpsi/dx). Quadrature tables and scatter indices are
-    precomputed once; each call costs one source sweep over the quadrature
-    points (plus one vorticity sweep when s curl psi is active).
+    taken as (dpsi/dy, -dpsi/dx). The volume source is separable,
+    f = amplitude g_vec(x) p(t), so its load F_src = int amplitude g_vec .
+    phi_i is assembled once here and each call returns p(t) F_src. Custom
+    forcing and the vorticity term are evaluated at the quadrature points
+    every call and go through one scatter, a bincount over precomputed
+    unconstrained dof indices.
     """
 
     def __init__(
@@ -317,48 +369,46 @@ class RhsAssembler:
         self.vorticity = vorticity
         self.forcing = forcing
         self.qp, self.qw = triangle_quadrature(mesh)
-        self.node_dofs = dofs.node_dofs[mesh.triangles]  # (m, 3, 2)
+        self.qp.setflags(write=False)
         self.n_dofs = dofs.n_dofs
+        node_dofs = dofs.node_dofs[mesh.triangles]  # (m, 3, 2)
+        self._scatter_index = []
+        for comp in range(2):
+            idx = node_dofs[..., comp]
+            keep = idx >= 0
+            self._scatter_index.append((idx[keep], keep))
+        self._source_load = None
+        if source is not None:
+            self._source_load = self._scatter(source_spatial(source, self.qp))
 
     @property
     def is_zero(self) -> bool:
         return self.source is None and self.forcing is None and self.vorticity is None
 
-    def _force_at_quadrature(self, t: float) -> np.ndarray:
+    def _scatter(self, f: np.ndarray) -> np.ndarray:
+        """Load vector int f . phi_i of a force given at the quadrature points."""
+        F = np.zeros(self.n_dofs)
+        for comp, (idx, keep) in enumerate(self._scatter_index):
+            vals = (self.qw * f[..., comp]) @ TRI_QP_BARY
+            F += np.bincount(idx, weights=vals[keep], minlength=self.n_dofs)
+        return F
+
+    def __call__(self, t: float) -> np.ndarray:
+        if self._source_load is None:
+            F = np.zeros(self.n_dofs)
+        else:
+            F = float(self.source.time_profile(t)) * self._source_load
+        vortical = self.vorticity is not None and self.s != 0.0
+        if self.forcing is None and not vortical:
+            return F
         f = np.zeros(self.qp.shape)
-        if self.source is not None:
-            f += eval_source(self.source, self.qp, t)
         if self.forcing is not None:
             f += self.forcing(self.qp, t)
-        if self.vorticity is not None and self.s != 0.0:
+        if vortical:
             gpsi = self.vorticity.gradient(self.qp, t)
             f[..., 0] += self.s * gpsi[..., 1]
             f[..., 1] -= self.s * gpsi[..., 0]
-        return f
-
-    def __call__(self, t: float) -> np.ndarray:
-        F = np.zeros(self.n_dofs)
-        if self.is_zero:
-            return F
-        f = self._force_at_quadrature(t)
-        for comp in range(2):
-            vals = np.einsum("mq,qk->mk", self.qw * f[..., comp], TRI_QP_BARY)
-            idx = self.node_dofs[..., comp]
-            keep = idx >= 0
-            np.add.at(F, idx[keep], vals[keep])
-        return F
-
-
-def regularized_rhs(
-    mesh: Mesh,
-    dofs: DofMap,
-    source: SourceSpec | None,
-    s: float,
-    t: float,
-    vorticity=None,
-) -> np.ndarray:
-    """One-shot load vector; see RhsAssembler for the cached variant."""
-    return RhsAssembler(mesh, dofs, source, s, vorticity=vorticity)(t)
+        return F + self._scatter(f)
 
 
 def make_energy_stiffness(mesh: Mesh, dofs: DofMap, M: float) -> sp.csr_matrix:

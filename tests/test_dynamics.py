@@ -82,6 +82,28 @@ def test_leapfrog_satisfies_three_level_relation(small_duct):
     assert state.step == 2
 
 
+def test_scheme_rhs_matches_three_term_form(small_duct):
+    # The operator folds 2 Mh/dt^2 and -(Ah + Dh) into one matrix; the
+    # result must equal the unfolded mass, back and stiffness terms.
+    _, mesh, dofs = small_duct
+    mats = build_system(mesh, dofs, M=0.5, s=1.0)
+    dt = 0.05
+    op = build_step_operator(mats, dt)
+    rng = np.random.default_rng(11)
+    prev = rng.standard_normal(dofs.n_dofs)
+    curr = rng.standard_normal(dofs.n_dofs)
+    F = rng.standard_normal(dofs.n_dofs)
+    BC = mats.Bh + mats.Ch
+    want = (
+        (2.0 / dt**2) * (mats.Mh @ curr)
+        - (mats.Mh / dt**2 - BC / (2.0 * dt)) @ prev
+        - (mats.Ah + mats.Dh) @ curr
+        + F
+    )
+    got = op.scheme_rhs(SimState(prev, curr, step=1, dt=dt), F)
+    assert np.abs(got - want).max() < 1e-14 * np.abs(want).max()
+
+
 def test_scheme_exact_for_quadratic_trajectory(small_duct):
     # x(t) = w t^2 solves Mh x'' + BC x' + K x = F with
     # F(t) = 2 Mh w + 2t BC w + t^2 K w, and every centered difference the

@@ -9,9 +9,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
-from galbrun.assembly import assemble_c, assemble_mass, build_system
+from galbrun.assembly import (
+    TRI_QP_BARY,
+    assemble_c,
+    assemble_mass,
+    build_system,
+    triangle_quadrature,
+)
+from galbrun.config import RunConfig
 from galbrun.mesh import DuctGeometry, build_dof_map, build_duct_mesh
 from galbrun.physics import (
     AnalyticVorticity,
@@ -31,7 +39,6 @@ from galbrun.physics import (
     make_energy_stiffness,
     naive_abc_forms,
     plane_wave,
-    regularized_rhs,
     source_curl,
     source_curl_spatial,
     source_curl_spatial_gradient,
@@ -278,8 +285,119 @@ def test_causal_gradient_matches_finite_differences():
     assert np.abs(grad_fd - grad_an).max() < 1e-6 * np.abs(grad_an).max()
 
 
+def brute_force_vorticity(psi: CausalVorticity, pts: np.ndarray, t: float, spatial):
+    """Per-node Duhamel sum: W (or grad W) shifted along the characteristic
+    and summed over the Gauss-Legendre nodes, one full sweep per node.
+
+    CausalVorticity factors this loop into 1-D moments over distinct x;
+    spatial is source_curl_spatial or source_curl_spatial_gradient.
+    """
+    acc = np.zeros(spatial(psi.source, pts).shape)
+    lo, hi = 0.0, t
+    win = psi.source.time_profile.support_window()
+    if win is not None:
+        lo, hi = max(lo, t - win[1]), min(hi, t - win[0])
+    if hi <= lo:
+        return acc
+    z, w = leggauss(psi.n_nodes)
+    tau = 0.5 * (hi - lo) * z + 0.5 * (hi + lo)
+    w = 0.5 * (hi - lo) * w
+    p = psi.source.time_profile(t - tau)
+    shifted = np.array(pts, copy=True)
+    for tq, wq, pq in zip(tau, w, p):
+        shifted[..., 0] = pts[..., 0] - psi.M * tq
+        acc += (wq * tq * pq) * spatial(psi.source, shifted)
+    return acc
+
+
+def assert_matches_brute_force(psi: CausalVorticity, pts: np.ndarray, t: float) -> None:
+    for got, spatial in (
+        (psi(pts, t), source_curl_spatial),
+        (psi.gradient(pts, t), source_curl_spatial_gradient),
+    ):
+        want = brute_force_vorticity(psi, pts, t, spatial)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("M", [0.0, 0.5])
+@pytest.mark.parametrize("t", [0.2, 0.9, 1.3, 2.6])
+def test_factored_vorticity_matches_brute_force_at_random_points(M, t):
+    # The pulse window starts at 0.3: t = 0.2 is before onset, 0.9 on the
+    # ramp, 1.3 past the peak and 2.6 after the pulse has gone.
+    spec = SourceSpec(
+        SourceKind.ROTATIONAL,
+        center=(0.1, -0.05),
+        width=0.3,
+        amplitude=1.7,
+        time_profile=TimeProfile(ProfileKind.GAUSSIAN_PULSE, t0=1.2, sigma=0.1),
+    )
+    psi = CausalVorticity(spec, M)
+    # Random x never repeat, so every point gets its own moments.
+    rng = np.random.default_rng(12)
+    pts = rng.uniform(-1.5, 1.5, size=(200, 2))
+    assert_matches_brute_force(psi, pts, t)
+    # A second point set, with two leading axes, must not reuse the first's layout.
+    assert_matches_brute_force(psi, rng.uniform(-1.0, 1.0, size=(4, 5, 2)), t)
+    grad = psi.gradient(pts, t)
+    if t == 0.2:
+        assert np.all(psi(pts, t) == 0.0) and np.all(grad == 0.0)
+    else:
+        assert np.abs(grad).max() > 0.0
+
+
+@pytest.mark.parametrize("M", [0.0, 0.5])
+def test_factored_vorticity_matches_brute_force_on_exp1_quadrature(M):
+    cfg = RunConfig()  # the exp1 mesh and source
+    mesh = build_duct_mesh(cfg.geometry(), cfg.nx, cfg.ny)
+    qp, _ = triangle_quadrature(mesh)
+    psi = CausalVorticity(cfg.source_spec(), M)
+    for t in (0.0, 0.45, 2.0):  # no window yet, pulse ramping, pulse gone
+        assert_matches_brute_force(psi, qp, t)
+
+
+@pytest.mark.parametrize("kind", [SourceKind.IRROTATIONAL, SourceKind.NONE])
+def test_causal_vorticity_zero_for_curl_free_sources(kind):
+    spec = SourceSpec(kind, center=(0.0, 0.1), width=0.3)
+    psi = CausalVorticity(spec, M=0.5)
+    pts = np.random.default_rng(13).uniform(-1, 1, size=(30, 2))
+    for t in (0.45, 1.0):
+        assert np.all(psi(pts, t) == 0.0) and psi(pts, t).shape == (30,)
+        assert np.all(psi.gradient(pts, t) == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # load vector
+
+
+def one_shot_rhs(mesh, dofs, source, s, t, vorticity=None):
+    """Load vector at t from a freshly built RhsAssembler."""
+    return RhsAssembler(mesh, dofs, source, s, vorticity=vorticity)(t)
+
+
+def add_at_load(mesh, dofs, f: np.ndarray) -> np.ndarray:
+    """Reference scatter of a quadrature-point force with np.add.at."""
+    _, qw = triangle_quadrature(mesh)
+    node_dofs = dofs.node_dofs[mesh.triangles]
+    F = np.zeros(dofs.n_dofs)
+    for comp in range(2):
+        vals = np.einsum("mq,qk->mk", qw * f[..., comp], TRI_QP_BARY)
+        idx = node_dofs[..., comp]
+        keep = idx >= 0
+        np.add.at(F, idx[keep], vals[keep])
+    return F
+
+
+@pytest.mark.parametrize("closed_box", [False, True])
+def test_rhs_scatter_matches_add_at_bit_for_bit(small_duct, closed_box):
+    # The closed box constrains dofs on the walls and on both ends.
+    _, mesh, _ = small_duct
+    dofs = build_dof_map(mesh, closed_box=closed_box)
+    qp, _ = triangle_quadrature(mesh)
+    f = np.random.default_rng(14).standard_normal(qp.shape)
+    F = RhsAssembler(mesh, dofs, source=None, s=0.0, forcing=lambda q, t: f)(0.3)
+    assert np.array_equal(F, add_at_load(mesh, dofs, f))
+
 
 
 class UnitYGradient:
@@ -299,7 +417,7 @@ def test_rhs_of_constant_regularization_force(small_duct):
     # the mass matrix applied to the interpolated (1, 0) scaled by s.
     _, mesh, dofs = small_duct
     s = 0.8
-    F = regularized_rhs(mesh, dofs, source=None, s=s, t=0.0, vorticity=UnitYGradient())
+    F = one_shot_rhs(mesh, dofs, source=None, s=s, t=0.0, vorticity=UnitYGradient())
     Mh = assemble_mass(mesh, dofs)
     ones = dofs.restrict(np.column_stack([np.ones(mesh.n_nodes), np.zeros(mesh.n_nodes)]))
     want = s * (Mh @ ones)
@@ -320,12 +438,12 @@ def test_rhs_scales_with_amplitude_and_time_profile(small_duct):
         SourceKind.IRROTATIONAL, center=(0.3, 0.1), width=0.4, amplitude=2.0
     )
     t = 0.5
-    F1 = regularized_rhs(mesh, dofs, base, s=1.0, t=t)
-    F2 = regularized_rhs(mesh, dofs, double, s=1.0, t=t)
+    F1 = one_shot_rhs(mesh, dofs, base, s=1.0, t=t)
+    F2 = one_shot_rhs(mesh, dofs, double, s=1.0, t=t)
     assert np.abs(F2 - 2 * F1).max() < 1e-14 * np.abs(F1).max()
     # Separability in time: the ratio of load vectors is the profile ratio.
     t2 = 0.62
-    F3 = regularized_rhs(mesh, dofs, base, s=1.0, t=t2)
+    F3 = one_shot_rhs(mesh, dofs, base, s=1.0, t=t2)
     ratio = float(base.time_profile(t2) / base.time_profile(t))
     assert np.abs(F3 - ratio * F1).max() < 1e-13 * np.abs(F1).max()
 
@@ -334,7 +452,7 @@ def test_rhs_custom_forcing_matches_source_path(small_duct):
     _, mesh, dofs = small_duct
     spec = SourceSpec(SourceKind.ROTATIONAL, center=(0.0, 0.2), width=0.5)
     t = 0.45
-    via_source = regularized_rhs(mesh, dofs, spec, s=0.0, t=t)
+    via_source = one_shot_rhs(mesh, dofs, spec, s=0.0, t=t)
     via_forcing = RhsAssembler(
         mesh, dofs, source=None, s=0.0, forcing=lambda q, tt: eval_source(spec, q, tt)
     )(t)
