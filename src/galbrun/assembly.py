@@ -290,11 +290,3 @@ def build_system(
         raise ValueError(f"unknown abc variant: {abc!r}")
     return SystemMatrices(Mh=Mh, Ah=Ah, Bh=Bh, Ch=Ch, Dh=Dh, M=M, s=s)
 
-
-def dump_matrix(mat: sp.spmatrix, path: str) -> None:
-    """Write a matrix as sorted 'row col value' text lines, 0-based."""
-    coo = sp.coo_matrix(mat)
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w", newline="\n") as f:
-        for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-            f.write(f"{r} {c} {v:.17g}\n")

@@ -11,12 +11,12 @@ which is data, not a failure of the tool.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
 from galbrun.config import ConfigError, RunConfig, load_config
-from galbrun.dynamics import Stable, run_simulation
+from galbrun.dynamics import run_simulation, status_text
+from galbrun.output import write_probe_log
 from galbrun.studies import (
     cmd_abc_reflection,
     cmd_convergence,
@@ -52,11 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="flat key=value configuration file")
         p.add_argument("--out", help="artifact directory")
-        p.add_argument(
-            "--serial-deterministic",
-            action="store_true",
-            help="set serial_deterministic = true; pins no BLAS threads",
-        )
 
     p_run = sub.add_parser("run", help="execute one configured simulation")
     common(p_run)
@@ -95,10 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> RunConfig | None:
-    cfg = load_config(args.config) if args.config else None
-    if cfg is not None and args.serial_deterministic:
-        cfg = dataclasses.replace(cfg, serial_deterministic=True)
-    return cfg
+    return load_config(args.config) if args.config else None
 
 
 def _write_report(out: str | None, name: str, text: str) -> None:
@@ -120,22 +112,11 @@ def main(argv=None) -> int:
             result = run_simulation(cfg, out_dir=out, probes=tuple(args.probe))
             for w in result.warnings:
                 print(f"warning: {w}", file=sys.stderr)
-            if args.probe and out is not None and result.probe_norms is not None:
+            if args.probe:
                 path = os.path.join(out, "probes.csv")
-                with open(path, "w", newline="\n") as f:
-                    cols = ",".join(f"xi_norm_at_{px}_{py}" for px, py in args.probe)
-                    f.write(f"step,t,{cols}\n")
-                    for rec, row in zip(result.records, result.probe_norms):
-                        vals = ",".join(repr(float(v)) for v in row)
-                        f.write(f"{rec.step},{rec.t!r},{vals}\n")
+                write_probe_log(result.records, args.probe, result.probe_norms, path)
                 print(f"wrote {path}")
-            if isinstance(result.status, Stable):
-                print(f"status: Stable after {result.status.steps} steps")
-            else:
-                print(
-                    f"status: Unstable at step {result.status.step} "
-                    f"of {result.n_steps}"
-                )
+            print(f"status: {status_text(result.status, result.n_steps)}")
             print(f"dt = {result.dt:.6g}, artifacts in {out}")
             return 0
 

@@ -8,6 +8,7 @@ file echoed next to run outputs is itself a loadable config.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from dataclasses import dataclass, field
 
 from galbrun.mesh import DuctGeometry
@@ -84,8 +85,6 @@ class RunConfig:
     # output
     out_dir: str = "out"
     energy_log: str = "energy.csv"
-    field_format: str = "vtk_ascii"
-    serial_deterministic: bool = True
 
     def geometry(self) -> DuctGeometry:
         return DuctGeometry(R=self.R, h=self.h)
@@ -140,8 +139,6 @@ class RunConfig:
             raise ConfigError(f"unknown init_kind {self.init_kind!r}")
         if self.source_width <= 0 or self.init_width <= 0 or self.time_sigma <= 0:
             raise ConfigError("source_width, init_width and time_sigma must be positive")
-        if self.field_format != "vtk_ascii":
-            raise ConfigError(f"unsupported field_format {self.field_format!r}")
         for ts in self.snapshot_times:
             if ts < 0 or ts > self.t_end + 1e-12:
                 raise ConfigError(f"snapshot time {ts} outside [0, t_end]")
@@ -161,6 +158,10 @@ class RunConfig:
 
 _FIELD_TYPES = {f.name: f for f in dataclasses.fields(RunConfig)}
 
+# Keys that no longer change a run. Metadata echoes written before their
+# removal still carry them, so they load with a warning instead of failing.
+RETIRED_KEYS = ("field_format", "serial_deterministic")
+
 
 def _parse_value(key: str, raw: str):
     f = _FIELD_TYPES[key]
@@ -169,12 +170,6 @@ def _parse_value(key: str, raw: str):
         return float(raw)
     if f.type in ("int", int):
         return int(raw)
-    if f.type in ("bool", bool):
-        if raw.lower() in ("true", "1", "yes", "on"):
-            return True
-        if raw.lower() in ("false", "0", "no", "off"):
-            return False
-        raise ConfigError(f"cannot parse boolean {key} = {raw!r}")
     if key == "snapshot_times":
         if not raw:
             return ()
@@ -192,6 +187,11 @@ def parse_config_text(text: str) -> RunConfig:
         if "=" not in body:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
         key, raw = (part.strip() for part in body.split("=", 1))
+        if key in RETIRED_KEYS:
+            if key == "field_format" and raw != "vtk_ascii":
+                raise ConfigError(f"unsupported field_format {raw!r}")
+            print(f"warning: config key {key} is retired and ignored", file=sys.stderr)
+            continue
         if key not in _FIELD_TYPES:
             unknown.append(key)
             continue
@@ -222,8 +222,6 @@ def load_config(path: str) -> RunConfig:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, tuple):
         return ", ".join(repr(float(v)) for v in value)
     if isinstance(value, float):

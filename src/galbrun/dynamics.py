@@ -6,10 +6,15 @@ The scheme is the centered three-level discretization
         + (Ah + Dh) x0 = F(t),
 
 so each step solves one system with the fixed operator
-L = Mh / dt^2 + (Bh + Ch) / (2 dt), LU-factorized once. The centered
-first-order term keeps the exact discrete energy balance: the staggered
-energy decreases monotonically with absorbing boundaries and is conserved
-to roundoff for the closed box at M = 0.
+L = Mh / dt^2 + (Bh + Ch) / (2 dt), LU-factorized once.
+
+The logged energy (physics.energy) pairs the staggered states through the
+separately assembled Ke of physics.make_energy_stiffness. It is the energy
+the scheme balances only where Ke equals Ah + Dh: at s = 1, with the
+stable absorbing condition or in the closed box. There, without a source,
+it is non-increasing and, for the closed box at M = 0, conserved to
+roundoff. For s != 1 or the naive condition the logged value carries no
+such guarantee.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from galbrun.assembly import (
@@ -66,6 +70,15 @@ class Unstable:
     step: int
 
 
+def status_text(status: Stable | Unstable, n_steps: int | None = None) -> str:
+    """'Stable after N steps' or 'Unstable at step k', plus ' of n' when
+    n_steps is given."""
+    if isinstance(status, Stable):
+        return f"Stable after {status.steps} steps"
+    of = "" if n_steps is None else f" of {n_steps}"
+    return f"Unstable at step {status.step}{of}"
+
+
 @dataclass
 class SimState:
     """Two consecutive displacement vectors; step indexes xi_curr."""
@@ -79,19 +92,16 @@ class SimState:
 class StepOperator:
     """Factorized per-step solve plus the cached scheme matrices."""
 
-    def __init__(self, mats: SystemMatrices, dt: float, lumped_mass: bool = False):
+    def __init__(self, mats: SystemMatrices, dt: float):
         if dt <= 0:
             raise ValueError("dt must be positive")
         Mh = mats.Mh
-        if lumped_mass:
-            Mh = sp.diags(np.asarray(mats.Mh.sum(axis=1)).ravel()).tocsr()
         BC = (mats.Bh + mats.Ch).tocsr()
         self.L = (Mh / dt**2 + BC / (2.0 * dt)).tocsr()
         self._curr = ((2.0 / dt**2) * Mh - (mats.Ah + mats.Dh)).tocsr()
         self._back = (Mh / dt**2 - BC / (2.0 * dt)).tocsr()
         self._lu = splu(self.L.tocsc())
         self.dt = dt
-        self.lumped_mass = lumped_mass
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return self._lu.solve(rhs)
@@ -111,12 +121,6 @@ def plan_time_step(mesh: Mesh, M: float, cfl_safety: float) -> float:
     if not 0.0 < cfl_safety <= 1.0:
         raise ValueError("cfl_safety must lie in (0, 1]")
     return cfl_safety * minimum_edge_length(mesh) / (1.0 + abs(M))
-
-
-def build_step_operator(
-    mats: SystemMatrices, dt: float, lumped_mass: bool = False
-) -> StepOperator:
-    return StepOperator(mats, dt, lumped_mass=lumped_mass)
 
 
 def leapfrog_step(op: StepOperator, state: SimState, F: np.ndarray) -> SimState:
@@ -222,7 +226,7 @@ def run_simulation(
     n_steps = max(1, math.ceil(cfg.t_end / dt_raw - 1e-12))
     dt = cfg.t_end / n_steps
 
-    op = build_step_operator(mats, dt)
+    op = StepOperator(mats, dt)
     Ke = make_energy_stiffness(mesh, dofs, cfg.M)
     flux_mat = None
     if variant != AbcVariant.NONE:
@@ -391,11 +395,7 @@ def _report_text(
     warnings: list[str],
 ) -> str:
     finite = [r.E for r in records if np.isfinite(r.E)]
-    lines = []
-    if isinstance(status, Stable):
-        lines.append(f"status: Stable after {status.steps} steps (dt = {dt!r})")
-    else:
-        lines.append(f"status: Unstable at step {status.step} of {n_steps} (dt = {dt!r})")
+    lines = [f"status: {status_text(status, n_steps)} (dt = {dt!r})"]
     if finite:
         lines.append(f"peak energy: {max(finite)!r}")
         lines.append(f"final logged energy: {finite[-1]!r}")

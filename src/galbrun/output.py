@@ -110,6 +110,21 @@ def write_energy_log(records: list[EnergyRecord], path: str) -> None:
             writer.writerow([r.step, repr(r.t), repr(r.E), repr(r.flux), r.status])
 
 
+def write_probe_log(
+    records: list[EnergyRecord],
+    probes: list[tuple[float, float]],
+    norms: np.ndarray,
+    path: str,
+) -> None:
+    """|xi| at each probe, one row per energy record; norms is (n_records, n_probes)."""
+    with open(path, "w", newline="\n") as f:
+        cols = ",".join(f"xi_norm_at_{px}_{py}" for px, py in probes)
+        f.write(f"step,t,{cols}\n")
+        for rec, row in zip(records, norms):
+            vals = ",".join(repr(float(v)) for v in row)
+            f.write(f"{rec.step},{rec.t!r},{vals}\n")
+
+
 def read_energy_log(path: str) -> list[EnergyRecord]:
     records = []
     with open(path) as f:

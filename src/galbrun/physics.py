@@ -18,8 +18,6 @@ from numpy.polynomial.legendre import leggauss
 
 from galbrun.assembly import (
     TRI_QP_BARY,
-    assemble_boundary_mass,
-    assemble_c,
     assemble_dx_stiffness,
     assemble_gradient_stiffness,
     triangle_quadrature,
@@ -97,22 +95,16 @@ class SourceSpec:
     time_profile: TimeProfile = TimeProfile()
 
 
-def _bump(spec: SourceSpec, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gaussian bump value and centered offsets at the given points."""
-    dx = pts[..., 0] - spec.center[0]
-    dy = pts[..., 1] - spec.center[1]
-    w2 = spec.width * spec.width
-    g = np.exp(-0.5 * (dx * dx + dy * dy) / w2)
-    return g, dx, dy
-
-
 def source_spatial(spec: SourceSpec, pts: np.ndarray) -> np.ndarray:
     """Spatial factor amplitude * g_vec of f = source_spatial * p(t)."""
     out = np.zeros(pts.shape)
     if spec.kind == SourceKind.NONE:
         return out
-    g, dx, dy = _bump(spec, pts)
-    amp = spec.amplitude / (spec.width * spec.width)
+    dx = pts[..., 0] - spec.center[0]
+    dy = pts[..., 1] - spec.center[1]
+    w2 = spec.width * spec.width
+    g = np.exp(-0.5 * (dx * dx + dy * dy) / w2)
+    amp = spec.amplitude / w2
     if spec.kind == SourceKind.ROTATIONAL:
         out[..., 0] = -amp * dy * g
         out[..., 1] = amp * dx * g
@@ -120,44 +112,6 @@ def source_spatial(spec: SourceSpec, pts: np.ndarray) -> np.ndarray:
         out[..., 0] = -amp * dx * g
         out[..., 1] = -amp * dy * g
     return out
-
-
-def eval_source(spec: SourceSpec, pts: np.ndarray, t: float) -> np.ndarray:
-    """Force vectors at points of shape (..., 2); same leading shape out."""
-    return source_spatial(spec, pts) * float(spec.time_profile(t))
-
-
-def source_curl_spatial(spec: SourceSpec, pts: np.ndarray) -> np.ndarray:
-    """Spatial factor W of curl f = W(x, y) * p(t).
-
-    For the rotational source W = -amplitude * laplacian(G); identically
-    zero for irrotational or absent sources.
-    """
-    if spec.kind != SourceKind.ROTATIONAL:
-        return np.zeros(pts.shape[:-1])
-    g, dx, dy = _bump(spec, pts)
-    w2 = spec.width * spec.width
-    r2 = dx * dx + dy * dy
-    return spec.amplitude * g * (2.0 / w2 - r2 / (w2 * w2))
-
-
-def source_curl_spatial_gradient(spec: SourceSpec, pts: np.ndarray) -> np.ndarray:
-    """Gradient of W, needed for grad psi under the Duhamel integral."""
-    out = np.zeros(pts.shape)
-    if spec.kind != SourceKind.ROTATIONAL:
-        return out
-    g, dx, dy = _bump(spec, pts)
-    w2 = spec.width * spec.width
-    w4 = w2 * w2
-    r2 = dx * dx + dy * dy
-    radial = spec.amplitude * g * (r2 / (w4 * w2) - 4.0 / w4)
-    out[..., 0] = radial * dx
-    out[..., 1] = radial * dy
-    return out
-
-
-def source_curl(spec: SourceSpec, pts: np.ndarray, t: float) -> np.ndarray:
-    return source_curl_spatial(spec, pts) * float(spec.time_profile(t))
 
 
 class CausalVorticity:
@@ -170,7 +124,7 @@ class CausalVorticity:
 
     for a separable curl f = W(x, y) p(t). This equals the general closed
     form alpha + x beta + convected double integral with alpha, beta chosen
-    to cancel the state at t = 0 (see analytic_vorticity for that form).
+    to cancel the state at t = 0 (the tests check it against that form).
     The integral is Gauss-Legendre over the overlap of [0, t] with the
     support window of p.
 
@@ -260,89 +214,6 @@ class CausalVorticity:
         return out
 
 
-class AnalyticVorticity:
-    """General closed-form vorticity for uniform flow.
-
-    For M != 0:
-
-        psi(x, y, t) = alpha(x - M t, y) + x beta(x - M t, y)
-                       + (1/M^2) int_0^x (x - a) curl_f(a, y, t - (x - a)/M) da
-
-    and in the degenerate M = 0 limit the convected integral becomes the
-    repeated time integral int_0^t int_0^t' curl_f(x, y, t'') dt'' dt',
-    evaluated here in its equivalent single-integral form
-    int_0^t (t - t') curl_f(x, y, t') dt'.
-
-    alpha and beta are caller-supplied functions of (x0, y); both default
-    to zero. curl_f is any callable (x, y, t) -> scalar. Quadrature is
-    adaptive to rel_tol (scipy.integrate.quad), scalar evaluation.
-    """
-
-    def __init__(
-        self,
-        curl_f: Callable[[float, float, float], float],
-        M: float,
-        alpha: Callable[[float, float], float] | None = None,
-        beta: Callable[[float, float], float] | None = None,
-        rel_tol: float = 1e-10,
-    ):
-        self.curl_f = curl_f
-        self.M = float(M)
-        self.alpha = alpha
-        self.beta = beta
-        self.rel_tol = rel_tol
-
-    def _homogeneous(self, x: float, y: float, t: float) -> float:
-        x0 = x - self.M * t
-        val = 0.0
-        if self.alpha is not None:
-            val += self.alpha(x0, y)
-        if self.beta is not None:
-            val += x * self.beta(x0, y)
-        return val
-
-    def value(self, x: float, y: float, t: float) -> float:
-        from scipy.integrate import quad
-
-        if self.M == 0.0:
-            part, _ = quad(
-                lambda tp: (t - tp) * self.curl_f(x, y, tp),
-                0.0,
-                t,
-                epsabs=self.rel_tol,
-                epsrel=self.rel_tol,
-                limit=200,
-            )
-        else:
-            m2 = self.M * self.M
-
-            def integrand(a: float) -> float:
-                return (x - a) * self.curl_f(a, y, t - (x - a) / self.M)
-
-            part, _ = quad(
-                integrand, 0.0, x, epsabs=self.rel_tol, epsrel=self.rel_tol, limit=200
-            )
-            part /= m2
-        return self._homogeneous(x, y, t) + part
-
-    def __call__(self, pts: np.ndarray, t: float) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        flat = pts.reshape(-1, 2)
-        vals = np.array([self.value(p[0], p[1], t) for p in flat])
-        return vals.reshape(pts.shape[:-1])
-
-
-def analytic_vorticity(
-    curl_f: Callable[[float, float, float], float],
-    M: float,
-    alpha: Callable[[float, float], float] | None = None,
-    beta: Callable[[float, float], float] | None = None,
-    rel_tol: float = 1e-10,
-) -> AnalyticVorticity:
-    """Closed-form transported vorticity; see AnalyticVorticity."""
-    return AnalyticVorticity(curl_f, M, alpha=alpha, beta=beta, rel_tol=rel_tol)
-
-
 class RhsAssembler:
     """Per-step load vector F(t) of the regularized right-hand side.
 
@@ -380,10 +251,6 @@ class RhsAssembler:
         self._source_load = None
         if source is not None:
             self._source_load = self._scatter(source_spatial(source, self.qp))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.source is None and self.forcing is None and self.vorticity is None
 
     def _scatter(self, f: np.ndarray) -> np.ndarray:
         """Load vector int f . phi_i of a force given at the quadrature points."""
@@ -435,11 +302,14 @@ def energy(
 
     E = 1/2 [ d^T Mh d + xi_curr^T Ke xi_prev ], d = (xi_curr - xi_prev)/dt.
 
-    The staggered gradient product makes the sequence exactly
-    non-increasing under the leapfrog scheme with absorbing boundaries and
-    exactly conserved for the closed box at M = 0 (up to roundoff). Can dip
-    below zero only by a CFL-margin epsilon. Overflows to inf (silently,
-    callers check finiteness) while a blown-up run is being detected.
+    Where Ke equals the scheme's Ah + Dh (at s = 1, with the stable
+    absorbing condition or in the closed box), the staggered gradient
+    product makes the source-free sequence non-increasing under the
+    leapfrog scheme, and conserved to roundoff for the closed box at M = 0;
+    it can dip below zero only by a CFL-margin epsilon. For s != 1 or the
+    naive condition Ke differs from Ah + Dh and the sequence is not the
+    energy the scheme balances. Overflows to inf (silently, callers check
+    finiteness) while a blown-up run is being detected.
     """
     d = (xi_curr - xi_prev) / dt
     with np.errstate(over="ignore", invalid="ignore"):
@@ -450,25 +320,15 @@ def boundary_flux(
     xi_prev: np.ndarray, xi_curr: np.ndarray, dt: float, flux_mass: sp.spmatrix
 ) -> float:
     """Outflow rate int_Gamma |dxi/dt|^2 with the same backward difference
-    as energy()."""
+    as energy().
+
+    The scheme's velocity is centered, (x_{n+1} - x_{n-1}) / (2 dt); this
+    backward difference sits half a step off it, so the balance
+    E_n - E_{n-1} = -dt * flux holds only to O(dt^2), not exactly.
+    """
     d = (xi_curr - xi_prev) / dt
     with np.errstate(over="ignore", invalid="ignore"):
         return float(d @ (flux_mass @ d))
-
-
-def naive_abc_forms(
-    mesh: Mesh, dofs: DofMap, M: float
-) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Boundary operators of the classical characteristic-style condition.
-
-    Substituting that condition into the natural boundary terms eliminates
-    every tangential derivative, leaving the same damping form as the
-    stable variant and no tangential coupling at all: (Ch, 0). The missing
-    coupling is exactly what makes the discrete operator indefinite for
-    M != 0, hence the instability this variant is used to demonstrate.
-    """
-    n = dofs.n_dofs
-    return assemble_c(mesh, dofs, M), sp.csr_matrix((n, n))
 
 
 def well_posedness_margin(M: float, s: float) -> float:

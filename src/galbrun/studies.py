@@ -25,19 +25,19 @@ from typing import Callable
 
 import numpy as np
 
-from galbrun.assembly import build_system
+from galbrun.assembly import SystemMatrices, build_system
 from galbrun.config import ConfigError, RunConfig
 from galbrun.dynamics import (
     RunResult,
     SimState,
-    Stable,
+    StepOperator,
     Unstable,
-    build_step_operator,
     leapfrog_step,
     run_simulation,
+    status_text,
     taylor_first_step,
 )
-from galbrun.mesh import DuctGeometry, build_dof_map, build_duct_mesh
+from galbrun.mesh import DofMap, DuctGeometry, Mesh, build_dof_map, build_duct_mesh
 from galbrun.physics import RhsAssembler
 
 
@@ -103,8 +103,11 @@ def manufactured_case(M: float, s: float, omega: float = 2.0) -> MmsCase:
     )
 
 
-def _mms_solve(case: MmsCase, n: int, dt: float, t_end: float) -> np.ndarray:
-    """Dof vector at t_end on the n-by-n closed box, production stepping."""
+def _mms_solve(
+    case: MmsCase, n: int, dt: float, t_end: float
+) -> tuple[np.ndarray, Mesh, DofMap, SystemMatrices]:
+    """Dof vector at t_end on the n-by-n closed box, production stepping,
+    with the mesh, dof map and matrices it was computed on."""
     mesh = build_duct_mesh(DuctGeometry(1.0, 1.0), n, n)
     dofs = build_dof_map(mesh, closed_box=True)
     mats = build_system(mesh, dofs, case.M, case.s, abc="none")
@@ -115,19 +118,17 @@ def _mms_solve(case: MmsCase, n: int, dt: float, t_end: float) -> np.ndarray:
     xi0 = dofs.restrict(case.xi(mesh.nodes, 0.0))
     zeta0 = dofs.restrict(case.xi_t(mesh.nodes, 0.0))
     xi1 = taylor_first_step(mats, dt, xi0, zeta0, rhs(0.0))
-    op = build_step_operator(mats, dt)
+    op = StepOperator(mats, dt)
     state = SimState(xi0, xi1, step=1, dt=dt)
     while state.step < n_steps:
         state = leapfrog_step(op, state, rhs(state.step * dt))
-    return state.xi_curr
+    return state.xi_curr, mesh, dofs, mats
 
 
 def _mms_error(case: MmsCase, n: int, dt: float, t_end: float) -> float:
-    mesh = build_duct_mesh(DuctGeometry(1.0, 1.0), n, n)
-    dofs = build_dof_map(mesh, closed_box=True)
-    mats = build_system(mesh, dofs, case.M, case.s, abc="none")
+    xi, mesh, dofs, mats = _mms_solve(case, n, dt, t_end)
     exact = dofs.restrict(case.xi(mesh.nodes, t_end))
-    err = _mms_solve(case, n, dt, t_end) - exact
+    err = xi - exact
     return math.sqrt((err @ (mats.Mh @ err)) / (exact @ (mats.Mh @ exact)))
 
 
@@ -190,17 +191,13 @@ def temporal_convergence(
     case = manufactured_case(M, s)
     h = 2.0 / n
     dt0 = t_end / math.ceil(t_end / (cfl * h / (1.0 + abs(M))) - 1e-12)
-    ref = _mms_solve(case, n, dt0 / ref_factor, t_end)
-
-    mesh = build_duct_mesh(DuctGeometry(1.0, 1.0), n, n)
-    dofs = build_dof_map(mesh, closed_box=True)
-    mats = build_system(mesh, dofs, case.M, case.s, abc="none")
+    ref, _, _, mats = _mms_solve(case, n, dt0 / ref_factor, t_end)
     scale = math.sqrt(ref @ (mats.Mh @ ref))
 
     dts, errors, labels = [], [], []
     for k in range(halvings):
         dt = dt0 / 2**k
-        diff = _mms_solve(case, n, dt, t_end) - ref
+        diff = _mms_solve(case, n, dt, t_end)[0] - ref
         errors.append(math.sqrt(diff @ (mats.Mh @ diff)) / scale)
         dts.append(dt)
         labels.append(f"n = {n:3d} (dt = {dt:.6g})")
@@ -342,11 +339,7 @@ def cmd_abc_reflection(
         in_post = (tvals >= post[0]) & (tvals <= post[1])
         peak = float(norms[in_passage].max())
         reflected = float(norms[in_post].max()) if in_post.any() else float("nan")
-        status = (
-            "Stable"
-            if isinstance(res.status, Stable)
-            else f"Unstable at step {res.status.step}"
-        )
+        status = "Stable" if res.stable else status_text(res.status)
         out_levels.append(
             ReflectionLevel(
                 nx=nx,
@@ -412,12 +405,8 @@ class ContrastReport:
         ):
             finite = [r.E for r in res.records if np.isfinite(r.E)]
             peak = max(finite) if finite else float("nan")
-            if isinstance(res.status, Stable):
-                status = f"Stable after {res.status.steps} steps"
-            else:
-                status = f"Unstable at step {res.status.step} of {res.n_steps}"
             lines.append(
-                f"  {name}: {status}; peak E = {peak:.4e}, "
+                f"  {name}: {status_text(res.status, res.n_steps)}; peak E = {peak:.4e}, "
                 f"growth over final decade = {growth:.3e}"
             )
         lines.append(

@@ -30,7 +30,6 @@ from galbrun.assembly import (
     assemble_gradient_stiffness,
     assemble_mass,
     build_system,
-    dump_matrix,
     minimum_edge_length,
     triangle_gradients,
     triangle_quadrature,
@@ -348,10 +347,3 @@ def test_permutation_invariance():
                 ub, vb = nodal(shuffled, dofs_b, fx, fy), nodal(shuffled, dofs_b, gx, gy)
                 qa, qb = ua @ Ka @ va, ub @ Kb @ vb
                 assert qa == pytest.approx(qb, rel=1e-12, abs=1e-12)
-
-
-def test_dump_matrix_format(tmp_path):
-    mat = sp.csr_matrix(np.array([[1.5, 0.0], [0.25, -3.0]]))
-    path = tmp_path / "mat.txt"
-    dump_matrix(mat, str(path))
-    assert path.read_text() == "0 0 1.5\n1 0 0.25\n1 1 -3\n"

@@ -21,7 +21,6 @@ from galbrun.dynamics import (
     Stable,
     StepOperator,
     Unstable,
-    build_step_operator,
     leapfrog_step,
     plan_time_step,
     run_simulation,
@@ -51,7 +50,7 @@ def test_plan_time_step_values(small_duct):
 def test_step_operator_solve_round_trip(small_duct):
     _, mesh, dofs = small_duct
     mats = build_system(mesh, dofs, M=0.5, s=1.0)
-    op = build_step_operator(mats, dt=0.1)
+    op = StepOperator(mats, dt=0.1)
     rng = np.random.default_rng(2)
     b = rng.standard_normal(dofs.n_dofs)
     x = op.solve(b)
@@ -64,7 +63,7 @@ def test_leapfrog_satisfies_three_level_relation(small_duct):
     _, mesh, dofs = small_duct
     mats = build_system(mesh, dofs, M=0.5, s=1.0)
     dt = 0.05
-    op = build_step_operator(mats, dt)
+    op = StepOperator(mats, dt)
     rng = np.random.default_rng(4)
     prev = rng.standard_normal(dofs.n_dofs)
     curr = rng.standard_normal(dofs.n_dofs)
@@ -88,7 +87,7 @@ def test_scheme_rhs_matches_three_term_form(small_duct):
     _, mesh, dofs = small_duct
     mats = build_system(mesh, dofs, M=0.5, s=1.0)
     dt = 0.05
-    op = build_step_operator(mats, dt)
+    op = StepOperator(mats, dt)
     rng = np.random.default_rng(11)
     prev = rng.standard_normal(dofs.n_dofs)
     curr = rng.standard_normal(dofs.n_dofs)
@@ -113,7 +112,7 @@ def test_scheme_exact_for_quadratic_trajectory(small_duct):
     mats = build_system(mesh, dofs, M=0.5, s=1.0)
     w = linear_dof_vector(mesh, dofs)
     dt = 0.05
-    op = build_step_operator(mats, dt)
+    op = StepOperator(mats, dt)
     BC = (mats.Bh + mats.Ch).tocsr()
     K = (mats.Ah + mats.Dh).tocsr()
     Fw_const = 2 * (mats.Mh @ w)
@@ -142,21 +141,10 @@ def test_taylor_start_exact_for_quadratic(small_duct):
     assert np.abs(xi1 - dt * dt * w).max() < 1e-12 * np.abs(w).max()
 
 
-def test_lumped_mass_operator_is_diagonal_without_boundary_terms():
-    mesh = build_duct_mesh(DuctGeometry(1.0, 1.0), 6, 6)
-    dofs = build_dof_map(mesh, closed_box=True)
-    mats = build_system(mesh, dofs, M=0.0, s=1.0, abc="none")
-    op = build_step_operator(mats, dt=0.05, lumped_mass=True)
-    dense = op.L.toarray()
-    off = dense - np.diag(np.diag(dense))
-    assert np.abs(off).max() == 0.0
-    assert np.all(np.diag(dense) > 0.0)
-
-
 def test_instability_error_on_nonfinite_state(small_duct):
     _, mesh, dofs = small_duct
     mats = build_system(mesh, dofs, M=0.5, s=1.0)
-    op = build_step_operator(mats, dt=0.05)
+    op = StepOperator(mats, dt=0.05)
     bad = np.full(dofs.n_dofs, np.inf)
     with pytest.raises(InstabilityError) as err:
         leapfrog_step(op, SimState(bad, bad, step=3, dt=0.05), np.zeros(dofs.n_dofs))
@@ -170,7 +158,7 @@ def test_closed_box_energy_conservation_drift():
     dofs = build_dof_map(mesh, closed_box=True)
     mats = build_system(mesh, dofs, M=0.0, s=1.0, abc="none")
     dt = plan_time_step(mesh, 0.0, 0.35)
-    op = build_step_operator(mats, dt)
+    op = StepOperator(mats, dt)
     Ke = make_energy_stiffness(mesh, dofs, 0.0)
 
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]

@@ -35,7 +35,6 @@ def test_parse_round_trip():
         M=-0.25,
         abc="naive",
         source_kind="irrotational",
-        serial_deterministic=False,
     )
     text = config_to_text(cfg, header_comments=("example", "two lines"))
     assert parse_config_text(text) == cfg
@@ -69,8 +68,6 @@ def test_parse_rejects_duplicates_and_garbage():
         parse_config_text("M: 0.1")
     with pytest.raises(ConfigError, match="bad value"):
         parse_config_text("M = fast")
-    with pytest.raises(ConfigError, match="boolean"):
-        parse_config_text("serial_deterministic = maybe")
 
 
 def test_snapshot_times_list_parsing():
@@ -95,7 +92,6 @@ def test_validate_hard_errors():
         dict(init_kind="vortex"),
         dict(source_width=0.0),
         dict(time_sigma=-0.5),
-        dict(field_format="hdf5"),
         dict(snapshot_times=(3.0,), t_end=2.0),
         dict(snapshot_times=(-0.1,)),
     ]
