@@ -8,8 +8,7 @@ file echoed next to run outputs is itself a loadable config.
 from __future__ import annotations
 
 import dataclasses
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from galbrun.mesh import DuctGeometry
 from galbrun.physics import (
@@ -158,10 +157,6 @@ class RunConfig:
 
 _FIELD_TYPES = {f.name: f for f in dataclasses.fields(RunConfig)}
 
-# Keys that no longer change a run. Metadata echoes written before their
-# removal still carry them, so they load with a warning instead of failing.
-RETIRED_KEYS = ("field_format", "serial_deterministic")
-
 
 def _parse_value(key: str, raw: str):
     f = _FIELD_TYPES[key]
@@ -187,11 +182,6 @@ def parse_config_text(text: str) -> RunConfig:
         if "=" not in body:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
         key, raw = (part.strip() for part in body.split("=", 1))
-        if key in RETIRED_KEYS:
-            if key == "field_format" and raw != "vtk_ascii":
-                raise ConfigError(f"unsupported field_format {raw!r}")
-            print(f"warning: config key {key} is retired and ignored", file=sys.stderr)
-            continue
         if key not in _FIELD_TYPES:
             unknown.append(key)
             continue

@@ -16,7 +16,7 @@ import numpy as np
 
 from galbrun.mesh import Mesh
 
-ENERGY_HEADER = ("step", "t", "E", "flux", "status")
+ENERGY_HEADER = ("step", "t", "E", "kinetic", "flux", "status")
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,8 @@ class EnergyRecord:
     step: int
     t: float
     E: float
-    flux: float
+    kinetic: float = 0.0  # the part 1/2 d^T Mh d of E
+    flux: float = 0.0
     status: str = "ok"  # "warned" marks the abort row of an unstable run
 
 
@@ -107,7 +108,8 @@ def write_energy_log(records: list[EnergyRecord], path: str) -> None:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(ENERGY_HEADER)
         for r in records:
-            writer.writerow([r.step, repr(r.t), repr(r.E), repr(r.flux), r.status])
+            floats = (r.t, r.E, r.kinetic, r.flux)
+            writer.writerow([r.step, *map(repr, floats), r.status])
 
 
 def write_probe_log(
@@ -133,13 +135,5 @@ def read_energy_log(path: str) -> list[EnergyRecord]:
         if header != ENERGY_HEADER:
             raise ValueError(f"{path}: unexpected header {header}")
         for row in reader:
-            records.append(
-                EnergyRecord(
-                    step=int(row[0]),
-                    t=float(row[1]),
-                    E=float(row[2]),
-                    flux=float(row[3]),
-                    status=row[4],
-                )
-            )
+            records.append(EnergyRecord(int(row[0]), *map(float, row[1:5]), row[5]))
     return records

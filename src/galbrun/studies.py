@@ -364,12 +364,13 @@ def cmd_abc_reflection(
 
 
 def growth_over_final_decade(records) -> float:
-    """Ratio of the last logged energy to the one a tenth of the log ago."""
-    E = [r.E for r in records]
-    n = len(E)
+    """Ratio of the last logged kinetic part to the one a tenth of the log
+    ago. The kinetic part cannot go negative, unlike E for s != 1."""
+    kinetic = [r.kinetic for r in records]
+    n = len(kinetic)
     k = max(1, n // 10)
-    start = E[n - 1 - k]
-    end = E[n - 1]
+    start = kinetic[n - 1 - k]
+    end = kinetic[n - 1]
     if not np.isfinite(end):
         return float("inf")
     return end / max(start, 1e-300)

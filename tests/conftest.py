@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from galbrun.mesh import CONSTRAINED, DofMap, DuctGeometry, Mesh, build_dof_map, build_duct_mesh
+from galbrun.mesh import DofMap, DuctGeometry, Mesh, build_dof_map, build_duct_mesh
 
 
 def make_free_dofmap(n_nodes: int) -> DofMap:

@@ -100,36 +100,24 @@ def test_metadata_echo_rerun_reproduces_energy_log(tmp_path):
     assert (out_a / "energy.csv").read_bytes() == (out_b / "energy.csv").read_bytes()
 
 
-def test_retired_keys_in_old_metadata_replay_with_warning(tmp_path, capsys):
-    # Metadata echoes of earlier versions end with two keys that changed no
-    # run; replaying one must warn, not fail, and give the same energy log.
-    cfg = write_cfg(tmp_path / "a.cfg")
-    out_a = tmp_path / "a_out"
-    assert main(["run", "--config", cfg, "--out", str(out_a)]) == 0
-    echo = (out_a / "run_metadata.cfg").read_text()
-    assert "energy_log = energy.csv\n" in echo
-    old = tmp_path / "old_metadata.cfg"
-    old.write_text(
-        echo.replace(
-            "energy_log = energy.csv\n",
-            "energy_log = energy.csv\nfield_format = vtk_ascii\n"
-            "serial_deterministic = true\n",
-        )
-    )
-    capsys.readouterr()
-    out_b = tmp_path / "b_out"
-    assert main(["run", "--config", str(old), "--out", str(out_b)]) == 0
-    err = capsys.readouterr().err
-    assert "warning: config key field_format is retired and ignored" in err
-    assert "warning: config key serial_deterministic is retired and ignored" in err
-    assert (out_a / "energy.csv").read_bytes() == (out_b / "energy.csv").read_bytes()
-    assert (out_b / "run_metadata.cfg").read_text() == echo
+def test_retired_keys_are_unknown_keys(tmp_path, capsys):
+    # field_format and serial_deterministic changed no run; metadata echoes
+    # that still carry them are rejected like any other unknown key.
+    for key, value in (
+        ("field_format", "vtk_ascii"),
+        ("serial_deterministic", "true"),
+    ):
+        cfg = write_cfg(tmp_path / "a.cfg", **{key: value})
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert f"unknown config keys: {key}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_unsupported_field_format_exits_two(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "a.cfg", field_format="hdf5")
     assert main(["run", "--config", cfg]) == 2
-    assert "unsupported field_format 'hdf5'" in capsys.readouterr().err
+    assert "unknown config keys: field_format" in capsys.readouterr().err
 
 
 def test_serial_deterministic_flag_is_gone(capsys):

@@ -20,11 +20,10 @@ from galbrun.assembly import (
     triangle_quadrature,
 )
 from galbrun.config import RunConfig
-from galbrun.mesh import DuctGeometry, build_dof_map, build_duct_mesh
+from galbrun.mesh import build_dof_map, build_duct_mesh
 from galbrun.physics import (
     CausalVorticity,
     Direction,
-    PlaneWave,
     ProfileKind,
     RhsAssembler,
     SourceKind,

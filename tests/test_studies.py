@@ -5,7 +5,6 @@ the levels are trimmed so the whole module stays in the seconds range.
 """
 
 import dataclasses
-import os
 
 import numpy as np
 import pytest
@@ -140,7 +139,7 @@ def test_reflection_report_flags_unstable_level():
 
 
 def _records(energies):
-    return [EnergyRecord(step=i, t=0.01 * i, E=e, flux=0.0, status="ok")
+    return [EnergyRecord(step=i, t=0.01 * i, E=e, kinetic=e, flux=0.0, status="ok")
             for i, e in enumerate(energies)]
 
 
