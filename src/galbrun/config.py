@@ -46,6 +46,9 @@ class RunConfig:
     sufficient well-posedness regime; outside it the run proceeds with a
     warning.
 
+    Boundaries (abc): "stable" or "naive" absorbing conditions on x = +-R,
+    or "none" for a closed box, which requires M = 0.
+
     Initial data (init_kind): "none" starts from rest; "bump" starts from
     the gradient of a Gaussian bump with zero velocity; "plane_pulse"
     launches an exact downstream-moving y-independent pulse (init_center_y
@@ -126,6 +129,10 @@ class RunConfig:
             AbcVariant(self.abc)
         except ValueError:
             raise ConfigError(f"abc must be one of stable, naive, none; got {self.abc!r}")
+        if self.abc == AbcVariant.NONE.value and self.M != 0.0:
+            # With flow the closed box's end walls feed energy in: sym(Bh) is
+            # indefinite there and no boundary term cancels it.
+            raise ConfigError(f"abc = none (closed box) needs M = 0; got M = {self.M}")
         try:
             SourceKind(self.source_kind)
         except ValueError:

@@ -36,13 +36,12 @@ from galbrun.output import EnergyRecord, write_energy_log, write_snapshot
 from galbrun.physics import (
     AbcVariant,
     CausalVorticity,
-    Direction,
     RhsAssembler,
     SourceKind,
+    SourceSpec,
     boundary_flux,
     energy,
-    gaussian_profile,
-    plane_wave,
+    source_spatial,
 )
 
 # A run is Unstable once its kinetic part exceeds this multiple of the
@@ -89,16 +88,18 @@ class SimState:
 
 
 class StepOperator:
-    """Factorized per-step solve plus the cached scheme matrices."""
+    """Factorized per-step solve plus the scheme matrices: the mass Mh, the
+    stiffness K = Ah + Dh and the damping BC = Bh + Ch."""
 
     def __init__(self, mats: SystemMatrices, dt: float):
         if dt <= 0:
             raise ValueError("dt must be positive")
-        Mh = mats.Mh
-        BC = (mats.Bh + mats.Ch).tocsr()
-        self.L = (Mh / dt**2 + BC / (2.0 * dt)).tocsr()
-        self._curr = ((2.0 / dt**2) * Mh - (mats.Ah + mats.Dh)).tocsr()
-        self._back = (Mh / dt**2 - BC / (2.0 * dt)).tocsr()
+        Mh = self.Mh = mats.Mh
+        self.K = (mats.Ah + mats.Dh).tocsr()
+        self.BC = (mats.Bh + mats.Ch).tocsr()
+        self.L = (Mh / dt**2 + self.BC / (2.0 * dt)).tocsr()
+        self._curr = ((2.0 / dt**2) * Mh - self.K).tocsr()
+        self._back = (Mh / dt**2 - self.BC / (2.0 * dt)).tocsr()
         self._lu = splu(self.L.tocsc())
         self.dt = dt
 
@@ -122,6 +123,13 @@ def plan_time_step(mesh: Mesh, M: float, cfl_safety: float) -> float:
     return cfl_safety * minimum_edge_length(mesh) / (1.0 + abs(M))
 
 
+def snap_time_step(dt_raw: float, t_end: float) -> tuple[float, int]:
+    """(dt, n): the fewest steps n of dt = t_end / n <= dt_raw that land
+    exactly on t_end."""
+    n = max(1, math.ceil(t_end / dt_raw - 1e-12))
+    return t_end / n, n
+
+
 def leapfrog_step(op: StepOperator, state: SimState, F: np.ndarray) -> SimState:
     """Advance one step; raises InstabilityError on non-finite values."""
     xi_next = op.solve(op.scheme_rhs(state, F))
@@ -133,20 +141,15 @@ def leapfrog_step(op: StepOperator, state: SimState, F: np.ndarray) -> SimState:
 
 
 def taylor_first_step(
-    mats: SystemMatrices,
-    dt: float,
-    xi0: np.ndarray,
-    zeta0: np.ndarray,
-    F0: np.ndarray,
+    op: StepOperator, xi0: np.ndarray, zeta0: np.ndarray, F0: np.ndarray
 ) -> np.ndarray:
     """Second-order accurate start from displacement and velocity data:
 
-    xi1 = xi0 + dt zeta0
-          + dt^2/2 Mh^{-1} (F0 - (Ah+Dh) xi0 - (Bh+Ch) zeta0)
+    xi1 = xi0 + dt zeta0 + dt^2/2 Mh^{-1} (F0 - K xi0 - BC zeta0)
     """
-    rhs = F0 - (mats.Ah + mats.Dh) @ xi0 - (mats.Bh + mats.Ch) @ zeta0
-    accel = splu(mats.Mh.tocsc()).solve(rhs)
-    return xi0 + dt * zeta0 + 0.5 * dt * dt * accel
+    rhs = F0 - op.K @ xi0 - op.BC @ zeta0
+    accel = splu(op.Mh.tocsc()).solve(rhs)
+    return xi0 + op.dt * zeta0 + 0.5 * op.dt * op.dt * accel
 
 
 @dataclass
@@ -161,8 +164,6 @@ class RunResult:
     config: RunConfig
     warnings: list[str]
     snapshots: list[tuple[float, np.ndarray]]
-    snapshot_paths: list[str]
-    probe_nodes: np.ndarray
     probe_norms: np.ndarray | None  # (n_records, n_probes)
     final_state: SimState
 
@@ -175,29 +176,32 @@ def _initial_levels(
     cfg: RunConfig,
     mesh: Mesh,
     dofs: DofMap,
-    mats: SystemMatrices,
+    op: StepOperator,
     rhs: RhsAssembler,
-    dt: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     if cfg.init_kind == InitKind.NONE:
         zero = np.zeros(dofs.n_dofs)
         return zero, zero.copy()
     if cfg.init_kind == InitKind.PLANE_PULSE:
-        F, dF = gaussian_profile(cfg.init_center_x, cfg.init_width, cfg.init_amplitude)
-        wave = plane_wave(Direction.RIGHT, cfg.M, F, dF)
-        xi0 = dofs.restrict(wave.xi(mesh.nodes, 0.0))
-        xi1 = dofs.restrict(wave.xi(mesh.nodes, dt))
-        return xi0, xi1
+        # Exact downstream pulse xi = (A exp(-((x - (1 + M) t - x0) / w)^2 / 2), 0).
+        def pulse(t: float) -> np.ndarray:
+            z = mesh.nodes[:, 0] - (1.0 + cfg.M) * t
+            field = np.zeros(mesh.nodes.shape)
+            field[:, 0] = cfg.init_amplitude * np.exp(
+                -0.5 * ((z - cfg.init_center_x) / cfg.init_width) ** 2
+            )
+            return dofs.restrict(field)
+
+        return pulse(0.0), pulse(op.dt)
     # gradient-of-bump displacement released from rest
-    dx = mesh.nodes[:, 0] - cfg.init_center_x
-    dy = mesh.nodes[:, 1] - cfg.init_center_y
-    w2 = cfg.init_width**2
-    g = cfg.init_amplitude * np.exp(-0.5 * (dx * dx + dy * dy) / w2)
-    field = np.column_stack([-dx * g / w2, -dy * g / w2])
-    xi0 = dofs.restrict(field)
-    zeta0 = np.zeros(dofs.n_dofs)
-    xi1 = taylor_first_step(mats, dt, xi0, zeta0, rhs(0.0))
-    return xi0, xi1
+    bump = SourceSpec(
+        kind=SourceKind.IRROTATIONAL,
+        center=(cfg.init_center_x, cfg.init_center_y),
+        width=cfg.init_width,
+        amplitude=cfg.init_amplitude,
+    )
+    xi0 = dofs.restrict(source_spatial(bump, mesh.nodes))
+    return xi0, taylor_first_step(op, xi0, np.zeros(dofs.n_dofs), rhs(0.0))
 
 
 def run_simulation(
@@ -221,12 +225,10 @@ def run_simulation(
     dofs = build_dof_map(mesh, closed_box=(variant == AbcVariant.NONE))
     mats = build_system(mesh, dofs, cfg.M, cfg.s, abc=variant.value)
 
-    dt_raw = plan_time_step(mesh, cfg.M, cfg.cfl_safety)
-    n_steps = max(1, math.ceil(cfg.t_end / dt_raw - 1e-12))
-    dt = cfg.t_end / n_steps
-
+    dt, n_steps = snap_time_step(
+        plan_time_step(mesh, cfg.M, cfg.cfl_safety), cfg.t_end
+    )
     op = StepOperator(mats, dt)
-    K = mats.Ah + mats.Dh
     flux_mat = None
     if variant != AbcVariant.NONE:
         flux_mat = assemble_boundary_mass(mesh, dofs)
@@ -259,13 +261,13 @@ def run_simulation(
         dtype=np.int64,
     )
 
-    xi0, xi1 = _initial_levels(cfg, mesh, dofs, mats, rhs, dt)
+    xi0, xi1 = _initial_levels(cfg, mesh, dofs, op, rhs)
     state = SimState(xi_prev=xi0, xi_curr=xi1, step=1, dt=dt)
 
     records: list[EnergyRecord] = []
     probe_rows: list[np.ndarray] = []
     snapshots: list[tuple[float, np.ndarray]] = []
-    snapshot_paths: list[str] = []
+    n_written = 0
 
     def flux_of(prev: np.ndarray, curr: np.ndarray) -> float:
         if flux_mat is None:
@@ -275,7 +277,7 @@ def run_simulation(
     def observe(
         step: int, prev: np.ndarray, curr: np.ndarray, at: np.ndarray | None = None
     ) -> EnergyRecord:
-        E = energy(prev, curr, dt, mats.Mh, K)
+        E = energy(prev, curr, dt, op.Mh, op.K)
         rec = EnergyRecord(
             step=step,
             t=step * dt,
@@ -290,6 +292,7 @@ def run_simulation(
         return rec
 
     def emit_snapshot(step: int, x: np.ndarray) -> None:
+        nonlocal n_written
         if step not in snapshot_steps:
             return
         t = step * dt
@@ -297,10 +300,9 @@ def run_simulation(
         if out_dir is None:
             snapshots.append((t, field))
         else:
-            name = f"snap_{len(snapshot_paths):03d}_t{t:.6f}.vtk"
-            path = os.path.join(out_dir, name)
-            write_snapshot(mesh, field, t, path)
-            snapshot_paths.append(path)
+            name = f"snap_{n_written:03d}_t{t:.6f}.vtk"
+            write_snapshot(mesh, field, t, os.path.join(out_dir, name))
+            n_written += 1
 
     status: Stable | Unstable | None = None
 
@@ -350,8 +352,6 @@ def run_simulation(
         config=cfg,
         warnings=warnings,
         snapshots=snapshots,
-        snapshot_paths=snapshot_paths,
-        probe_nodes=probe_nodes,
         probe_norms=probe_norms,
         final_state=state,
     )

@@ -70,13 +70,6 @@ class Mesh:
     def n_triangles(self) -> int:
         return self.triangles.shape[0]
 
-    def triangle_areas(self) -> np.ndarray:
-        """Signed areas; positive for counterclockwise triangles."""
-        p = self.nodes[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
     def edges_with_tag(self, tag: BoundaryTag) -> np.ndarray:
         return self.boundary_edges[self.boundary_tags == int(tag)]
 
@@ -107,10 +100,6 @@ class DofMap:
     n_nodes: int
     n_dofs: int
     node_dofs: np.ndarray  # (n_nodes, 2) int, CONSTRAINED where eliminated
-
-    def dof(self, node: int, component: int) -> int:
-        """Global index of a component at a node, or CONSTRAINED."""
-        return int(self.node_dofs[node, component])
 
     def expand(self, x: np.ndarray) -> np.ndarray:
         """Scatter a dof vector to a (n_nodes, 2) nodal field, zeros at

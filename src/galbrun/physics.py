@@ -1,4 +1,4 @@
-"""Sources, Lagrangian vorticity, energy audit, and reference waves.
+"""Sources, Lagrangian vorticity and the energy audit.
 
 The displacement equation is driven by f_s = f + s curl psi, where psi is
 the Lagrangian vorticity transported by the mean flow. For uniform flow
@@ -352,72 +352,3 @@ def well_posedness_margin(M: float, s: float) -> float:
     """min(1, s) - M^2; positive is the sufficient well-posedness regime."""
     return min(1.0, s) - M * M
 
-
-class Direction(str, Enum):
-    RIGHT = "right"
-    LEFT = "left"
-
-
-@dataclass(frozen=True)
-class PlaneWave:
-    """Exact y-independent solution xi = F(x - c t) (v_x, 0).
-
-    Downstream propagation travels at c = 1 + M, upstream at c = -(1 - M).
-    Both satisfy the volume equation for any s (curl-free, y-independent)
-    and pass through the matching absorbing boundary without reflection.
-    """
-
-    speed: float
-    profile: Callable[[np.ndarray], np.ndarray]
-    dprofile: Callable[[np.ndarray], np.ndarray]
-    polarization: float = 1.0
-
-    def xi(self, pts: np.ndarray, t: float) -> np.ndarray:
-        out = np.zeros(pts.shape)
-        out[..., 0] = self.polarization * self.profile(pts[..., 0] - self.speed * t)
-        return out
-
-    def xi_t(self, pts: np.ndarray, t: float) -> np.ndarray:
-        out = np.zeros(pts.shape)
-        out[..., 0] = (
-            -self.speed
-            * self.polarization
-            * self.dprofile(pts[..., 0] - self.speed * t)
-        )
-        return out
-
-    def xi_x(self, pts: np.ndarray, t: float) -> np.ndarray:
-        out = np.zeros(pts.shape)
-        out[..., 0] = self.polarization * self.dprofile(pts[..., 0] - self.speed * t)
-        return out
-
-
-def gaussian_profile(
-    center: float, width: float, amplitude: float = 1.0
-) -> tuple[Callable, Callable]:
-    """Pulse shape F and its derivative for plane-wave initial data."""
-
-    def F(z: np.ndarray) -> np.ndarray:
-        return amplitude * np.exp(-0.5 * ((z - center) / width) ** 2)
-
-    def dF(z: np.ndarray) -> np.ndarray:
-        return -((z - center) / width**2) * F(z)
-
-    return F, dF
-
-
-def plane_wave(
-    direction: Direction | str,
-    M: float,
-    profile: Callable[[np.ndarray], np.ndarray],
-    dprofile: Callable[[np.ndarray], np.ndarray],
-    polarization: float = 1.0,
-) -> PlaneWave:
-    """Reference wave for absorbing-boundary calibration."""
-    if Direction(direction) == Direction.RIGHT:
-        speed = 1.0 + M
-    else:
-        speed = -(1.0 - M)
-    return PlaneWave(
-        speed=speed, profile=profile, dprofile=dprofile, polarization=polarization
-    )

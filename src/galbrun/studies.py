@@ -33,7 +33,9 @@ from galbrun.dynamics import (
     StepOperator,
     Unstable,
     leapfrog_step,
+    plan_time_step,
     run_simulation,
+    snap_time_step,
     status_text,
     taylor_first_step,
 )
@@ -103,12 +105,20 @@ def manufactured_case(M: float, s: float, omega: float = 2.0) -> MmsCase:
     )
 
 
-def _mms_solve(
-    case: MmsCase, n: int, dt: float, t_end: float
-) -> tuple[np.ndarray, Mesh, DofMap, SystemMatrices]:
-    """Dof vector at t_end on the n-by-n closed box, production stepping,
-    with the mesh, dof map and matrices it was computed on."""
+def _mms_mesh_and_step(
+    case: MmsCase, n: int, cfl: float, t_end: float
+) -> tuple[Mesh, float]:
+    """The n-by-n closed unit box and the run's snapped step on it."""
     mesh = build_duct_mesh(DuctGeometry(1.0, 1.0), n, n)
+    dt, _ = snap_time_step(plan_time_step(mesh, case.M, cfl), t_end)
+    return mesh, dt
+
+
+def _mms_solve(
+    case: MmsCase, mesh: Mesh, dt: float, t_end: float
+) -> tuple[np.ndarray, DofMap, SystemMatrices]:
+    """Dof vector at t_end on the closed box mesh, production stepping,
+    with the dof map and matrices it was computed on."""
     dofs = build_dof_map(mesh, closed_box=True)
     mats = build_system(mesh, dofs, case.M, case.s, abc="none")
     rhs = RhsAssembler(mesh, dofs, source=None, s=case.s, forcing=case.forcing)
@@ -117,16 +127,16 @@ def _mms_solve(
         raise ValueError("dt must divide t_end")
     xi0 = dofs.restrict(case.xi(mesh.nodes, 0.0))
     zeta0 = dofs.restrict(case.xi_t(mesh.nodes, 0.0))
-    xi1 = taylor_first_step(mats, dt, xi0, zeta0, rhs(0.0))
     op = StepOperator(mats, dt)
+    xi1 = taylor_first_step(op, xi0, zeta0, rhs(0.0))
     state = SimState(xi0, xi1, step=1, dt=dt)
     while state.step < n_steps:
         state = leapfrog_step(op, state, rhs(state.step * dt))
-    return state.xi_curr, mesh, dofs, mats
+    return state.xi_curr, dofs, mats
 
 
-def _mms_error(case: MmsCase, n: int, dt: float, t_end: float) -> float:
-    xi, mesh, dofs, mats = _mms_solve(case, n, dt, t_end)
+def _mms_error(case: MmsCase, mesh: Mesh, dt: float, t_end: float) -> float:
+    xi, dofs, mats = _mms_solve(case, mesh, dt, t_end)
     exact = dofs.restrict(case.xi(mesh.nodes, t_end))
     err = xi - exact
     return math.sqrt((err @ (mats.Mh @ err)) / (exact @ (mats.Mh @ exact)))
@@ -162,12 +172,9 @@ def spatial_convergence(
     case = manufactured_case(M, s)
     hs, errors, labels = [], [], []
     for n in levels:
-        h = 2.0 / n
-        dt_raw = cfl * h / (1.0 + abs(M))
-        n_steps = math.ceil(t_end / dt_raw - 1e-12)
-        dt = t_end / n_steps
-        errors.append(_mms_error(case, n, dt, t_end))
-        hs.append(h)
+        mesh, dt = _mms_mesh_and_step(case, n, cfl, t_end)
+        errors.append(_mms_error(case, mesh, dt, t_end))
+        hs.append(2.0 / n)
         labels.append(f"n = {n:3d} (dt = {dt:.6g})")
     order = float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
     return ConvergenceReport(
@@ -189,15 +196,14 @@ def temporal_convergence(
     if halvings < 3:
         raise ConfigError("convergence study needs at least 3 levels")
     case = manufactured_case(M, s)
-    h = 2.0 / n
-    dt0 = t_end / math.ceil(t_end / (cfl * h / (1.0 + abs(M))) - 1e-12)
-    ref, _, _, mats = _mms_solve(case, n, dt0 / ref_factor, t_end)
+    mesh, dt0 = _mms_mesh_and_step(case, n, cfl, t_end)
+    ref, _, mats = _mms_solve(case, mesh, dt0 / ref_factor, t_end)
     scale = math.sqrt(ref @ (mats.Mh @ ref))
 
     dts, errors, labels = [], [], []
     for k in range(halvings):
         dt = dt0 / 2**k
-        diff = _mms_solve(case, n, dt, t_end)[0] - ref
+        diff = _mms_solve(case, mesh, dt, t_end)[0] - ref
         errors.append(math.sqrt(diff @ (mats.Mh @ diff)) / scale)
         dts.append(dt)
         labels.append(f"n = {n:3d} (dt = {dt:.6g})")
@@ -243,17 +249,7 @@ DEFAULT_REFLECTION_LEVELS = ((80, 10), (160, 20), (320, 40))
 def reflection_base_config() -> RunConfig:
     """Right-moving plane pulse launched upstream of the domain center."""
     return RunConfig(
-        R=4.0,
-        h=1.0,
-        t_end=8.0,
-        M=0.5,
-        s=1.0,
-        abc="stable",
-        source_kind="none",
-        init_kind="plane_pulse",
-        init_center_x=-2.0,
-        init_width=0.35,
-        snapshot_times=(),
+        t_end=8.0, source_kind="none", init_kind="plane_pulse", init_center_x=-2.0
     )
 
 
@@ -312,7 +308,7 @@ def cmd_abc_reflection(
             base,
             init_kind="plane_pulse",
             init_center_x=-base.R / 2,
-            init_width=0.35,
+            init_width=RunConfig.init_width,
         )
     c_out = 1.0 + base.M  # downstream speed of the launched pulse
     c_back = 1.0 - base.M  # speed of anything reflected back upstream
@@ -421,42 +417,20 @@ class ContrastReport:
         return "\n".join(lines) + "\n"
 
 
-def contrast_base_config() -> RunConfig:
-    """Rotational pulse source in the reference duct with snapshots near
-    the end of the run."""
-    return RunConfig(
-        R=4.0,
-        h=1.0,
-        nx=160,
-        ny=40,
-        t_end=2.0,
-        snapshot_times=(1.5, 1.75, 2.0),
-        M=0.5,
-        s=1.0,
-        abc="stable",
-        source_kind="rotational",
-        source_center_x=0.0,
-        source_center_y=0.0,
-        source_width=0.25,
-        source_amplitude=1.0,
-        time_profile="gaussian_pulse",
-        time_t0=0.5,
-        time_sigma=0.1,
-    )
-
-
 def cmd_stability_contrast(
     config_base: RunConfig | None = None, out_dir: str | None = None
 ) -> ContrastReport:
     """Run the same configuration with s = 1 and s = 0.
 
     With out_dir given, artifacts land in out_dir/s1 and out_dir/s0 and the
-    report text is written alongside them.
+    report text is written alongside them. The default configuration is
+    the default run with snapshots near its end.
     """
-    base = config_base if config_base is not None else contrast_base_config()
+    if config_base is None:
+        config_base = RunConfig(snapshot_times=(1.5, 1.75, 2.0))
     results = {}
     for s in (1.0, 0.0):
-        cfg = dataclasses.replace(base, s=s)
+        cfg = dataclasses.replace(config_base, s=s)
         sub = os.path.join(out_dir, f"s{int(s)}") if out_dir is not None else None
         results[s] = run_simulation(cfg, out_dir=sub)
     report = ContrastReport(

@@ -64,6 +64,17 @@ def test_convergence_too_few_levels_exits_two(capsys):
     assert "at least 3 levels" in capsys.readouterr().err
 
 
+def test_closed_box_with_flow_exits_two(tmp_path, capsys):
+    # At M != 0 the closed box gains energy at its end walls and blows up.
+    cfg = write_cfg(
+        tmp_path / "a.cfg", abc="none", source_kind="none", init_kind="bump"
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert "needs M = 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_probe_argument_raises_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--probe", "1;2"])

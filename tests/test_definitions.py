@@ -1,0 +1,101 @@
+"""Every function, class and method defined in src/galbrun is used.
+
+A top-level function or class, or a method of a top-level class, must be
+referenced by its name somewhere in src/, tests/ or bench/: read as a name
+or an attribute, imported, or written in a string other than a docstring
+(bench/child.py names the methods it wraps as "Class.method" strings).
+Dunder methods are called by the language and are exempt. The match is by
+name only, so it finds definitions nothing mentions, not every dead one.
+"""
+from __future__ import annotations
+
+import ast
+import glob
+import os
+import re
+
+import pytest
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+SRC_MODULES = sorted(
+    os.path.relpath(p, ROOT)
+    for p in glob.glob(os.path.join(ROOT, "src", "galbrun", "*.py"))
+)
+ALL_MODULES = sorted(
+    os.path.relpath(p, ROOT)
+    for pattern in ("src/**/*.py", "tests/**/*.py", "bench/**/*.py")
+    for p in glob.glob(os.path.join(ROOT, pattern), recursive=True)
+)
+FUNCTION = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def parse(path: str) -> ast.Module:
+    with open(os.path.join(ROOT, path)) as f:
+        return ast.parse(f.read())
+
+
+def definitions(tree: ast.Module) -> list[str]:
+    """Top-level functions and classes, and "Class.method" for methods."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (*FUNCTION, ast.ClassDef)):
+            out.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            out += [
+                f"{node.name}.{m.name}"
+                for m in node.body
+                if isinstance(m, FUNCTION)
+                and not (m.name.startswith("__") and m.name.endswith("__"))
+            ]
+    return out
+
+
+def references(tree: ast.Module) -> set[str]:
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, *FUNCTION))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in docstrings
+        ):
+            names.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return names
+
+
+def unreferenced(tree: ast.Module, refs: set[str]) -> list[str]:
+    return [d for d in definitions(tree) if d.rsplit(".", 1)[-1] not in refs]
+
+
+REFERENCES = set().union(*(references(parse(p)) for p in ALL_MODULES))
+
+
+@pytest.mark.parametrize("path", SRC_MODULES)
+def test_every_definition_is_referenced(path):
+    assert unreferenced(parse(path), REFERENCES) == []
+
+
+def test_unreferenced_definition_is_caught():
+    tree = ast.parse(
+        'class A:\n    """Uses f, g and m."""\n'
+        "    def __init__(self): pass\n"
+        "    def m(self): pass\n"
+        "    def n(self): pass\n"
+        "def f(): pass\n"
+        "def g(): pass\n"
+        'TABLE = ("A.n",)\n'
+    )
+    assert unreferenced(tree, references(tree)) == ["A.m", "f", "g"]

@@ -105,17 +105,25 @@ def test_validate_subsonic_message():
         RunConfig(M=1.5).validate()
 
 
+def test_validate_closed_box_needs_rest():
+    for M in (0.5, -0.1):
+        with pytest.raises(ConfigError, match="needs M = 0"):
+            RunConfig(M=M, abc="none").validate()
+    assert RunConfig(M=0.0, abc="none").validate() == []
+
+
 def test_validate_warnings():
     # Outside the sufficient well-posedness regime (needs s < 1, since
-    # min(1, s) = 1 beats any subsonic M^2): warn, do not fail.
-    warnings = RunConfig(M=0.8, s=0.5, abc="none").validate()
+    # min(1, s) = 1 beats any subsonic M^2): warn, do not fail. The closed
+    # box runs at M = 0, so only s = 0 is outside it there.
+    warnings = RunConfig(M=0.0, s=0.0, abc="none").validate()
     assert len(warnings) == 1 and "well-posedness" in warnings[0]
     warnings = RunConfig(M=0.5, s=0.0).validate()
     assert any("well-posedness" in w for w in warnings)
     # s != 1 with an active absorbing boundary is flagged as experimental.
     warnings = RunConfig(M=0.1, s=2.0).validate()
     assert any("experimental" in w for w in warnings)
-    assert RunConfig(M=0.1, s=2.0, abc="none").validate() == []
+    assert RunConfig(M=0.0, s=2.0, abc="none").validate() == []
 
 
 def test_load_config_file(tmp_path):

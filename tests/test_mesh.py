@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from galbrun.assembly import triangle_gradients
 from galbrun.mesh import (
     CONSTRAINED,
     BoundaryTag,
@@ -50,7 +51,7 @@ def test_node_coordinates_cover_rectangle():
 def test_triangle_areas_positive_and_sum():
     geom = DuctGeometry(R=2.0, h=1.0)
     mesh = build_duct_mesh(geom, nx=7, ny=3)
-    areas = mesh.triangle_areas()
+    _, _, areas = triangle_gradients(mesh)
     assert np.all(areas > 0.0)  # CCW orientation
     assert abs(areas.sum() - geom.area) < 1e-12
 

@@ -23,7 +23,6 @@ from galbrun.config import RunConfig
 from galbrun.mesh import build_dof_map, build_duct_mesh
 from galbrun.physics import (
     CausalVorticity,
-    Direction,
     ProfileKind,
     RhsAssembler,
     SourceKind,
@@ -31,9 +30,7 @@ from galbrun.physics import (
     TimeProfile,
     boundary_flux,
     energy,
-    gaussian_profile,
     make_energy_stiffness,
-    plane_wave,
     well_posedness_margin,
 )
 
@@ -516,31 +513,3 @@ def test_well_posedness_margin_values():
     assert well_posedness_margin(0.9, 2.0) == pytest.approx(0.19)
     assert well_posedness_margin(0.0, 1.0) == pytest.approx(1.0)
 
-
-# ---------------------------------------------------------------------------
-# reference plane waves
-
-
-def test_plane_wave_speeds():
-    F, dF = gaussian_profile(center=0.0, width=0.3)
-    assert plane_wave(Direction.RIGHT, 0.5, F, dF).speed == pytest.approx(1.5)
-    assert plane_wave(Direction.LEFT, 0.5, F, dF).speed == pytest.approx(-0.5)
-    assert plane_wave("right", -0.2, F, dF).speed == pytest.approx(0.8)
-
-
-def test_plane_wave_advection_identity():
-    # xi_t = -speed xi_x holds exactly, both being built from the same dF.
-    F, dF = gaussian_profile(center=-1.0, width=0.4, amplitude=2.0)
-    wave = plane_wave(Direction.RIGHT, 0.3, F, dF)
-    pts = np.column_stack([np.linspace(-2, 2, 9), np.zeros(9)])
-    t = 0.7
-    assert np.array_equal(wave.xi_t(pts, t), -wave.speed * wave.xi_x(pts, t))
-    assert np.all(wave.xi(pts, t)[:, 1] == 0.0)
-
-
-def test_gaussian_profile_derivative():
-    F, dF = gaussian_profile(center=0.2, width=0.5, amplitude=1.5)
-    z = np.linspace(-1.5, 1.5, 11)
-    step = 1e-6
-    fd = (F(z + step) - F(z - step)) / (2 * step)
-    assert np.abs(fd - dF(z)).max() < 1e-8

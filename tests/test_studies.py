@@ -107,7 +107,9 @@ def test_reflection_shrinks_under_refinement():
 
 
 def test_reflection_closed_box_reflects_everything():
-    cfg = dataclasses.replace(reflection_base_config(), abc="none")
+    # The closed box needs M = 0; the pulse then returns to the probe at
+    # t = 7 and has passed it by t = 9.
+    cfg = dataclasses.replace(reflection_base_config(), abc="none", M=0.0, t_end=9.0)
     rep = cmd_abc_reflection(cfg, levels=((80, 10),))
     assert rep.levels[0].rho > 0.5
 
