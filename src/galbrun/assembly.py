@@ -99,15 +99,17 @@ def _local_dofs(mesh: Mesh, dofs: DofMap) -> np.ndarray:
 
 def _scatter(local: np.ndarray, idx: np.ndarray, n: int) -> sp.csr_matrix:
     """Accumulate (n_el, k, k) element blocks into a CSR matrix, dropping
-    rows/columns of constrained components."""
+    rows/columns of constrained components and the zero entries of the
+    blocks (such as the x-y coupling of a per-component form)."""
     k = idx.shape[1]
     rows = np.repeat(idx[:, :, None], k, axis=2)
     cols = np.repeat(idx[:, None, :], k, axis=1)
     keep = (rows >= 0) & (cols >= 0)
     mat = sp.coo_matrix(
         (local[keep], (rows[keep], cols[keep])), shape=(n, n)
-    )
-    return mat.tocsr()
+    ).tocsr()
+    mat.eliminate_zeros()
+    return mat
 
 
 def assemble_mass(mesh: Mesh, dofs: DofMap) -> sp.csr_matrix:

@@ -22,7 +22,8 @@ import os
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.sparse.linalg import splu
+import scipy.sparse as sp
+from scipy.sparse.linalg import SuperLU, splu
 
 from galbrun.assembly import (
     SystemMatrices,
@@ -32,7 +33,12 @@ from galbrun.assembly import (
 )
 from galbrun.config import InitKind, RunConfig
 from galbrun.mesh import DofMap, Mesh, build_dof_map, build_duct_mesh
-from galbrun.output import EnergyRecord, write_energy_log, write_snapshot
+from galbrun.output import (
+    EnergyRecord,
+    vtk_geometry,
+    write_energy_log,
+    write_snapshot,
+)
 from galbrun.physics import (
     AbcVariant,
     CausalVorticity,
@@ -87,6 +93,17 @@ class SimState:
     dt: float
 
 
+def factorize(A: sp.spmatrix) -> SuperLU:
+    """Sparse LU of A with a minimum-degree ordering on A^T + A.
+
+    The FE matrices here are structurally symmetric, which SuperLU's
+    default column ordering (COLAMD) ignores: at 320x80 the step operator
+    fills to 4.9M entries under COLAMD and 3.2M under this ordering, and
+    its solve takes about half the time.
+    """
+    return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+
+
 class StepOperator:
     """Factorized per-step solve plus the scheme matrices: the mass Mh, the
     stiffness K = Ah + Dh and the damping BC = Bh + Ch."""
@@ -100,7 +117,7 @@ class StepOperator:
         self.L = (Mh / dt**2 + self.BC / (2.0 * dt)).tocsr()
         self._curr = ((2.0 / dt**2) * Mh - self.K).tocsr()
         self._back = (Mh / dt**2 - self.BC / (2.0 * dt)).tocsr()
-        self._lu = splu(self.L.tocsc())
+        self._lu = factorize(self.L)
         self.dt = dt
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -148,7 +165,7 @@ def taylor_first_step(
     xi1 = xi0 + dt zeta0 + dt^2/2 Mh^{-1} (F0 - K xi0 - BC zeta0)
     """
     rhs = F0 - op.K @ xi0 - op.BC @ zeta0
-    accel = splu(op.Mh.tocsc()).solve(rhs)
+    accel = factorize(op.Mh).solve(rhs)
     return xi0 + op.dt * zeta0 + 0.5 * op.dt * op.dt * accel
 
 
@@ -268,6 +285,7 @@ def run_simulation(
     probe_rows: list[np.ndarray] = []
     snapshots: list[tuple[float, np.ndarray]] = []
     n_written = 0
+    geometry = ""  # the mesh's VTK text, formatted on the first snapshot
 
     def flux_of(prev: np.ndarray, curr: np.ndarray) -> float:
         if flux_mat is None:
@@ -292,7 +310,7 @@ def run_simulation(
         return rec
 
     def emit_snapshot(step: int, x: np.ndarray) -> None:
-        nonlocal n_written
+        nonlocal n_written, geometry
         if step not in snapshot_steps:
             return
         t = step * dt
@@ -300,8 +318,10 @@ def run_simulation(
         if out_dir is None:
             snapshots.append((t, field))
         else:
+            if n_written == 0:
+                geometry = vtk_geometry(mesh)
             name = f"snap_{n_written:03d}_t{t:.6f}.vtk"
-            write_snapshot(mesh, field, t, os.path.join(out_dir, name))
+            write_snapshot(geometry, field, t, os.path.join(out_dir, name))
             n_written += 1
 
     status: Stable | Unstable | None = None

@@ -1,4 +1,4 @@
-"""Writers and readers for run artifacts.
+"""Writers for run artifacts.
 
 Snapshots use the legacy ASCII unstructured-grid format so any standard
 visualization tool opens them directly; numbers carry 9 significant
@@ -29,78 +29,44 @@ class EnergyRecord:
     status: str = "ok"  # "warned" marks the abort row of an unstable run
 
 
-def write_snapshot(mesh: Mesh, field: np.ndarray, t: float, path: str) -> None:
-    """Write one displacement snapshot.
+def vtk_geometry(mesh: Mesh) -> str:
+    """The POINTS, CELLS and CELL_TYPES blocks of a snapshot.
+
+    They are the same in every snapshot of a run, so a run formats them
+    once and hands the text to write_snapshot.
+    """
+    n = mesh.n_nodes
+    m = mesh.n_triangles
+    return (
+        f"POINTS {n} double\n"
+        + ("%.9g %.9g 0\n" * n) % tuple(mesh.nodes.ravel().tolist())
+        + f"CELLS {m} {4 * m}\n"
+        + ("3 %d %d %d\n" * m) % tuple(mesh.triangles.ravel().tolist())
+        + f"CELL_TYPES {m}\n"
+        + "5\n" * m
+    )
+
+
+def write_snapshot(geometry: str, field: np.ndarray, t: float, path: str) -> None:
+    """Write one displacement snapshot on the mesh whose vtk_geometry is given.
 
     field is nodal, shape (n_nodes, 2); the vector data gets a zero third
     component and the norm goes out as a separate scalar array.
     """
-    n = mesh.n_nodes
-    m = mesh.n_triangles
+    n = field.shape[0]
     norm = np.hypot(field[:, 0], field[:, 1])
     with open(path, "w", newline="\n") as f:
-        f.write("# vtk DataFile Version 2.0\n")
-        f.write(f"displacement snapshot t={t:.9g}\n")
-        f.write("ASCII\n")
-        f.write("DATASET UNSTRUCTURED_GRID\n")
-        f.write(f"POINTS {n} double\n")
-        for x, y in mesh.nodes:
-            f.write(f"{x:.9g} {y:.9g} 0\n")
-        f.write(f"CELLS {m} {4 * m}\n")
-        for a, b, c in mesh.triangles:
-            f.write(f"3 {a} {b} {c}\n")
-        f.write(f"CELL_TYPES {m}\n")
-        for _ in range(m):
-            f.write("5\n")
-        f.write(f"POINT_DATA {n}\n")
-        f.write("VECTORS displacement double\n")
-        for u, v in field:
-            f.write(f"{u:.9g} {v:.9g} 0\n")
-        f.write("SCALARS xi_norm double\n")
-        f.write("LOOKUP_TABLE default\n")
-        for w in norm:
-            f.write(f"{w:.9g}\n")
-
-
-@dataclass(frozen=True)
-class Snapshot:
-    t: float
-    points: np.ndarray     # (n, 2)
-    triangles: np.ndarray  # (m, 3)
-    field: np.ndarray      # (n, 2)
-    norm: np.ndarray       # (n,)
-
-
-def read_snapshot(path: str) -> Snapshot:
-    """Parse a snapshot written by write_snapshot."""
-    with open(path) as f:
-        lines = f.read().splitlines()
-    title = lines[1]
-    t = float(title.rsplit("t=", 1)[1]) if "t=" in title else float("nan")
-    i = 4
-    if not lines[i].startswith("POINTS"):
-        raise ValueError(f"{path}: expected POINTS at line {i + 1}")
-    n = int(lines[i].split()[1])
-    pts = np.array([[float(v) for v in lines[i + 1 + k].split()] for k in range(n)])
-    i += 1 + n
-    m = int(lines[i].split()[1])
-    tris = np.array(
-        [[int(v) for v in lines[i + 1 + k].split()[1:]] for k in range(m)], dtype=np.int64
-    )
-    i += 1 + m
-    i += 1 + m  # CELL_TYPES block
-    if not lines[i].startswith("POINT_DATA"):
-        raise ValueError(f"{path}: expected POINT_DATA at line {i + 1}")
-    i += 1
-    if not lines[i].startswith("VECTORS displacement"):
-        raise ValueError(f"{path}: expected VECTORS displacement")
-    vec = np.array([[float(v) for v in lines[i + 1 + k].split()] for k in range(n)])
-    i += 1 + n
-    if not lines[i].startswith("SCALARS xi_norm"):
-        raise ValueError(f"{path}: expected SCALARS xi_norm")
-    i += 2  # skip LOOKUP_TABLE line
-    norm = np.array([float(lines[i + k]) for k in range(n)])
-    return Snapshot(t=t, points=pts[:, :2], triangles=tris, field=vec[:, :2], norm=norm)
+        f.write(
+            "# vtk DataFile Version 2.0\n"
+            f"displacement snapshot t={t:.9g}\n"
+            "ASCII\n"
+            "DATASET UNSTRUCTURED_GRID\n"
+        )
+        f.write(geometry)
+        f.write(f"POINT_DATA {n}\nVECTORS displacement double\n")
+        f.write(("%.9g %.9g 0\n" * n) % tuple(field.ravel().tolist()))
+        f.write("SCALARS xi_norm double\nLOOKUP_TABLE default\n")
+        f.write(("%.9g\n" * n) % tuple(norm.tolist()))
 
 
 def write_energy_log(records: list[EnergyRecord], path: str) -> None:
@@ -125,15 +91,3 @@ def write_probe_log(
         for rec, row in zip(records, norms):
             vals = ",".join(repr(float(v)) for v in row)
             f.write(f"{rec.step},{rec.t!r},{vals}\n")
-
-
-def read_energy_log(path: str) -> list[EnergyRecord]:
-    records = []
-    with open(path) as f:
-        reader = csv.reader(f)
-        header = tuple(next(reader))
-        if header != ENERGY_HEADER:
-            raise ValueError(f"{path}: unexpected header {header}")
-        for row in reader:
-            records.append(EnergyRecord(int(row[0]), *map(float, row[1:5]), row[5]))
-    return records

@@ -1,16 +1,22 @@
-"""Reference formulas the tests check the production code against.
+"""Reference formulas the tests check the production code against, and
+readers for the run artifacts.
 
 None of these is on a run path: the load vector uses the separable source
-load of RhsAssembler and the vorticity comes from CausalVorticity. They are
-kept here, written the straightforward way, as independent oracles.
+load of RhsAssembler, the vorticity comes from CausalVorticity and
+snapshots are written by galbrun.output.write_snapshot. They are kept
+here, written the straightforward way, as independent oracles.
 """
 from __future__ import annotations
 
+import csv
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
 
+from galbrun.mesh import Mesh
+from galbrun.output import ENERGY_HEADER, EnergyRecord
 from galbrun.physics import SourceKind, SourceSpec, source_spatial
 
 
@@ -129,3 +135,90 @@ class AnalyticVorticity:
         flat = pts.reshape(-1, 2)
         vals = np.array([self.value(p[0], p[1], t) for p in flat])
         return vals.reshape(pts.shape[:-1])
+
+
+def write_snapshot_per_line(mesh: Mesh, field: np.ndarray, t: float, path: str) -> None:
+    """Write one displacement snapshot one line at a time: the format
+    galbrun.output.write_snapshot must reproduce byte for byte.
+
+    field is nodal, shape (n_nodes, 2); the vector data gets a zero third
+    component and the norm goes out as a separate scalar array.
+    """
+    n = mesh.n_nodes
+    m = mesh.n_triangles
+    norm = np.hypot(field[:, 0], field[:, 1])
+    with open(path, "w", newline="\n") as f:
+        f.write("# vtk DataFile Version 2.0\n")
+        f.write(f"displacement snapshot t={t:.9g}\n")
+        f.write("ASCII\n")
+        f.write("DATASET UNSTRUCTURED_GRID\n")
+        f.write(f"POINTS {n} double\n")
+        for x, y in mesh.nodes:
+            f.write(f"{x:.9g} {y:.9g} 0\n")
+        f.write(f"CELLS {m} {4 * m}\n")
+        for a, b, c in mesh.triangles:
+            f.write(f"3 {a} {b} {c}\n")
+        f.write(f"CELL_TYPES {m}\n")
+        for _ in range(m):
+            f.write("5\n")
+        f.write(f"POINT_DATA {n}\n")
+        f.write("VECTORS displacement double\n")
+        for u, v in field:
+            f.write(f"{u:.9g} {v:.9g} 0\n")
+        f.write("SCALARS xi_norm double\n")
+        f.write("LOOKUP_TABLE default\n")
+        for w in norm:
+            f.write(f"{w:.9g}\n")
+
+
+@dataclass(frozen=True)
+class Snapshot:
+    t: float
+    points: np.ndarray     # (n, 2)
+    triangles: np.ndarray  # (m, 3)
+    field: np.ndarray      # (n, 2)
+    norm: np.ndarray       # (n,)
+
+
+def read_snapshot(path: str) -> Snapshot:
+    """Parse a snapshot written by write_snapshot."""
+    with open(path) as f:
+        lines = f.read().splitlines()
+    title = lines[1]
+    t = float(title.rsplit("t=", 1)[1]) if "t=" in title else float("nan")
+    i = 4
+    if not lines[i].startswith("POINTS"):
+        raise ValueError(f"{path}: expected POINTS at line {i + 1}")
+    n = int(lines[i].split()[1])
+    pts = np.array([[float(v) for v in lines[i + 1 + k].split()] for k in range(n)])
+    i += 1 + n
+    m = int(lines[i].split()[1])
+    tris = np.array(
+        [[int(v) for v in lines[i + 1 + k].split()[1:]] for k in range(m)], dtype=np.int64
+    )
+    i += 1 + m
+    i += 1 + m  # CELL_TYPES block
+    if not lines[i].startswith("POINT_DATA"):
+        raise ValueError(f"{path}: expected POINT_DATA at line {i + 1}")
+    i += 1
+    if not lines[i].startswith("VECTORS displacement"):
+        raise ValueError(f"{path}: expected VECTORS displacement")
+    vec = np.array([[float(v) for v in lines[i + 1 + k].split()] for k in range(n)])
+    i += 1 + n
+    if not lines[i].startswith("SCALARS xi_norm"):
+        raise ValueError(f"{path}: expected SCALARS xi_norm")
+    i += 2  # skip LOOKUP_TABLE line
+    norm = np.array([float(lines[i + k]) for k in range(n)])
+    return Snapshot(t=t, points=pts[:, :2], triangles=tris, field=vec[:, :2], norm=norm)
+
+
+def read_energy_log(path: str) -> list[EnergyRecord]:
+    records = []
+    with open(path) as f:
+        reader = csv.reader(f)
+        header = tuple(next(reader))
+        if header != ENERGY_HEADER:
+            raise ValueError(f"{path}: unexpected header {header}")
+        for row in reader:
+            records.append(EnergyRecord(int(row[0]), *map(float, row[1:5]), row[5]))
+    return records

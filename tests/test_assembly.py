@@ -313,6 +313,19 @@ def test_build_system_variants(small_duct):
         build_system(mesh, dofs, M=0.5, s=1.0, abc="bogus")
 
 
+@pytest.mark.parametrize("abc", ["stable", "naive", "none"])
+def test_assembled_matrices_store_no_zeros(medium_duct, abc):
+    # The zero entries of the element blocks, such as the x-y blocks of the
+    # per-component forms, would be walked by every product in the step loop.
+    _, mesh, _ = medium_duct
+    dofs = build_dof_map(mesh, closed_box=(abc == "none"))
+    mats = build_system(mesh, dofs, M=0.5, s=1.0, abc=abc)
+    stored = {name: getattr(mats, name) for name in ("Mh", "Ah", "Bh", "Ch", "Dh")}
+    stored["boundary mass"] = assemble_boundary_mass(mesh, dofs)
+    zeros = {name: int(np.count_nonzero(m.data == 0.0)) for name, m in stored.items()}
+    assert zeros == dict.fromkeys(stored, 0)
+
+
 def test_permutation_invariance():
     # Quadratic forms of interpolated smooth fields must not depend on the
     # node numbering.

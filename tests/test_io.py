@@ -11,15 +11,17 @@ from galbrun.config import (
     load_config,
     parse_config_text,
 )
+from galbrun.dynamics import run_simulation
 from galbrun.mesh import DuctGeometry, build_duct_mesh
 from galbrun.output import (
     ENERGY_HEADER,
     EnergyRecord,
-    read_energy_log,
-    read_snapshot,
+    vtk_geometry,
     write_energy_log,
     write_snapshot,
 )
+
+from oracles import read_energy_log, read_snapshot, write_snapshot_per_line
 
 
 def test_defaults_are_valid():
@@ -141,7 +143,7 @@ def test_snapshot_round_trip(tmp_path):
     rng = np.random.default_rng(12)
     field = rng.standard_normal((mesh.n_nodes, 2))
     path = tmp_path / "snap.vtk"
-    write_snapshot(mesh, field, t=1.234567, path=str(path))
+    write_snapshot(vtk_geometry(mesh), field, t=1.234567, path=str(path))
     snap = read_snapshot(str(path))
     assert snap.t == pytest.approx(1.234567, abs=1e-9)
     assert np.abs(snap.points - mesh.nodes).max() < 1e-9
@@ -156,7 +158,7 @@ def test_snapshot_header_layout(tmp_path):
     field = np.zeros((mesh.n_nodes, 2))
     field[0] = (3.0, 4.0)  # norm 5: a 3-4-5 triple survives formatting
     path = tmp_path / "tiny.vtk"
-    write_snapshot(mesh, field, t=0.0, path=str(path))
+    write_snapshot(vtk_geometry(mesh), field, t=0.0, path=str(path))
     lines = path.read_text().splitlines()
     assert lines[0] == "# vtk DataFile Version 2.0"
     assert lines[2] == "ASCII"
@@ -167,6 +169,36 @@ def test_snapshot_header_layout(tmp_path):
     assert "SCALARS xi_norm double" in lines
     snap = read_snapshot(str(path))
     assert snap.norm[0] == 5.0
+
+
+@pytest.mark.parametrize("nx, ny", [(5, 3), (40, 10)])
+def test_snapshot_bytes_match_per_line_writer(tmp_path, nx, ny):
+    mesh = build_duct_mesh(DuctGeometry(4.0, 1.0), nx, ny)
+    rng = np.random.default_rng(nx)
+    scale = 10.0 ** rng.integers(-300, 300, (mesh.n_nodes, 2))
+    field = rng.standard_normal((mesh.n_nodes, 2)) * scale
+    field[:7] = [
+        (0.0, -0.0),
+        (5e-324, -5e-324),
+        (1e16, -1e16),
+        (-1e300, 1e300),
+        (np.inf, -0.0),
+        (-np.inf, 5e-324),
+        (np.nan, -1.0),
+    ]
+    t = 1.7441860465116279
+    write_snapshot(vtk_geometry(mesh), field, t, str(tmp_path / "new.vtk"))
+    write_snapshot_per_line(mesh, field, t, str(tmp_path / "ref.vtk"))
+    assert (tmp_path / "new.vtk").read_bytes() == (tmp_path / "ref.vtk").read_bytes()
+
+
+def test_snapshots_of_one_run_share_the_geometry(tmp_path):
+    cfg = RunConfig(nx=20, ny=5, t_end=0.2, snapshot_times=(0.1, 0.2))
+    res = run_simulation(cfg, out_dir=str(tmp_path))
+    texts = [p.read_text() for p in sorted(tmp_path.glob("snap_*.vtk"))]
+    assert len(texts) == 2
+    blocks = [text[text.index("POINTS") : text.index("POINT_DATA")] for text in texts]
+    assert blocks[0] == blocks[1] == vtk_geometry(res.mesh)
 
 
 def test_energy_log_round_trip(tmp_path):
