@@ -36,7 +36,6 @@ class AbcVariant(str, Enum):
 class ProfileKind(str, Enum):
     GAUSSIAN_PULSE = "gaussian_pulse"
     RICKER = "ricker"
-    CONTINUOUS = "continuous"
 
 
 @dataclass(frozen=True)
@@ -45,7 +44,6 @@ class TimeProfile:
 
     gaussian_pulse: exp(-(t-t0)^2 / (2 sigma^2))
     ricker:         (1 - ((t-t0)/sigma)^2) * exp(-(t-t0)^2 / (2 sigma^2))
-    continuous:     sin(2 pi t / sigma), ramped smoothly over [0, t0]
     """
 
     kind: ProfileKind = ProfileKind.GAUSSIAN_PULSE
@@ -53,21 +51,13 @@ class TimeProfile:
     sigma: float = 0.1
 
     def __call__(self, t: np.ndarray | float) -> np.ndarray | float:
-        t = np.asarray(t, dtype=float)
+        u = (np.asarray(t, dtype=float) - self.t0) / self.sigma
         if self.kind == ProfileKind.GAUSSIAN_PULSE:
-            u = (t - self.t0) / self.sigma
             return np.exp(-0.5 * u * u)
-        if self.kind == ProfileKind.RICKER:
-            u = (t - self.t0) / self.sigma
-            return (1.0 - u * u) * np.exp(-0.5 * u * u)
-        ramp = np.clip(t / max(self.t0, 1e-300), 0.0, 1.0)
-        ramp = ramp * ramp * (3.0 - 2.0 * ramp)
-        return ramp * np.sin(2.0 * np.pi * t / self.sigma)
+        return (1.0 - u * u) * np.exp(-0.5 * u * u)
 
-    def support_window(self) -> tuple[float, float] | None:
-        """Interval outside which p is numerically negligible, or None."""
-        if self.kind == ProfileKind.CONTINUOUS:
-            return None
+    def support_window(self) -> tuple[float, float]:
+        """Interval outside which p is numerically negligible."""
         return (self.t0 - 9.0 * self.sigma, self.t0 + 9.0 * self.sigma)
 
 
@@ -135,11 +125,8 @@ class CausalVorticity:
         I_m(x, t) = sum_q w_q tau_q p(t - tau_q) g_x(xi_q) xi_q^m,
         xi_q = x - c_x - M tau_q,   m = 0..3,
 
-    evaluated once per distinct x of the points and scaled per point by
-    g_y and powers of y - c_y. The distinct x, their inverse map and the
-    y factors are cached for the last pts object seen: RhsAssembler passes
-    the same read-only quadrature array every step. Callers must not
-    modify a pts array in place between calls.
+    with coefficients that depend on y only (gradient_coefficients). The
+    moments are evaluated once per distinct x of the points.
     """
 
     def __init__(self, source: SourceSpec, M: float, n_nodes: int = 48):
@@ -147,71 +134,80 @@ class CausalVorticity:
         self.M = float(M)
         self.n_nodes = n_nodes
         self._z, self._w = leggauss(n_nodes)
-        self._pts = None
-        self._layout = None
 
     def _tau_nodes(self, t: float) -> tuple[np.ndarray, np.ndarray] | None:
-        lo, hi = 0.0, t
         win = self.source.time_profile.support_window()
-        if win is not None:
-            lo = max(lo, t - win[1])
-            hi = min(hi, t - win[0])
+        lo, hi = max(0.0, t - win[1]), min(t, t - win[0])
         if hi <= lo:
             return None
         tau = 0.5 * (hi - lo) * self._z + 0.5 * (hi + lo)
         return tau, 0.5 * (hi - lo) * self._w
 
-    def _point_layout(self, pts: np.ndarray):
-        """Distinct x offsets, inverse map, y offsets and g_y of pts."""
-        if pts is not self._pts:
-            cx, cy = self.source.center
-            w2 = self.source.width * self.source.width
-            ux, inv = np.unique(pts[..., 0], return_inverse=True)
-            dy = pts[..., 1] - cy
-            self._layout = (ux - cx, inv.reshape(pts.shape[:-1]), dy,
-                            np.exp(-0.5 * dy * dy / w2))
-            self._pts = pts
-        return self._layout
-
-    def _moments(self, pts: np.ndarray, t: float):
-        """(I0..I3 at each point, dy, A g_y), or None when psi is zero."""
+    def moments(self, x: np.ndarray, t: float) -> np.ndarray | None:
+        """[I0, I1, I2, I3] at the abscissae x, shape (4, x.size), or None
+        while psi vanishes (no rotational source, or t before the window)."""
         if self.source.kind != SourceKind.ROTATIONAL:
             return None
         nodes = self._tau_nodes(t)
         if nodes is None:
             return None
         tau, w = nodes
-        dx, inv, dy, gy = self._point_layout(pts)
         coef = w * tau * self.source.time_profile(t - tau)
-        xi = dx[:, None] - self.M * tau[None, :]
-        w2 = self.source.width * self.source.width
-        gx = np.exp(-0.5 * xi * xi / w2)
-        moments = []
-        for _ in range(4):
-            moments.append((gx @ coef)[inv])
+        xi = (x - self.source.center[0])[:, None] - self.M * tau[None, :]
+        gx = np.exp(-0.5 * xi * xi / (self.source.width * self.source.width))
+        out = np.empty((4, x.size))
+        for m in range(4):
+            out[m] = gx @ coef
             gx = gx * xi
-        return moments, dy, self.source.amplitude * gy
+        return out
+
+    def _y_factors(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """y - c_y and A g_y(y - c_y) at each point."""
+        dy = pts[..., 1] - self.source.center[1]
+        w2 = self.source.width * self.source.width
+        return dy, self.source.amplitude * np.exp(-0.5 * dy * dy / w2)
+
+    def gradient_coefficients(self, pts: np.ndarray) -> np.ndarray:
+        """C of shape pts.shape[:-1] + (2, 4) with
+        grad psi(p, t) = sum_m C[p, :, m] I_m(x_p, t).
+
+        With a = A g_y (dy^2/w^6 - 4/w^4) and b = A g_y / w^6:
+        dpsi/dx = a I1 + b I3 and dpsi/dy = dy (a I0 + b I2).
+        """
+        dy, agy = self._y_factors(pts)
+        w2 = self.source.width * self.source.width
+        w4, w6 = w2 * w2, w2 * w2 * w2
+        a = agy * (dy * dy / w6 - 4.0 / w4)
+        b = agy / w6
+        out = np.zeros(pts.shape[:-1] + (2, 4))
+        out[..., 0, 1], out[..., 0, 3] = a, b
+        out[..., 1, 0], out[..., 1, 2] = dy * a, dy * b
+        return out
+
+    def _point_moments(self, pts: np.ndarray, t: float) -> np.ndarray | None:
+        """The moments at each point, shape (4,) + pts.shape[:-1], or None."""
+        x, inv = np.unique(pts[..., 0], return_inverse=True)
+        moments = self.moments(x, t)
+        if moments is None:
+            return None
+        return moments[:, inv.reshape(pts.shape[:-1])]
 
     def __call__(self, pts: np.ndarray, t: float) -> np.ndarray:
-        parts = self._moments(pts, t)
-        if parts is None:
+        moments = self._point_moments(pts, t)
+        if moments is None:
             return np.zeros(pts.shape[:-1])
-        (i0, _, i2, _), dy, agy = parts
+        i0, _, i2, _ = moments
+        dy, agy = self._y_factors(pts)
         w2 = self.source.width * self.source.width
         return agy * (2.0 / w2 * i0 - (i2 + dy * dy * i0) / (w2 * w2))
 
     def gradient(self, pts: np.ndarray, t: float) -> np.ndarray:
-        out = np.zeros(pts.shape)
-        parts = self._moments(pts, t)
-        if parts is None:
-            return out
-        (i0, i1, i2, i3), dy, agy = parts
-        w2 = self.source.width * self.source.width
-        w4, w6 = w2 * w2, w2 * w2 * w2
-        dy2 = dy * dy
-        out[..., 0] = agy * ((i3 + dy2 * i1) / w6 - 4.0 * i1 / w4)
-        out[..., 1] = agy * dy * ((i2 + dy2 * i0) / w6 - 4.0 * i0 / w4)
-        return out
+        moments = self._point_moments(pts, t)
+        if moments is None:
+            return np.zeros(pts.shape)
+        return np.einsum(
+            "...cm,m...->...c", self.gradient_coefficients(pts), moments
+        )
 
 
 class RhsAssembler:
@@ -220,10 +216,14 @@ class RhsAssembler:
     F_i(t) = int (f + s curl psi) . phi_i, with curl of the scalar psi
     taken as (dpsi/dy, -dpsi/dx). The volume source is separable,
     f = amplitude g_vec(x) p(t), so its load F_src = int amplitude g_vec .
-    phi_i is assembled once here and each call returns p(t) F_src. Custom
-    forcing and the vorticity term are evaluated at the quadrature points
-    every call and go through one scatter, a bincount over precomputed
-    unconstrained dof indices.
+    phi_i is assembled once here and each call returns p(t) F_src.
+
+    grad psi is a fixed combination of the vorticity's moments at the
+    distinct x of the quadrature points, so the load of s curl psi is a
+    fixed sparse map of them, also built once: a call evaluates the
+    moments and applies the map. Custom forcing is evaluated at the
+    quadrature points every call and scattered by a bincount over
+    precomputed unconstrained dof indices.
     """
 
     def __init__(
@@ -240,7 +240,6 @@ class RhsAssembler:
         self.vorticity = vorticity
         self.forcing = forcing
         self.qp, self.qw = triangle_quadrature(mesh)
-        self.qp.setflags(write=False)
         self.n_dofs = dofs.n_dofs
         node_dofs = dofs.node_dofs[mesh.triangles]  # (m, 3, 2)
         self._scatter_index = []
@@ -251,6 +250,11 @@ class RhsAssembler:
         self._source_load = None
         if source is not None:
             self._source_load = self._scatter(source_spatial(source, self.qp))
+        self._vorticity_x = self._vorticity_map = None
+        if vorticity is not None and self.s != 0.0:
+            self._vorticity_x, self._vorticity_map = self._vorticity_load_map(
+                node_dofs
+            )
 
     def _scatter(self, f: np.ndarray) -> np.ndarray:
         """Load vector int f . phi_i of a force given at the quadrature points."""
@@ -260,22 +264,62 @@ class RhsAssembler:
             F += np.bincount(idx, weights=vals[keep], minlength=self.n_dofs)
         return F
 
+    def _quadrature_scatter(self, node_dofs: np.ndarray) -> list[sp.csr_matrix]:
+        """Per load component, the matrix S with S[i, p] = qw_p phi_i(p) over
+        the flattened quadrature points, the zero basis values dropped."""
+        q, k = np.nonzero(TRI_QP_BARY)
+        point = np.arange(self.qw.size).reshape(-1, 3)[:, q]
+        weight = self.qw[:, q] * TRI_QP_BARY[q, k]
+        scatter = []
+        for comp in range(2):
+            dof = node_dofs[:, k, comp]
+            keep = dof >= 0
+            scatter.append(
+                sp.csr_matrix(
+                    (weight[keep], (dof[keep], point[keep])),
+                    shape=(self.n_dofs, self.qw.size),
+                )
+            )
+        return scatter
+
+    def _vorticity_load_map(
+        self, node_dofs: np.ndarray
+    ) -> tuple[np.ndarray, sp.csr_matrix]:
+        """(x, P): the distinct x of the quadrature points, and the sparse
+        map P taking the moments [I0; I1; I2; I3] at x to the load of
+        s curl psi. Column m n_x + j of P is that load when I_m(x_j) = 1 and
+        every other moment is 0: the quadrature scatter of the moment's
+        gradient coefficients at the points whose x is x_j.
+        """
+        x, inv = np.unique(self.qp[..., 0].ravel(), return_inverse=True)
+        scatter = self._quadrature_scatter(node_dofs)
+        grad = self.vorticity.gradient_coefficients(self.qp).reshape(inv.size, 2, 4)
+        rows = np.arange(inv.size + 1)
+        blocks = []
+        for m in range(4):
+            block = sp.csr_matrix((self.n_dofs, x.size))
+            # s curl psi = (s dpsi/dy, -s dpsi/dx): load component c takes
+            # the derivative along axis 1 - c, selected at each point's x.
+            for comp, sign in enumerate((self.s, -self.s)):
+                select = sp.csr_matrix(
+                    (sign * grad[:, 1 - comp, m], inv, rows), shape=(inv.size, x.size)
+                )
+                block = block + scatter[comp] @ select
+            blocks.append(block)
+        return x, sp.hstack(blocks, format="csr")
+
     def __call__(self, t: float) -> np.ndarray:
         if self._source_load is None:
             F = np.zeros(self.n_dofs)
         else:
             F = float(self.source.time_profile(t)) * self._source_load
-        vortical = self.vorticity is not None and self.s != 0.0
-        if self.forcing is None and not vortical:
-            return F
-        f = np.zeros(self.qp.shape)
         if self.forcing is not None:
-            f += self.forcing(self.qp, t)
-        if vortical:
-            gpsi = self.vorticity.gradient(self.qp, t)
-            f[..., 0] += self.s * gpsi[..., 1]
-            f[..., 1] -= self.s * gpsi[..., 0]
-        return F + self._scatter(f)
+            F += self._scatter(self.forcing(self.qp, t))
+        if self._vorticity_map is not None:
+            moments = self.vorticity.moments(self._vorticity_x, t)
+            if moments is not None:
+                F += self._vorticity_map @ moments.ravel()
+        return F
 
 
 def make_energy_stiffness(mesh: Mesh, dofs: DofMap, M: float) -> sp.csr_matrix:
@@ -308,14 +352,16 @@ def energy(
     xi_curr: np.ndarray,
     dt: float,
     Mh: sp.spmatrix,
-    Ke: sp.spmatrix,
+    K_prev: np.ndarray,
 ) -> Energy:
     """Discrete energy of a consecutive state pair.
 
-    E = 1/2 [ d^T Mh d + xi_curr^T Ke xi_prev ], d = (xi_curr - xi_prev)/dt,
-    with kinetic part 1/2 d^T Mh d.
+    E = 1/2 [ d^T Mh d + xi_curr^T K_prev ], d = (xi_curr - xi_prev)/dt,
+    with K_prev = K xi_prev the stiffness applied to the earlier state
+    (the step that made xi_curr already formed it), and kinetic part
+    1/2 d^T Mh d.
 
-    With Ke the scheme's stiffness Ah + Dh, as run_simulation passes, the
+    With K the scheme's stiffness Ah + Dh, as run_simulation uses, the
     leapfrog scheme balances it exactly:
 
         E_{n+1/2} - E_{n-1/2} = -dt v^T sym(Bh + Ch) v + dt F^T v,
@@ -330,7 +376,7 @@ def energy(
     d = (xi_curr - xi_prev) / dt
     with np.errstate(over="ignore", invalid="ignore"):
         kinetic = 0.5 * float(d @ (Mh @ d))
-        return Energy(kinetic + 0.5 * float(xi_curr @ (Ke @ xi_prev)), kinetic)
+        return Energy(kinetic + 0.5 * float(xi_curr @ K_prev), kinetic)
 
 
 def boundary_flux(
@@ -339,9 +385,11 @@ def boundary_flux(
     """Outflow rate int_Gamma |dxi/dt|^2 with the same backward difference
     as energy().
 
-    The scheme's velocity is centered, (x_{n+1} - x_{n-1}) / (2 dt); this
-    backward difference sits half a step off it, so the balance
-    E_n - E_{n-1} = -dt * flux holds only to O(dt^2), not exactly.
+    The states may be restricted to the dofs on Gamma, with flux_mass
+    restricted alike. The scheme's velocity is centered,
+    (x_{n+1} - x_{n-1}) / (2 dt); this backward difference sits half a step
+    off it, so the balance E_n - E_{n-1} = -dt * flux holds only to
+    O(dt^2), not exactly.
     """
     d = (xi_curr - xi_prev) / dt
     with np.errstate(over="ignore", invalid="ignore"):

@@ -53,6 +53,27 @@ def test_run_hooks_resolve():
     assert "leapfrog_step" in dyn.run_simulation.__code__.co_names
 
 
+def test_step_hook_sees_one_call_per_step(monkeypatch):
+    # The step hook counts calls of the module global leapfrog_step while
+    # run_simulation runs; dof_steps_per_s rests on one call per step.
+    from galbrun.config import RunConfig
+
+    dyn = importlib.import_module("galbrun.dynamics")
+    step = dyn.leapfrog_step
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].step)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(dyn, "leapfrog_step", counted)
+    cfg = RunConfig(R=2.0, nx=16, ny=8, t_end=0.4, time_t0=0.15, time_sigma=0.05)
+    res = dyn.run_simulation(cfg)
+    assert res.stable
+    assert len(calls) == res.final_state.step - 1 == res.n_steps - 1
+    assert calls == list(range(1, res.n_steps))
+
+
 def test_vorticity_span_attributes_resolve():
     # The physics.vorticity span counts n_nodes times the points inside the
     # source's support window.

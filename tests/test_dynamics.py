@@ -105,8 +105,9 @@ def test_leapfrog_satisfies_three_level_relation(small_duct):
 
 
 def test_scheme_rhs_matches_three_term_form(small_duct):
-    # The operator folds 2 Mh/dt^2 and -(Ah + Dh) into one matrix; the
-    # result must equal the unfolded mass, back and stiffness terms.
+    # The increment form's right-hand side F - K x_n - BC (x_n - x_{n-1})/dt
+    # must equal its three terms formed from the unfolded matrices, and the
+    # stiffness product handed on must be (Ah + Dh) x_n.
     _, mesh, dofs = small_duct
     mats = build_system(mesh, dofs, M=0.5, s=1.0)
     dt = 0.05
@@ -116,14 +117,20 @@ def test_scheme_rhs_matches_three_term_form(small_duct):
     curr = rng.standard_normal(dofs.n_dofs)
     F = rng.standard_normal(dofs.n_dofs)
     BC = mats.Bh + mats.Ch
-    want = (
+    K_curr = mats.Ah @ curr + mats.Dh @ curr
+    want = F - K_curr - (mats.Bh @ (curr - prev) + mats.Ch @ (curr - prev)) / dt
+    got, Kx = op.scheme_rhs(SimState(prev, curr, step=1, dt=dt), F)
+    assert np.abs(got - want).max() < 1e-14 * np.abs(want).max()
+    assert np.abs(Kx - K_curr).max() < 1e-14 * np.abs(K_curr).max()
+    # It is the three-level right-hand side less L (2 x_n - x_{n-1}).
+    three_level = (
         (2.0 / dt**2) * (mats.Mh @ curr)
         - (mats.Mh / dt**2 - BC / (2.0 * dt)) @ prev
-        - (mats.Ah + mats.Dh) @ curr
+        - K_curr
         + F
     )
-    got = op.scheme_rhs(SimState(prev, curr, step=1, dt=dt), F)
-    assert np.abs(got - want).max() < 1e-14 * np.abs(want).max()
+    increment = three_level - op.L @ (2.0 * curr - prev)
+    assert np.abs(got - increment).max() < 1e-14 * np.abs(three_level).max()
 
 
 def test_scheme_exact_for_quadratic_trajectory(small_duct):
@@ -189,7 +196,7 @@ def test_closed_box_energy_conservation_drift():
     f1 = np.column_stack([np.cos(x + y), np.sin(3 * y) * x])
     xi0 = dofs.restrict(f0)
     xi1 = xi0 + dt * dofs.restrict(f1)
-    E0 = energy(xi0, xi1, dt, mats.Mh, Ke)
+    E0 = energy(xi0, xi1, dt, mats.Mh, Ke @ xi0)
     assert E0 > 0.0
 
     state = SimState(xi0, xi1, step=1, dt=dt)
@@ -199,7 +206,7 @@ def test_closed_box_energy_conservation_drift():
     for _ in range(n_steps):
         state = leapfrog_step(op, state, zero)
         if state.step % 250 == 0:
-            E = energy(state.xi_prev, state.xi_curr, dt, mats.Mh, Ke)
+            E = energy(state.xi_prev, state.xi_curr, dt, mats.Mh, Ke @ state.xi_prev)
             worst = max(worst, abs(E - E0) / (E0 * state.step))
     assert worst < 1e-10
 

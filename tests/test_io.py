@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from galbrun.cli import main
 from galbrun.config import (
     ConfigError,
     RunConfig,
@@ -100,6 +101,17 @@ def test_validate_hard_errors():
     for over in bad:
         with pytest.raises(ConfigError):
             RunConfig(**over).validate()
+
+
+def test_continuous_time_profile_exits_two(tmp_path, capsys):
+    # Every profile needs a support window for the vorticity quadrature;
+    # "continuous" had none, and is rejected like any unknown profile.
+    path = tmp_path / "run.cfg"
+    path.write_text("time_profile = continuous\n")
+    with pytest.raises(ConfigError, match="unknown time_profile 'continuous'"):
+        load_config(str(path))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "unknown time_profile" in capsys.readouterr().err
 
 
 def test_validate_subsonic_message():

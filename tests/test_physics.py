@@ -69,12 +69,7 @@ def test_time_profiles():
     assert rk(1.0) == pytest.approx(1.0)
     assert rk(1.2) == pytest.approx(0.0, abs=1e-15)
     assert rk(0.8) == pytest.approx(0.0, abs=1e-15)
-
-    cw = TimeProfile(ProfileKind.CONTINUOUS, t0=0.3, sigma=0.5)
-    assert cw(0.0) == 0.0
-    # Past the ramp the envelope is exactly the sine.
-    assert cw(0.85) == pytest.approx(np.sin(2 * np.pi * 0.85 / 0.5))
-    assert cw.support_window() is None
+    assert rk.support_window() == pytest.approx((-0.8, 2.8))
 
 
 def test_rotational_source_divergence_free():
@@ -290,10 +285,8 @@ def brute_force_vorticity(psi: CausalVorticity, pts: np.ndarray, t: float, spati
     spatial is source_curl_spatial or source_curl_spatial_gradient.
     """
     acc = np.zeros(spatial(psi.source, pts).shape)
-    lo, hi = 0.0, t
     win = psi.source.time_profile.support_window()
-    if win is not None:
-        lo, hi = max(lo, t - win[1]), min(hi, t - win[0])
+    lo, hi = max(0.0, t - win[1]), min(t, t - win[0])
     if hi <= lo:
         return acc
     z, w = leggauss(psi.n_nodes)
@@ -396,25 +389,58 @@ def test_rhs_scatter_matches_add_at_bit_for_bit(small_duct, closed_box):
     assert np.array_equal(F, add_at_load(mesh, dofs, f))
 
 
+@pytest.mark.parametrize("closed_box", [False, True])
+@pytest.mark.parametrize("s", [0.5, 1.0])
+@pytest.mark.parametrize("M", [0.0, 0.5])
+def test_vorticity_load_map_matches_quadrature_oracle(medium_duct, closed_box, s, M):
+    # The precomputed map of the per-x moments must give the load of
+    # s curl psi formed point by point: the brute-force gradient at every
+    # quadrature point, turned into (s dpsi/dy, -s dpsi/dx) and scattered.
+    _, mesh, _ = medium_duct
+    dofs = build_dof_map(mesh, closed_box=closed_box)
+    spec = SourceSpec(
+        SourceKind.ROTATIONAL,
+        center=(0.1, -0.05),
+        width=0.3,
+        amplitude=1.7,
+        time_profile=TimeProfile(ProfileKind.GAUSSIAN_PULSE, t0=1.2, sigma=0.1),
+    )
+    psi = CausalVorticity(spec, M)
+    qp, _ = triangle_quadrature(mesh)
+    asm = RhsAssembler(mesh, dofs, source=None, s=s, vorticity=psi)
+    # The pulse window starts at 0.3: t = 0.2 is before onset, 0.9 on the
+    # ramp, 1.3 past the peak and 2.6 after the pulse has gone.
+    for t in (0.2, 0.9, 1.3, 2.6):
+        grad = brute_force_vorticity(psi, qp, t, source_curl_spatial_gradient)
+        force = s * np.stack([grad[..., 1], -grad[..., 0]], axis=-1)
+        want = add_at_load(mesh, dofs, force)
+        got = asm(t)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert (np.abs(got).max() > 0.0) == (t > 0.3)
 
-class UnitYGradient:
-    """Stand-in vorticity psi = y: gradient (0, 1), so s curl psi = (s, 0)."""
 
-    def __call__(self, pts, t):
-        return pts[..., 1]
+class UnitYVorticity:
+    """Stand-in vorticity psi = y: its gradient (0, 1) is the moment I0 = 1
+    taken with coefficient 1 on dpsi/dy, so s curl psi = (s, 0)."""
 
-    def gradient(self, pts, t):
-        out = np.zeros(pts.shape)
-        out[..., 1] = 1.0
+    def moments(self, x, t):
+        out = np.zeros((4, x.size))
+        out[0] = 1.0
+        return out
+
+    def gradient_coefficients(self, pts):
+        out = np.zeros(pts.shape[:-1] + (2, 4))
+        out[..., 1, 0] = 1.0
         return out
 
 
 def test_rhs_of_constant_regularization_force(small_duct):
-    # s curl(y) is the constant force (s, 0); its load vector is exactly
-    # the mass matrix applied to the interpolated (1, 0) scaled by s.
+    # s curl(y) is the constant force (s, 0); its load vector, taken through
+    # the moment map, is exactly the mass matrix applied to the
+    # interpolated (1, 0) scaled by s.
     _, mesh, dofs = small_duct
     s = 0.8
-    F = one_shot_rhs(mesh, dofs, source=None, s=s, t=0.0, vorticity=UnitYGradient())
+    F = one_shot_rhs(mesh, dofs, source=None, s=s, t=0.0, vorticity=UnitYVorticity())
     Mh = assemble_mass(mesh, dofs)
     ones = dofs.restrict(np.column_stack([np.ones(mesh.n_nodes), np.zeros(mesh.n_nodes)]))
     want = s * (Mh @ ones)
@@ -467,7 +493,9 @@ def test_energy_of_static_linear_field(small_duct):
     xi = dofs.restrict(np.column_stack([mesh.nodes[:, 0], np.zeros(mesh.n_nodes)]))
     # grad xi = e_x e_x^T: density 1 - M^2, integrated over 4 R h = 8.
     want = 0.5 * (1 - M * M) * geom.area
-    assert energy(xi, xi, dt=0.1, Mh=Mh, Ke=Ke) == pytest.approx(want, rel=1e-13)
+    assert energy(xi, xi, dt=0.1, Mh=Mh, K_prev=Ke @ xi) == pytest.approx(
+        want, rel=1e-13
+    )
 
 
 def test_energy_of_uniform_motion(small_duct):
@@ -480,7 +508,7 @@ def test_energy_of_uniform_motion(small_duct):
     curr = c * dt * ones
     # Constant velocity (c, 0): E = c^2/2 * area; the gradient product of
     # constants vanishes.
-    assert energy(prev, curr, dt, Mh, Ke) == pytest.approx(
+    assert energy(prev, curr, dt, Mh, Ke @ prev) == pytest.approx(
         0.5 * c * c * geom.area, rel=1e-13
     )
 
