@@ -90,63 +90,91 @@ def minimum_edge_length(mesh: Mesh) -> float:
     return float(np.min(lengths))
 
 
-def _local_dofs(mesh: Mesh, dofs: DofMap) -> np.ndarray:
-    """(n_tri, 6) global indices ordered [u0, u1, u2, v0, v1, v2]."""
-    return np.concatenate(
-        [dofs.node_dofs[mesh.triangles, 0], dofs.node_dofs[mesh.triangles, 1]], axis=1
-    )
+class _Pattern:
+    """Scatter of per-component element blocks over a set of (n_el, k) cells.
+
+    The scalar node pattern of the cells, and the slot of every element entry
+    on it, are found once: build_system hands one to its three volume forms.
+    Each block is summed onto the pattern with one bincount. Entries lie as
+    (row component, slot, column component), which keeps the columns of
+    every row sorted for node major dofs, so the CSR matrix needs no sort.
+    """
+
+    def __init__(self, cells: np.ndarray, dofs: DofMap):
+        n = dofs.n_nodes
+        key = (cells[:, :, None].astype(np.int64) * n + cells[:, None, :]).ravel()
+        pairs, slot = np.unique(key, return_inverse=True)
+        self.slot = slot.astype(np.int32)
+        rows, cols = np.divmod(pairs, n)
+        shape = (2, pairs.size, 2)  # (row component, slot, column component)
+        node = dofs.node_dofs
+        self.row_dofs = np.broadcast_to(node[rows].T[:, :, None], shape).astype(np.int32)
+        self.col_dofs = np.broadcast_to(node[cols], shape).astype(np.int32)
+        self.free = (self.row_dofs >= 0) & (self.col_dofs >= 0)
+        self.n_dofs = dofs.n_dofs
+
+    def scatter(self, blocks: dict[tuple[int, int], np.ndarray]) -> sp.csr_matrix:
+        """CSR matrix of the blocks keyed by (row, column) component, without
+        constrained components or zero sums."""
+        val = np.zeros(self.free.shape)
+        for (cr, cc), block in blocks.items():
+            val[cr, :, cc] = np.bincount(
+                self.slot, weights=block.ravel(), minlength=val.shape[1]
+            )
+        keep = self.free & (val != 0.0)
+        coo = (val[keep], (self.row_dofs[keep], self.col_dofs[keep]))
+        return sp.csr_matrix(coo, shape=(self.n_dofs,) * 2)
 
 
-def _scatter(local: np.ndarray, idx: np.ndarray, n: int) -> sp.csr_matrix:
-    """Accumulate (n_el, k, k) element blocks into a CSR matrix, dropping
-    rows/columns of constrained components and the zero entries of the
-    blocks (such as the x-y coupling of a per-component form)."""
-    k = idx.shape[1]
-    rows = np.repeat(idx[:, :, None], k, axis=2)
-    cols = np.repeat(idx[:, None, :], k, axis=1)
-    keep = (rows >= 0) & (cols >= 0)
-    mat = sp.coo_matrix(
-        (local[keep], (rows[keep], cols[keep])), shape=(n, n)
-    ).tocsr()
-    mat.eliminate_zeros()
-    return mat
+def _diagonal(block: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
+    """The same scalar block on both components, no x-y coupling."""
+    return {(0, 0): block, (1, 1): block}
 
 
-def assemble_mass(mesh: Mesh, dofs: DofMap) -> sp.csr_matrix:
+def assemble_mass(
+    mesh: Mesh, dofs: DofMap, pattern: _Pattern | None = None
+) -> sp.csr_matrix:
     """Vector P1 mass matrix, one exact block (area/12)*[[2,1,1],[1,2,1],[1,1,2]]
     per component."""
     _, _, area = triangle_gradients(mesh)
-    m = mesh.n_triangles
     block = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-    local = np.zeros((m, 6, 6))
-    local[:, :3, :3] = area[:, None, None] * block
-    local[:, 3:, 3:] = local[:, :3, :3]
-    return _scatter(local, _local_dofs(mesh, dofs), dofs.n_dofs)
+    local = area[:, None, None] * block
+    return (pattern or _Pattern(mesh.triangles, dofs)).scatter(_diagonal(local))
 
 
-def assemble_a(mesh: Mesh, dofs: DofMap, M: float, s: float) -> sp.csr_matrix:
+def assemble_a(
+    mesh: Mesh, dofs: DofMap, M: float, s: float, pattern: _Pattern | None = None
+) -> sp.csr_matrix:
     """Volume stiffness of the regularized operator.
 
     a(xi, eta) = int div xi div eta + s curl xi curl eta
                  - M^2 (dxi/dx) . (deta/dx)
 
     Gradients of P1 fields are constant per triangle, so single-point
-    (hence also degree-2) quadrature is exact.
+    (hence also degree-2) quadrature is exact. With div coefficients
+    (gx, gy) and curl coefficients (-gy, gx) per component, the x-y block
+    is gx gy^T - s gy gx^T and the y-x block its transpose.
     """
     gx, gy, area = triangle_gradients(mesh)
-    m = mesh.n_triangles
-    dvec = np.concatenate([gx, gy], axis=1)        # div coefficients
-    cvec = np.concatenate([-gy, gx], axis=1)       # curl coefficients
-    local = area[:, None, None] * (
-        dvec[:, :, None] * dvec[:, None, :] + s * cvec[:, :, None] * cvec[:, None, :]
-    )
-    kx = area[:, None, None] * gx[:, :, None] * gx[:, None, :]
-    local[:, :3, :3] -= M * M * kx
-    local[:, 3:, 3:] -= M * M * kx
-    return _scatter(local, _local_dofs(mesh, dofs), dofs.n_dofs)
+    a = area[:, None, None]
+    gxx = gx[:, :, None] * gx[:, None, :]
+    gyy = gy[:, :, None] * gy[:, None, :]
+    gxy = gx[:, :, None] * gy[:, None, :]
+    kx = M * M * (a * gxx)
+    xy = a * (gxy - s * gxy.transpose(0, 2, 1))
+    blocks = {
+        (0, 0): a * (gxx + s * gyy) - kx,
+        (1, 1): a * (gyy + s * gxx) - kx,
+        (0, 1): xy,
+        (1, 0): xy.transpose(0, 2, 1),
+    }
+    del gxx, gyy, gxy, kx  # freed before the scatter, which sets the peak
+    return (pattern or _Pattern(mesh.triangles, dofs)).scatter(blocks)
 
 
-def assemble_b(mesh: Mesh, dofs: DofMap, M: float) -> sp.csr_matrix:
+def assemble_b(
+    mesh: Mesh, dofs: DofMap, M: float, pattern: _Pattern | None = None
+) -> sp.csr_matrix:
     """Mean-flow convection operator: (Bh x)_i = 2M int (dxi_h/dx) . phi_i.
 
     Componentwise, entry (i, j) is 2M (dphi_j/dx, phi_i) = 2M gx_j area/3.
@@ -155,12 +183,9 @@ def assemble_b(mesh: Mesh, dofs: DofMap, M: float) -> sp.csr_matrix:
     away from Gamma- u Gamma+.
     """
     gx, _, area = triangle_gradients(mesh)
-    m = mesh.n_triangles
     row = 2.0 * M * (area[:, None] / 3.0) * gx    # same for every test index i
-    local = np.zeros((m, 6, 6))
-    local[:, :3, :3] = row[:, None, :]
-    local[:, 3:, 3:] = row[:, None, :]
-    return _scatter(local, _local_dofs(mesh, dofs), dofs.n_dofs)
+    block = np.broadcast_to(row[:, None, :], (row.shape[0], 3, 3))
+    return (pattern or _Pattern(mesh.triangles, dofs)).scatter(_diagonal(block))
 
 
 def _gamma_edges(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
@@ -180,19 +205,10 @@ def _edge_mass(
     mesh: Mesh, dofs: DofMap, edge_weights: np.ndarray, edges: np.ndarray
 ) -> sp.csr_matrix:
     """Per-component edge mass w * (len/6) * [[2,1],[1,2]] on given edges."""
-    pa = mesh.nodes[edges[:, 0]]
-    pb = mesh.nodes[edges[:, 1]]
-    ell = np.linalg.norm(pb - pa, axis=1)
+    ell = np.linalg.norm(mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]], axis=1)
     block = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
-    k = edges.shape[0]
-    local = np.zeros((k, 4, 4))
     scaled = (edge_weights * ell)[:, None, None] * block
-    local[:, :2, :2] = scaled
-    local[:, 2:, 2:] = scaled
-    idx = np.concatenate(
-        [dofs.node_dofs[edges, 0], dofs.node_dofs[edges, 1]], axis=1
-    )
-    return _scatter(local, idx, dofs.n_dofs)
+    return _Pattern(edges, dofs).scatter(_diagonal(scaled))
 
 
 def assemble_c(mesh: Mesh, dofs: DofMap, M: float) -> sp.csr_matrix:
@@ -226,43 +242,27 @@ def assemble_d(mesh: Mesh, dofs: DofMap) -> sp.csr_matrix:
     +-1/2 entries coupling x rows to y columns and back.
     """
     edges, _ = _gamma_edges(mesh)
-    k = edges.shape[0]
-    # dphi/dtau = (-1/len, +1/len) along the stored (CCW) orientation; the
-    # integrand R dxi/dtau . eta = -(dv/dtau) eta_x + (du/dtau) eta_y.
-    local = np.zeros((k, 4, 4))
-    for i in range(2):  # test node a, b: int phi_i = len/2 cancels 1/len
-        local[:, i, 2] = +0.5   # (i_x, a_y)
-        local[:, i, 3] = -0.5   # (i_x, b_y)
-        local[:, 2 + i, 0] = -0.5  # (i_y, a_x)
-        local[:, 2 + i, 1] = +0.5  # (i_y, b_x)
-    idx = np.concatenate(
-        [dofs.node_dofs[edges, 0], dofs.node_dofs[edges, 1]], axis=1
-    )
-    return _scatter(local, idx, dofs.n_dofs)
+    # dphi/dtau = (-1/len, +1/len) along the stored (CCW) orientation and
+    # R dxi/dtau . eta = -(dv/dtau) eta_x + (du/dtau) eta_y: the x row of a
+    # test node holds (+1/2, -1/2) at (a_y, b_y), its y row the negatives.
+    xy = np.broadcast_to([[0.5, -0.5], [0.5, -0.5]], (edges.shape[0], 2, 2))
+    return _Pattern(edges, dofs).scatter({(0, 1): xy, (1, 0): -xy})
 
 
 def assemble_gradient_stiffness(mesh: Mesh, dofs: DofMap) -> sp.csr_matrix:
     """Componentwise int grad xi : grad eta (full H1 seminorm matrix)."""
     gx, gy, area = triangle_gradients(mesh)
-    m = mesh.n_triangles
     kk = area[:, None, None] * (
         gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :]
     )
-    local = np.zeros((m, 6, 6))
-    local[:, :3, :3] = kk
-    local[:, 3:, 3:] = kk
-    return _scatter(local, _local_dofs(mesh, dofs), dofs.n_dofs)
+    return _Pattern(mesh.triangles, dofs).scatter(_diagonal(kk))
 
 
 def assemble_dx_stiffness(mesh: Mesh, dofs: DofMap) -> sp.csr_matrix:
     """Componentwise int (dxi/dx) . (deta/dx)."""
     gx, _, area = triangle_gradients(mesh)
-    m = mesh.n_triangles
     kx = area[:, None, None] * gx[:, :, None] * gx[:, None, :]
-    local = np.zeros((m, 6, 6))
-    local[:, :3, :3] = kx
-    local[:, 3:, 3:] = kx
-    return _scatter(local, _local_dofs(mesh, dofs), dofs.n_dofs)
+    return _Pattern(mesh.triangles, dofs).scatter(_diagonal(kx))
 
 
 def build_system(
@@ -277,11 +277,11 @@ def build_system(
     """
     if abs(M) >= 1.0:
         raise ValueError("mean flow must be subsonic, |M| < 1")
-    n = dofs.n_dofs
-    zero = sp.csr_matrix((n, n))
-    Mh = assemble_mass(mesh, dofs)
-    Ah = assemble_a(mesh, dofs, M, s)
-    Bh = assemble_b(mesh, dofs, M)
+    zero = sp.csr_matrix((dofs.n_dofs,) * 2)
+    tri = _Pattern(mesh.triangles, dofs)
+    Mh = assemble_mass(mesh, dofs, tri)
+    Ah = assemble_a(mesh, dofs, M, s, tri)
+    Bh = assemble_b(mesh, dofs, M, tri)
     if abc == "stable":
         Ch, Dh = assemble_c(mesh, dofs, M), assemble_d(mesh, dofs)
     elif abc == "naive":

@@ -8,6 +8,7 @@ file echoed next to run outputs is itself a loadable config.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from galbrun.mesh import DuctGeometry
@@ -111,6 +112,12 @@ class RunConfig:
 
     def validate(self) -> list[str]:
         """Raise ConfigError on hard violations; return soft warnings."""
+        # float() accepts nan, inf and overflowing literals such as 1e999;
+        # nan passes every range check below and inf most of them.
+        for name, value in vars(self).items():
+            values = value if name == "snapshot_times" else (value,)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+                raise ConfigError(f"{name} must be finite; got {value!r}")
         if self.R <= 0 or self.h <= 0:
             raise ConfigError("R and h must be positive")
         if self.nx < 1 or self.ny < 1:

@@ -36,10 +36,6 @@ class DuctGeometry:
         if self.R <= 0 or self.h <= 0:
             raise ValueError("duct half-length and half-height must be positive")
 
-    @property
-    def area(self) -> float:
-        return 4.0 * self.R * self.h
-
 
 @dataclass(frozen=True)
 class Mesh:

@@ -6,6 +6,11 @@ import pytest
 from galbrun.mesh import DofMap, DuctGeometry, Mesh, build_dof_map, build_duct_mesh
 
 
+def duct_area(geom: DuctGeometry) -> float:
+    """Area 4 R h of the duct ]-R, R[ x ]-h, h[."""
+    return 4.0 * geom.R * geom.h
+
+
 def make_free_dofmap(n_nodes: int) -> DofMap:
     """All components unknown; for single-element checks without walls."""
     node_dofs = np.arange(2 * n_nodes, dtype=np.int64).reshape(n_nodes, 2)

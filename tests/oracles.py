@@ -1,10 +1,12 @@
 """Reference formulas the tests check the production code against, and
 readers for the run artifacts.
 
-None of these is on a run path: the load vector uses the separable source
-load of RhsAssembler, the vorticity comes from CausalVorticity and
-snapshots are written by galbrun.output.write_snapshot. They are kept
-here, written the straightforward way, as independent oracles.
+None of these is on a run path: the operators are summed from
+per-component blocks on one scalar pattern (galbrun.assembly), the load
+vector uses the separable source load of RhsAssembler, the vorticity comes
+from CausalVorticity and snapshots are written by
+galbrun.output.write_snapshot. They are kept here, written the
+straightforward way, as independent oracles.
 """
 from __future__ import annotations
 
@@ -13,9 +15,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.integrate import quad
 
-from galbrun.mesh import Mesh
+from galbrun.assembly import _gamma_edges, triangle_gradients
+from galbrun.mesh import DofMap, Mesh
 from galbrun.output import ENERGY_HEADER, EnergyRecord
 from galbrun.physics import SourceKind, SourceSpec, source_spatial
 
@@ -222,3 +226,103 @@ def read_energy_log(path: str) -> list[EnergyRecord]:
         for row in reader:
             records.append(EnergyRecord(int(row[0]), *map(float, row[1:5]), row[5]))
     return records
+
+
+# ---------------------------------------------------------------------------
+# the operators, assembled from zero-padded 6x6 element blocks
+
+
+def _local_dofs(mesh: Mesh, dofs: DofMap) -> np.ndarray:
+    """(n_tri, 6) global indices ordered [u0, u1, u2, v0, v1, v2]."""
+    return np.concatenate(
+        [dofs.node_dofs[mesh.triangles, 0], dofs.node_dofs[mesh.triangles, 1]], axis=1
+    )
+
+
+def _padded_scatter(local: np.ndarray, idx: np.ndarray, n: int) -> sp.csr_matrix:
+    """Accumulate (n_el, k, k) element blocks into a CSR matrix, dropping
+    rows/columns of constrained components and the zero entries of the
+    blocks (such as the x-y coupling of a per-component form)."""
+    k = idx.shape[1]
+    rows = np.repeat(idx[:, :, None], k, axis=2)
+    cols = np.repeat(idx[:, None, :], k, axis=1)
+    keep = (rows >= 0) & (cols >= 0)
+    mat = sp.coo_matrix(
+        (local[keep], (rows[keep], cols[keep])), shape=(n, n)
+    ).tocsr()
+    mat.eliminate_zeros()
+    return mat
+
+
+def _padded_mass(mesh: Mesh, dofs: DofMap) -> sp.csr_matrix:
+    _, _, area = triangle_gradients(mesh)
+    block = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
+    local = np.zeros((mesh.n_triangles, 6, 6))
+    local[:, :3, :3] = area[:, None, None] * block
+    local[:, 3:, 3:] = local[:, :3, :3]
+    return _padded_scatter(local, _local_dofs(mesh, dofs), dofs.n_dofs)
+
+
+def _padded_a(mesh: Mesh, dofs: DofMap, M: float, s: float) -> sp.csr_matrix:
+    gx, gy, area = triangle_gradients(mesh)
+    dvec = np.concatenate([gx, gy], axis=1)        # div coefficients
+    cvec = np.concatenate([-gy, gx], axis=1)       # curl coefficients
+    local = area[:, None, None] * (
+        dvec[:, :, None] * dvec[:, None, :] + s * cvec[:, :, None] * cvec[:, None, :]
+    )
+    kx = area[:, None, None] * gx[:, :, None] * gx[:, None, :]
+    local[:, :3, :3] -= M * M * kx
+    local[:, 3:, 3:] -= M * M * kx
+    return _padded_scatter(local, _local_dofs(mesh, dofs), dofs.n_dofs)
+
+
+def _padded_b(mesh: Mesh, dofs: DofMap, M: float) -> sp.csr_matrix:
+    gx, _, area = triangle_gradients(mesh)
+    row = 2.0 * M * (area[:, None] / 3.0) * gx
+    local = np.zeros((mesh.n_triangles, 6, 6))
+    local[:, :3, :3] = row[:, None, :]
+    local[:, 3:, 3:] = row[:, None, :]
+    return _padded_scatter(local, _local_dofs(mesh, dofs), dofs.n_dofs)
+
+
+def _edge_dofs(dofs: DofMap, edges: np.ndarray) -> np.ndarray:
+    return np.concatenate([dofs.node_dofs[edges, 0], dofs.node_dofs[edges, 1]], axis=1)
+
+
+def _padded_c(mesh: Mesh, dofs: DofMap, M: float) -> sp.csr_matrix:
+    edges, n_x = _gamma_edges(mesh)
+    ell = np.linalg.norm(mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]], axis=1)
+    block = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
+    local = np.zeros((edges.shape[0], 4, 4))
+    scaled = ((1.0 - n_x * M) * ell)[:, None, None] * block
+    local[:, :2, :2] = scaled
+    local[:, 2:, 2:] = scaled
+    return _padded_scatter(local, _edge_dofs(dofs, edges), dofs.n_dofs)
+
+
+def _padded_d(mesh: Mesh, dofs: DofMap) -> sp.csr_matrix:
+    edges, _ = _gamma_edges(mesh)
+    local = np.zeros((edges.shape[0], 4, 4))
+    for i in range(2):
+        local[:, i, 2] = +0.5   # (i_x, a_y)
+        local[:, i, 3] = -0.5   # (i_x, b_y)
+        local[:, 2 + i, 0] = -0.5  # (i_y, a_x)
+        local[:, 2 + i, 1] = +0.5  # (i_y, b_x)
+    return _padded_scatter(local, _edge_dofs(dofs, edges), dofs.n_dofs)
+
+
+def padded_system(
+    mesh: Mesh, dofs: DofMap, M: float, s: float, abc: str
+) -> dict[str, sp.csr_matrix]:
+    """Mh, Ah, Bh, Ch and Dh of build_system, each element block padded to
+    the full 6x6 (triangles) or 4x4 (edges) vector block and scattered as
+    COO triples: the brute-force reference of the pattern scatter."""
+    zero = sp.csr_matrix((dofs.n_dofs,) * 2)
+    with_c = abc in ("stable", "naive")
+    return {
+        "Mh": _padded_mass(mesh, dofs),
+        "Ah": _padded_a(mesh, dofs, M, s),
+        "Bh": _padded_b(mesh, dofs, M),
+        "Ch": _padded_c(mesh, dofs, M) if with_c else zero,
+        "Dh": _padded_d(mesh, dofs) if abc == "stable" else zero,
+    }

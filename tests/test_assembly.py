@@ -13,6 +13,8 @@ precision, not just to discretization accuracy:
 """
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -36,7 +38,8 @@ from galbrun.assembly import (
 )
 from galbrun.mesh import DofMap, DuctGeometry, Mesh, build_dof_map, build_duct_mesh
 
-from conftest import make_free_dofmap, make_single_triangle
+from conftest import duct_area, make_free_dofmap, make_single_triangle
+from oracles import padded_system
 
 
 def dense(mat: sp.spmatrix) -> np.ndarray:
@@ -129,7 +132,7 @@ def test_mass_spd(medium_duct):
     assert eig[0] > 0.0
     # Total mass: quadratic form of the constant x-directed field.
     ones = nodal(mesh, dofs, lambda x, y: 1.0 + 0 * x, lambda x, y: 0 * x)
-    assert ones @ Mh @ ones == pytest.approx(mesh.geometry.area, rel=1e-13)
+    assert ones @ Mh @ ones == pytest.approx(duct_area(mesh.geometry), rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -360,3 +363,53 @@ def test_permutation_invariance():
                 ub, vb = nodal(shuffled, dofs_b, fx, fy), nodal(shuffled, dofs_b, gx, gy)
                 qa, qb = ua @ Ka @ va, ub @ Kb @ vb
                 assert qa == pytest.approx(qb, rel=1e-12, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the pattern scatter against the padded 6x6 oracle, and its footprint
+
+
+@pytest.mark.parametrize("s", [1.0, 0.0])
+@pytest.mark.parametrize(
+    "nx, ny, abc",
+    [(40, 10, "stable"), (40, 10, "naive"), (40, 10, "none"), (160, 40, "stable")],
+)
+def test_pattern_scatter_matches_padded_oracle(nx, ny, abc, s):
+    # Only the summation order differs, so values agree to 1e-15 of the
+    # largest entry. A missing entry counts as zero here, so the patterns
+    # may differ only where the oracle's sum is a rounding residue of
+    # contributions that cancel (at most 1e-15 of the largest entry).
+    mesh = build_duct_mesh(DuctGeometry(4.0, 1.0), nx, ny)
+    dofs = build_dof_map(mesh, closed_box=(abc == "none"))
+    M = 0.0 if abc == "none" else 0.5
+    mats = build_system(mesh, dofs, M, s, abc=abc)
+    for name, want in padded_system(mesh, dofs, M, s, abc).items():
+        got = getattr(mats, name)
+        assert isinstance(got, sp.csr_matrix) and got.has_canonical_format
+        scale = abs(want).max()
+        assert abs(got - want).max() <= 1e-15 * scale, name
+
+
+def test_build_system_traced_peak_per_triangle():
+    # The padded 6x6 scatter peaked at about 2,530 B per triangle at 160x40;
+    # summing per-component blocks on one scalar pattern needs under half.
+    mesh = build_duct_mesh(DuctGeometry(4.0, 1.0), 160, 40)
+    dofs = build_dof_map(mesh)
+    build_system(mesh, dofs, M=0.5, s=1.0)  # imports and lazy set-up
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        build_system(mesh, dofs, M=0.5, s=1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / mesh.n_triangles <= 1250
+
+
+@pytest.mark.parametrize("nx, ny, nnz", [(160, 40, 89_064), (320, 80, 355_968)])
+def test_stiffness_stores_no_more_entries(nx, ny, nnz):
+    # Entries of K = Ah + Dh as the padded 6x6 assembly stored them; K is
+    # multiplied every time step, so the scatter must not grow it.
+    mesh = build_duct_mesh(DuctGeometry(4.0, 1.0), nx, ny)
+    mats = build_system(mesh, build_dof_map(mesh), M=0.5, s=1.0)
+    assert abs((mats.Ah + mats.Dh).nnz - nnz) <= 0.01 * nnz

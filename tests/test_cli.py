@@ -75,6 +75,29 @@ def test_closed_box_with_flow_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key, raw",
+    [
+        ("M", "nan"),
+        ("R", "nan"),
+        ("t_end", "inf"),
+        ("s", "nan"),
+        ("source_width", "inf"),
+        ("time_t0", "1e999"),
+        ("snapshot_times", "0.1, nan"),
+    ],
+)
+def test_non_finite_value_exits_two(tmp_path, capsys, key, raw):
+    # These crashed with a traceback (M, R, t_end), ran to a roundoff verdict
+    # (s = nan: Unstable at step 2) or ran without a source (an infinitely
+    # wide one) and were reported Stable.
+    cfg = write_cfg(tmp_path / "a.cfg", **{key: raw})
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert f"{key} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_probe_argument_raises_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--probe", "1;2"])

@@ -34,6 +34,7 @@ from galbrun.physics import (
     well_posedness_margin,
 )
 
+from conftest import duct_area
 from oracles import (
     AnalyticVorticity,
     eval_source,
@@ -492,7 +493,7 @@ def test_energy_of_static_linear_field(small_duct):
     Mh = assemble_mass(mesh, dofs)
     xi = dofs.restrict(np.column_stack([mesh.nodes[:, 0], np.zeros(mesh.n_nodes)]))
     # grad xi = e_x e_x^T: density 1 - M^2, integrated over 4 R h = 8.
-    want = 0.5 * (1 - M * M) * geom.area
+    want = 0.5 * (1 - M * M) * duct_area(geom)
     assert energy(xi, xi, dt=0.1, Mh=Mh, K_prev=Ke @ xi) == pytest.approx(
         want, rel=1e-13
     )
@@ -509,7 +510,7 @@ def test_energy_of_uniform_motion(small_duct):
     # Constant velocity (c, 0): E = c^2/2 * area; the gradient product of
     # constants vanishes.
     assert energy(prev, curr, dt, Mh, Ke @ prev) == pytest.approx(
-        0.5 * c * c * geom.area, rel=1e-13
+        0.5 * c * c * duct_area(geom), rel=1e-13
     )
 
 
