@@ -48,14 +48,8 @@ class SystemMatrices:
 
 
 def triangle_gradients(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Barycentric basis gradients and areas, vectorized over triangles.
-
-    Returns
-    -------
-    gx, gy : (n_tri, 3) arrays, gradient components of the three nodal
-        basis functions (constant per triangle).
-    area : (n_tri,) array of positive triangle areas.
-    """
+    """(gx, gy, area): the (n_tri, 3) gradient components of the three
+    nodal basis functions, constant per triangle, and the positive areas."""
     p = mesh.nodes[mesh.triangles]
     x, y = p[..., 0], p[..., 1]
     area = 0.5 * (
@@ -64,8 +58,7 @@ def triangle_gradients(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
     if np.any(area <= 0):
         raise ValueError("mesh contains non-counterclockwise triangles")
-    nxt = [1, 2, 0]
-    prv = [2, 0, 1]
+    nxt, prv = [1, 2, 0], [2, 0, 1]
     gx = (y[:, nxt] - y[:, prv]) / (2.0 * area[:, None])
     gy = (x[:, prv] - x[:, nxt]) / (2.0 * area[:, None])
     return gx, gy, area
@@ -94,7 +87,7 @@ class _Pattern:
     """Scatter of per-component element blocks over a set of (n_el, k) cells.
 
     The scalar node pattern of the cells, and the slot of every element entry
-    on it, are found once: build_system hands one to its three volume forms.
+    on it, are found once per set of cells (see _Triangles).
     Each block is summed onto the pattern with one bincount. Entries lie as
     (row component, slot, column component), which keeps the columns of
     every row sorted for node major dofs, so the CSR matrix needs no sort.
@@ -126,24 +119,31 @@ class _Pattern:
         return sp.csr_matrix(coo, shape=(self.n_dofs,) * 2)
 
 
+class _Triangles(_Pattern):
+    """Triangle pattern and triangle_gradients, shared by the volume forms."""
+
+    def __init__(self, mesh: Mesh, dofs: DofMap):
+        super().__init__(mesh.triangles, dofs)
+        self.gx, self.gy, self.area = triangle_gradients(mesh)
+
+
 def _diagonal(block: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
     """The same scalar block on both components, no x-y coupling."""
     return {(0, 0): block, (1, 1): block}
 
 
 def assemble_mass(
-    mesh: Mesh, dofs: DofMap, pattern: _Pattern | None = None
+    mesh: Mesh, dofs: DofMap, tri: _Triangles | None = None
 ) -> sp.csr_matrix:
     """Vector P1 mass matrix, one exact block (area/12)*[[2,1,1],[1,2,1],[1,1,2]]
     per component."""
-    _, _, area = triangle_gradients(mesh)
+    tri = tri or _Triangles(mesh, dofs)
     block = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-    local = area[:, None, None] * block
-    return (pattern or _Pattern(mesh.triangles, dofs)).scatter(_diagonal(local))
+    return tri.scatter(_diagonal(tri.area[:, None, None] * block))
 
 
 def assemble_a(
-    mesh: Mesh, dofs: DofMap, M: float, s: float, pattern: _Pattern | None = None
+    mesh: Mesh, dofs: DofMap, M: float, s: float, tri: _Triangles | None = None
 ) -> sp.csr_matrix:
     """Volume stiffness of the regularized operator.
 
@@ -155,8 +155,8 @@ def assemble_a(
     (gx, gy) and curl coefficients (-gy, gx) per component, the x-y block
     is gx gy^T - s gy gx^T and the y-x block its transpose.
     """
-    gx, gy, area = triangle_gradients(mesh)
-    a = area[:, None, None]
+    tri = tri or _Triangles(mesh, dofs)
+    gx, gy, a = tri.gx, tri.gy, tri.area[:, None, None]
     gxx = gx[:, :, None] * gx[:, None, :]
     gyy = gy[:, :, None] * gy[:, None, :]
     gxy = gx[:, :, None] * gy[:, None, :]
@@ -169,11 +169,11 @@ def assemble_a(
         (1, 0): xy.transpose(0, 2, 1),
     }
     del gxx, gyy, gxy, kx  # freed before the scatter, which sets the peak
-    return (pattern or _Pattern(mesh.triangles, dofs)).scatter(blocks)
+    return tri.scatter(blocks)
 
 
 def assemble_b(
-    mesh: Mesh, dofs: DofMap, M: float, pattern: _Pattern | None = None
+    mesh: Mesh, dofs: DofMap, M: float, tri: _Triangles | None = None
 ) -> sp.csr_matrix:
     """Mean-flow convection operator: (Bh x)_i = 2M int (dxi_h/dx) . phi_i.
 
@@ -182,10 +182,10 @@ def assemble_b(
     x^T Bh x = M int_Gamma n_x |xi_h|^2, and vanishes for fields supported
     away from Gamma- u Gamma+.
     """
-    gx, _, area = triangle_gradients(mesh)
-    row = 2.0 * M * (area[:, None] / 3.0) * gx    # same for every test index i
+    tri = tri or _Triangles(mesh, dofs)
+    row = 2.0 * M * (tri.area[:, None] / 3.0) * tri.gx  # same for every test index i
     block = np.broadcast_to(row[:, None, :], (row.shape[0], 3, 3))
-    return (pattern or _Pattern(mesh.triangles, dofs)).scatter(_diagonal(block))
+    return tri.scatter(_diagonal(block))
 
 
 def _gamma_edges(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
@@ -278,7 +278,7 @@ def build_system(
     if abs(M) >= 1.0:
         raise ValueError("mean flow must be subsonic, |M| < 1")
     zero = sp.csr_matrix((dofs.n_dofs,) * 2)
-    tri = _Pattern(mesh.triangles, dofs)
+    tri = _Triangles(mesh, dofs)
     Mh = assemble_mass(mesh, dofs, tri)
     Ah = assemble_a(mesh, dofs, M, s, tri)
     Bh = assemble_b(mesh, dofs, M, tri)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -100,7 +101,6 @@ class SimState:
     xi_prev: np.ndarray
     xi_curr: np.ndarray
     step: int
-    dt: float
     K_prev: np.ndarray | None = None
 
 
@@ -173,7 +173,6 @@ def leapfrog_step(op: StepOperator, state: SimState, F: np.ndarray) -> SimState:
         xi_prev=state.xi_curr,
         xi_curr=xi_next,
         step=state.step + 1,
-        dt=state.dt,
         K_prev=Kx,
     )
 
@@ -275,14 +274,12 @@ def run_simulation(
         flux_mat = flux_mat[gamma][:, gamma]
 
     source = cfg.source_spec()
-    vorticity = None
-    if (
-        source is not None
-        and source.kind == SourceKind.ROTATIONAL
-        and cfg.s != 0.0
-    ):
-        vorticity = CausalVorticity(source, cfg.M)
-    rhs = RhsAssembler(mesh, dofs, source, cfg.s, vorticity=vorticity)
+    loads, vorticity = (), None
+    if source is not None:
+        loads = ((partial(source_spatial, source), source.time_profile),)
+        if source.kind == SourceKind.ROTATIONAL and cfg.s != 0.0:
+            vorticity = CausalVorticity(source, cfg.M)
+    rhs = RhsAssembler(mesh, dofs, loads, cfg.s, vorticity=vorticity)
 
     snapshot_steps: dict[int, float] = {}
     for ts in cfg.snapshot_times:
@@ -303,7 +300,7 @@ def run_simulation(
     )
 
     xi0, xi1 = _initial_levels(cfg, mesh, dofs, op, rhs)
-    state = SimState(xi_prev=xi0, xi_curr=xi1, step=1, dt=dt)
+    state = SimState(xi_prev=xi0, xi_curr=xi1, step=1)
 
     records: list[EnergyRecord] = []
     probe_rows: list[np.ndarray] = []

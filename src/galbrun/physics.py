@@ -210,36 +210,36 @@ class CausalVorticity:
         )
 
 
+# A separable load f(x, t) = f_j(x) p_j(t): the spatial field at (..., 2)
+# points and the scalar time profile.
+Load = tuple[Callable[[np.ndarray], np.ndarray], Callable[[float], float]]
+
+
 class RhsAssembler:
     """Per-step load vector F(t) of the regularized right-hand side.
 
     F_i(t) = int (f + s curl psi) . phi_i, with curl of the scalar psi
-    taken as (dpsi/dy, -dpsi/dx). The volume source is separable,
-    f = amplitude g_vec(x) p(t), so its load F_src = int amplitude g_vec .
-    phi_i is assembled once here and each call returns p(t) F_src.
+    taken as (dpsi/dy, -dpsi/dx). Every force f is a sum of separable loads
+    f_j(x) p_j(t), so each F_j = int f_j . phi_i is assembled once here
+    and a call returns sum_j p_j(t) F_j.
 
     grad psi is a fixed combination of the vorticity's moments at the
     distinct x of the quadrature points, so the load of s curl psi is a
     fixed sparse map of them, also built once: a call evaluates the
-    moments and applies the map. Custom forcing is evaluated at the
-    quadrature points every call and scattered by a bincount over
-    precomputed unconstrained dof indices.
+    moments and applies the map.
     """
 
     def __init__(
         self,
         mesh: Mesh,
         dofs: DofMap,
-        source: SourceSpec | None,
+        loads: tuple[Load, ...],
         s: float,
         vorticity=None,
-        forcing: Callable[[np.ndarray, float], np.ndarray] | None = None,
     ):
-        self.source = source
         self.s = float(s)
         self.vorticity = vorticity
-        self.forcing = forcing
-        self.qp, self.qw = triangle_quadrature(mesh)
+        qp, self.qw = triangle_quadrature(mesh)
         self.n_dofs = dofs.n_dofs
         node_dofs = dofs.node_dofs[mesh.triangles]  # (m, 3, 2)
         self._scatter_index = []
@@ -247,13 +247,11 @@ class RhsAssembler:
             idx = node_dofs[..., comp]
             keep = idx >= 0
             self._scatter_index.append((idx[keep], keep))
-        self._source_load = None
-        if source is not None:
-            self._source_load = self._scatter(source_spatial(source, self.qp))
+        self._loads = [(self._scatter(f(qp)), p) for f, p in loads]
         self._vorticity_x = self._vorticity_map = None
         if vorticity is not None and self.s != 0.0:
             self._vorticity_x, self._vorticity_map = self._vorticity_load_map(
-                node_dofs
+                qp, node_dofs
             )
 
     def _scatter(self, f: np.ndarray) -> np.ndarray:
@@ -283,17 +281,17 @@ class RhsAssembler:
         return scatter
 
     def _vorticity_load_map(
-        self, node_dofs: np.ndarray
+        self, qp: np.ndarray, node_dofs: np.ndarray
     ) -> tuple[np.ndarray, sp.csr_matrix]:
-        """(x, P): the distinct x of the quadrature points, and the sparse
+        """(x, P): the distinct x of the quadrature points qp, and the sparse
         map P taking the moments [I0; I1; I2; I3] at x to the load of
         s curl psi. Column m n_x + j of P is that load when I_m(x_j) = 1 and
         every other moment is 0: the quadrature scatter of the moment's
         gradient coefficients at the points whose x is x_j.
         """
-        x, inv = np.unique(self.qp[..., 0].ravel(), return_inverse=True)
+        x, inv = np.unique(qp[..., 0].ravel(), return_inverse=True)
         scatter = self._quadrature_scatter(node_dofs)
-        grad = self.vorticity.gradient_coefficients(self.qp).reshape(inv.size, 2, 4)
+        grad = self.vorticity.gradient_coefficients(qp).reshape(inv.size, 2, 4)
         rows = np.arange(inv.size + 1)
         blocks = []
         for m in range(4):
@@ -309,12 +307,10 @@ class RhsAssembler:
         return x, sp.hstack(blocks, format="csr")
 
     def __call__(self, t: float) -> np.ndarray:
-        if self._source_load is None:
-            F = np.zeros(self.n_dofs)
-        else:
-            F = float(self.source.time_profile(t)) * self._source_load
-        if self.forcing is not None:
-            F += self._scatter(self.forcing(self.qp, t))
+        # Summed onto the first term, not onto zeros: a fresh zero vector
+        # per call costs more than the products.
+        terms = [float(profile(t)) * load for load, profile in self._loads]
+        F = sum(terms[1:], terms[0]) if terms else np.zeros(self.n_dofs)
         if self._vorticity_map is not None:
             moments = self.vorticity.moments(self._vorticity_x, t)
             if moments is not None:

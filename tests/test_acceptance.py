@@ -114,7 +114,7 @@ def test_criterion_2_source_free_decay_and_energy_identity():
 def test_criterion_3_reflection_coefficient_refinement():
     # rho must drop monotonically over three refinements, finest below 2e-2
     rep = cmd_abc_reflection()
-    rhos = rep.rhos
+    rhos = tuple(lv.rho for lv in rep.levels)
     ok = (
         len(rhos) == 3
         and rhos[0] > rhos[1] > rhos[2]

@@ -1,5 +1,7 @@
 """End-to-end checks of the argparse front end and its exit codes."""
 
+import sys
+
 import pytest
 
 from galbrun.cli import main
@@ -62,6 +64,38 @@ def test_missing_config_file_exits_two(tmp_path, capsys):
 def test_convergence_too_few_levels_exits_two(capsys):
     assert main(["convergence", "--levels", "8,16"]) == 2
     assert "at least 3 levels" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [["--levels", "0,8,16"], ["--levels=-4,8,16"]], ids=["zero", "negative"]
+)
+def test_convergence_non_positive_level_exits_two(capsys, argv):
+    # Both crashed with a ValueError traceback from the mesh builder.
+    assert main(["convergence", *argv]) == 2
+    assert "each at least 3" in capsys.readouterr().err
+
+
+def test_convergence_repeated_levels_exit_two(capsys):
+    # Three equal levels gave a rank-deficient fit and printed an order.
+    assert main(["convergence", "--levels", "8,8,8"]) == 2
+    assert "all different" in capsys.readouterr().err
+
+
+def test_convergence_level_two_exits_two(capsys):
+    # At n = 2 the only free node is the centre, where the manufactured
+    # field vanishes: the relative error was 0/0 and the order printed nan.
+    assert main(["convergence", "--levels", "2,4,8"]) == 2
+    assert "each at least 3" in capsys.readouterr().err
+
+
+def test_convergence_runs_without_sympy(monkeypatch, capsys):
+    # The manufactured forcing is written by hand; None in sys.modules makes
+    # any import of sympy fail.
+    monkeypatch.setitem(sys.modules, "sympy", None)
+    assert main(["convergence"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    orders = [float(ln.split(":")[1]) for ln in lines if "observed order" in ln]
+    assert len(orders) == 2 and all(1.7 <= p <= 2.3 for p in orders)
 
 
 def test_closed_box_with_flow_exits_two(tmp_path, capsys):

@@ -6,6 +6,9 @@ or an attribute, imported, or written in a string other than a docstring
 (bench/child.py names the methods it wraps as "Class.method" strings).
 Dunder methods are called by the language and are exempt. The match is by
 name only, so it finds definitions nothing mentions, not every dead one.
+
+Test-only code belongs in tests/: a definition must also be referenced
+from src/ or bench/, unless its name is exported in galbrun.__all__.
 """
 from __future__ import annotations
 
@@ -15,6 +18,8 @@ import os
 import re
 
 import pytest
+
+import galbrun
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 SRC_MODULES = sorted(
@@ -80,12 +85,28 @@ def unreferenced(tree: ast.Module, refs: set[str]) -> list[str]:
     return [d for d in definitions(tree) if d.rsplit(".", 1)[-1] not in refs]
 
 
+def serving_only_tests(
+    tree: ast.Module, real_refs: set[str], exported: set[str]
+) -> list[str]:
+    """Definitions that nothing outside the tests references, less exports."""
+    return [d for d in unreferenced(tree, real_refs) if d not in exported]
+
+
 REFERENCES = set().union(*(references(parse(p)) for p in ALL_MODULES))
+REAL_REFERENCES = set().union(
+    *(references(parse(p)) for p in ALL_MODULES if not p.startswith("tests"))
+)
+EXPORTED = set(galbrun.__all__)
 
 
 @pytest.mark.parametrize("path", SRC_MODULES)
 def test_every_definition_is_referenced(path):
     assert unreferenced(parse(path), REFERENCES) == []
+
+
+@pytest.mark.parametrize("path", SRC_MODULES)
+def test_no_definition_serves_only_the_tests(path):
+    assert serving_only_tests(parse(path), REAL_REFERENCES, EXPORTED) == []
 
 
 def test_unreferenced_definition_is_caught():
@@ -99,3 +120,18 @@ def test_unreferenced_definition_is_caught():
         'TABLE = ("A.n",)\n'
     )
     assert unreferenced(tree, references(tree)) == ["A.m", "f", "g"]
+
+
+def test_definition_used_only_by_tests_is_caught():
+    src = ast.parse(
+        "def used(): pass\n"
+        "def tested(): pass\n"
+        "def exported(): pass\n"
+        "class C:\n"
+        "    def probe(self): pass\n"
+        "used(); C()\n"
+    )
+    tests = ast.parse("tested(); exported(); C().probe()\n")
+    real = references(src)
+    assert unreferenced(src, real | references(tests)) == []
+    assert serving_only_tests(src, real, {"exported"}) == ["tested", "C.probe"]

@@ -91,7 +91,7 @@ def test_leapfrog_satisfies_three_level_relation(small_duct):
     prev = rng.standard_normal(dofs.n_dofs)
     curr = rng.standard_normal(dofs.n_dofs)
     F = rng.standard_normal(dofs.n_dofs)
-    state = leapfrog_step(op, SimState(prev, curr, step=1, dt=dt), F)
+    state = leapfrog_step(op, SimState(prev, curr, step=1), F)
     BC = mats.Bh + mats.Ch
     K = mats.Ah + mats.Dh
     residual = (
@@ -119,7 +119,7 @@ def test_scheme_rhs_matches_three_term_form(small_duct):
     BC = mats.Bh + mats.Ch
     K_curr = mats.Ah @ curr + mats.Dh @ curr
     want = F - K_curr - (mats.Bh @ (curr - prev) + mats.Ch @ (curr - prev)) / dt
-    got, Kx = op.scheme_rhs(SimState(prev, curr, step=1, dt=dt), F)
+    got, Kx = op.scheme_rhs(SimState(prev, curr, step=1), F)
     assert np.abs(got - want).max() < 1e-14 * np.abs(want).max()
     assert np.abs(Kx - K_curr).max() < 1e-14 * np.abs(K_curr).max()
     # It is the three-level right-hand side less L (2 x_n - x_{n-1}).
@@ -152,7 +152,7 @@ def test_scheme_exact_for_quadratic_trajectory(small_duct):
     def F(t: float) -> np.ndarray:
         return Fw_const + t * Fw_lin + t * t * Fw_quad
 
-    state = SimState(np.zeros_like(w), dt * dt * w, step=1, dt=dt)
+    state = SimState(np.zeros_like(w), dt * dt * w, step=1)
     n = 60
     for _ in range(1, n):
         state = leapfrog_step(op, state, F(state.step * dt))
@@ -177,7 +177,7 @@ def test_instability_error_on_nonfinite_state(small_duct):
     op = StepOperator(mats, dt=0.05)
     bad = np.full(dofs.n_dofs, np.inf)
     with pytest.raises(InstabilityError) as err:
-        leapfrog_step(op, SimState(bad, bad, step=3, dt=0.05), np.zeros(dofs.n_dofs))
+        leapfrog_step(op, SimState(bad, bad, step=3), np.zeros(dofs.n_dofs))
     assert err.value.step == 4
 
 
@@ -199,7 +199,7 @@ def test_closed_box_energy_conservation_drift():
     E0 = energy(xi0, xi1, dt, mats.Mh, Ke @ xi0)
     assert E0 > 0.0
 
-    state = SimState(xi0, xi1, step=1, dt=dt)
+    state = SimState(xi0, xi1, step=1)
     zero = np.zeros(dofs.n_dofs)
     n_steps = 10_000
     worst = 0.0

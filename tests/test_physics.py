@@ -7,6 +7,8 @@ the stencil error.
 """
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -31,6 +33,7 @@ from galbrun.physics import (
     boundary_flux,
     energy,
     make_energy_stiffness,
+    source_spatial,
     well_posedness_margin,
 )
 
@@ -361,9 +364,16 @@ def test_causal_vorticity_zero_for_curl_free_sources(kind):
 # load vector
 
 
+def source_loads(source):
+    """The configured source as run_simulation hands it over: one load."""
+    if source is None:
+        return ()
+    return ((partial(source_spatial, source), source.time_profile),)
+
+
 def one_shot_rhs(mesh, dofs, source, s, t, vorticity=None):
     """Load vector at t from a freshly built RhsAssembler."""
-    return RhsAssembler(mesh, dofs, source, s, vorticity=vorticity)(t)
+    return RhsAssembler(mesh, dofs, source_loads(source), s, vorticity=vorticity)(t)
 
 
 def add_at_load(mesh, dofs, f: np.ndarray) -> np.ndarray:
@@ -386,7 +396,7 @@ def test_rhs_scatter_matches_add_at_bit_for_bit(small_duct, closed_box):
     dofs = build_dof_map(mesh, closed_box=closed_box)
     qp, _ = triangle_quadrature(mesh)
     f = np.random.default_rng(14).standard_normal(qp.shape)
-    F = RhsAssembler(mesh, dofs, source=None, s=0.0, forcing=lambda q, t: f)(0.3)
+    F = RhsAssembler(mesh, dofs, ((lambda q: f, lambda t: 1.0),), s=0.0)(0.3)
     assert np.array_equal(F, add_at_load(mesh, dofs, f))
 
 
@@ -408,7 +418,7 @@ def test_vorticity_load_map_matches_quadrature_oracle(medium_duct, closed_box, s
     )
     psi = CausalVorticity(spec, M)
     qp, _ = triangle_quadrature(mesh)
-    asm = RhsAssembler(mesh, dofs, source=None, s=s, vorticity=psi)
+    asm = RhsAssembler(mesh, dofs, (), s=s, vorticity=psi)
     # The pulse window starts at 0.3: t = 0.2 is before onset, 0.9 on the
     # ramp, 1.3 past the peak and 2.6 after the pulse has gone.
     for t in (0.2, 0.9, 1.3, 2.6):
@@ -450,7 +460,7 @@ def test_rhs_of_constant_regularization_force(small_duct):
 
 def test_rhs_zero_without_inputs(small_duct):
     _, mesh, dofs = small_duct
-    asm = RhsAssembler(mesh, dofs, source=None, s=1.0)
+    asm = RhsAssembler(mesh, dofs, (), s=1.0)
     assert np.all(asm(0.7) == 0.0)
 
 
@@ -471,15 +481,20 @@ def test_rhs_scales_with_amplitude_and_time_profile(small_duct):
     assert np.abs(F3 - ratio * F1).max() < 1e-13 * np.abs(F1).max()
 
 
-def test_rhs_custom_forcing_matches_source_path(small_duct):
+def test_rhs_superposes_loads_with_their_profiles(small_duct):
+    # Two loads with different profiles give p1(t) F1 + p2(t) F2, each F_j
+    # the load of its field alone.
     _, mesh, dofs = small_duct
-    spec = SourceSpec(SourceKind.ROTATIONAL, center=(0.0, 0.2), width=0.5)
-    t = 0.45
-    via_source = one_shot_rhs(mesh, dofs, spec, s=0.0, t=t)
-    via_forcing = RhsAssembler(
-        mesh, dofs, source=None, s=0.0, forcing=lambda q, tt: eval_source(spec, q, tt)
-    )(t)
-    assert np.abs(via_source - via_forcing).max() < 1e-15
+    rot = SourceSpec(SourceKind.ROTATIONAL, center=(0.0, 0.2), width=0.5)
+    irr = SourceSpec(SourceKind.IRROTATIONAL, center=(0.4, -0.1), width=0.3)
+    p1, p2 = np.cos, lambda t: t * t - 0.3
+    loads = ((partial(source_spatial, rot), p1), (partial(source_spatial, irr), p2))
+    asm = RhsAssembler(mesh, dofs, loads, s=0.0)
+    F1 = RhsAssembler(mesh, dofs, loads[:1], s=0.0)
+    F2 = RhsAssembler(mesh, dofs, loads[1:], s=0.0)
+    for t in (0.0, 0.45, 1.3):
+        want = p1(t) / p1(0.0) * F1(0.0) + p2(t) / p2(0.0) * F2(0.0)
+        assert np.abs(asm(t) - want).max() < 1e-14 * np.abs(want).max()
 
 
 # ---------------------------------------------------------------------------

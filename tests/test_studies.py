@@ -66,6 +66,43 @@ def test_manufactured_velocity_matches_time_derivative():
     assert np.allclose(case.xi_t(pts, t), fd, atol=1e-7)
 
 
+def second_derivative(field, pts, t, a, b, d=1e-3):
+    """Central difference of d^2 field / dz_a dz_b, z = (x, y, t)."""
+    ea, eb = d * np.eye(3)[a], d * np.eye(3)[b]
+
+    def at(shift):
+        return field(pts + shift[:2], t + shift[2])
+
+    return (at(ea + eb) - at(ea - eb) - at(eb - ea) + at(-ea - eb)) / (4 * d * d)
+
+
+@pytest.mark.parametrize("s", [0.0, 1.0])
+@pytest.mark.parametrize("M", [0.0, 0.4])
+def test_manufactured_forcing_matches_operator_by_differences(M, s):
+    # The two hand-written loads must sum to
+    # (d/dt + M d/dx)^2 xi - grad div xi + s curl curl xi, the operator
+    # applied to xi by central differences; curl of a scalar c is
+    # (dc/dy, -dc/dx).
+    case = manufactured_case(M=M, s=s)
+    pts = np.random.default_rng(12).uniform(-0.95, 0.95, size=(50, 2))
+    x, y, tt = 0, 1, 2
+    for t in (0.0, 0.37, 1.1):
+        D = {
+            (a, b): second_derivative(case.xi, pts, t, a, b)
+            for a, b in ((x, x), (x, y), (y, y), (x, tt), (tt, tt))
+        }
+        transport = D[tt, tt] + 2 * M * D[x, tt] + M * M * D[x, x]
+        grad_div = np.stack(
+            [D[x, x][:, 0] + D[x, y][:, 1], D[x, y][:, 0] + D[y, y][:, 1]], axis=-1
+        )
+        curl_curl = np.stack(
+            [D[x, y][:, 1] - D[y, y][:, 0], D[x, y][:, 0] - D[x, x][:, 1]], axis=-1
+        )
+        want = transport - grad_div + s * curl_curl
+        got = sum(f(pts) * p(t) for f, p in case.loads)
+        assert np.abs(got - want).max() < 1e-5 * np.abs(want).max()
+
+
 def test_spatial_convergence_second_order():
     rep = spatial_convergence(levels=(8, 16, 32))
     assert all(b < a for a, b in zip(rep.errors, rep.errors[1:]))
