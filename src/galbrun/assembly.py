@@ -47,17 +47,23 @@ class SystemMatrices:
     s: float
 
 
-def triangle_gradients(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(gx, gy, area): the (n_tri, 3) gradient components of the three
-    nodal basis functions, constant per triangle, and the positive areas."""
-    p = mesh.nodes[mesh.triangles]
-    x, y = p[..., 0], p[..., 1]
+def _areas(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Positive areas of triangles with (n_tri, 3) vertex coordinates."""
     area = 0.5 * (
         (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
         - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0])
     )
     if np.any(area <= 0):
         raise ValueError("mesh contains non-counterclockwise triangles")
+    return area
+
+
+def triangle_gradients(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(gx, gy, area): the (n_tri, 3) gradient components of the three
+    nodal basis functions, constant per triangle, and the positive areas."""
+    p = mesh.nodes[mesh.triangles]
+    x, y = p[..., 0], p[..., 1]
+    area = _areas(x, y)
     nxt, prv = [1, 2, 0], [2, 0, 1]
     gx = (y[:, nxt] - y[:, prv]) / (2.0 * area[:, None])
     gy = (x[:, prv] - x[:, nxt]) / (2.0 * area[:, None])
@@ -72,8 +78,7 @@ def triangle_quadrature(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     """
     p = mesh.nodes[mesh.triangles]
     pts = np.einsum("qk,mkd->mqd", TRI_QP_BARY, p)
-    _, _, area = triangle_gradients(mesh)
-    w = area[:, None] * TRI_QP_WEIGHTS[None, :]
+    w = _areas(p[..., 0], p[..., 1])[:, None] * TRI_QP_WEIGHTS[None, :]
     return pts, w
 
 

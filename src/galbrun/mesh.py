@@ -66,22 +66,18 @@ class Mesh:
     def n_triangles(self) -> int:
         return self.triangles.shape[0]
 
-    def edges_with_tag(self, tag: BoundaryTag) -> np.ndarray:
-        return self.boundary_edges[self.boundary_tags == int(tag)]
+    def _node_mask(self, tags: tuple[BoundaryTag, BoundaryTag]) -> np.ndarray:
+        mask = np.zeros(self.n_nodes, dtype=bool)
+        mask[self.boundary_edges[np.isin(self.boundary_tags, tags)]] = True
+        return mask
 
     def wall_node_mask(self) -> np.ndarray:
         """Boolean mask of nodes lying on the rigid walls y = +-h."""
-        mask = np.zeros(self.n_nodes, dtype=bool)
-        for tag in (BoundaryTag.WALL_BOTTOM, BoundaryTag.WALL_TOP):
-            mask[self.edges_with_tag(tag).ravel()] = True
-        return mask
+        return self._node_mask((BoundaryTag.WALL_BOTTOM, BoundaryTag.WALL_TOP))
 
     def gamma_node_mask(self) -> np.ndarray:
         """Boolean mask of nodes on the artificial boundaries x = +-R."""
-        mask = np.zeros(self.n_nodes, dtype=bool)
-        for tag in (BoundaryTag.GAMMA_MINUS, BoundaryTag.GAMMA_PLUS):
-            mask[self.edges_with_tag(tag).ravel()] = True
-        return mask
+        return self._node_mask((BoundaryTag.GAMMA_MINUS, BoundaryTag.GAMMA_PLUS))
 
 
 @dataclass(frozen=True)
@@ -184,15 +180,9 @@ def build_dof_map(mesh: Mesh, closed_box: bool = False) -> DofMap:
 
     Numbering is deterministic: nodes in index order, x before y.
     """
-    node_dofs = np.full((mesh.n_nodes, 2), CONSTRAINED, dtype=np.int64)
-    wall = mesh.wall_node_mask()
     gamma_wall = mesh.gamma_node_mask() if closed_box else np.zeros(mesh.n_nodes, bool)
-    counter = 0
-    for node in range(mesh.n_nodes):
-        if not gamma_wall[node]:
-            node_dofs[node, 0] = counter
-            counter += 1
-        if not wall[node]:
-            node_dofs[node, 1] = counter
-            counter += 1
-    return DofMap(n_nodes=mesh.n_nodes, n_dofs=counter, node_dofs=node_dofs)
+    free = np.column_stack([~gamma_wall, ~mesh.wall_node_mask()])
+    node_dofs = np.full((mesh.n_nodes, 2), CONSTRAINED, dtype=np.int64)
+    n_dofs = np.count_nonzero(free)
+    node_dofs[free] = np.arange(n_dofs)  # row-major: node major, x before y
+    return DofMap(n_nodes=mesh.n_nodes, n_dofs=n_dofs, node_dofs=node_dofs)

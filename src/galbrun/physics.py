@@ -367,12 +367,13 @@ def energy(
     the closed box at M = 0. For s != 1, Ah + Dh need not be positive and
     E may go negative; the kinetic part never does. Overflows to inf
     (silently, callers check finiteness) while a blown-up run is being
-    detected.
+    detected. The dot products go through einsum, not BLAS, whose threaded
+    ddot sums in an order set by the thread count.
     """
     d = (xi_curr - xi_prev) / dt
     with np.errstate(over="ignore", invalid="ignore"):
-        kinetic = 0.5 * float(d @ (Mh @ d))
-        return Energy(kinetic + 0.5 * float(xi_curr @ K_prev), kinetic)
+        kinetic = 0.5 * float(np.einsum("i,i", d, Mh @ d))
+        return Energy(kinetic + 0.5 * float(np.einsum("i,i", xi_curr, K_prev)), kinetic)
 
 
 def boundary_flux(
@@ -389,7 +390,7 @@ def boundary_flux(
     """
     d = (xi_curr - xi_prev) / dt
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(d @ (flux_mass @ d))
+        return float(np.einsum("i,i", d, flux_mass @ d))
 
 
 def well_posedness_margin(M: float, s: float) -> float:

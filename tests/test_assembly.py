@@ -98,6 +98,17 @@ def test_gradients_reject_clockwise():
     )
     with pytest.raises(ValueError):
         triangle_gradients(flipped)
+    with pytest.raises(ValueError):
+        triangle_quadrature(flipped)
+
+
+def test_quadrature_weights_are_the_gradient_areas():
+    # The load vectors take their weights from triangle_quadrature, the
+    # operators their areas from triangle_gradients: the same bits.
+    mesh = build_duct_mesh(DuctGeometry(R=4.0, h=1.0), 40, 10)
+    _, w = triangle_quadrature(mesh)
+    _, _, area = triangle_gradients(mesh)
+    assert np.array_equal(w, area[:, None] * np.full(3, 1.0 / 3.0))
 
 
 def test_reference_triangle_gradients():

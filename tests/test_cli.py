@@ -1,9 +1,12 @@
 """End-to-end checks of the argparse front end and its exit codes."""
 
+import os
+import subprocess
 import sys
 
 import pytest
 
+import galbrun
 from galbrun.cli import main
 
 
@@ -192,3 +195,25 @@ def test_serial_deterministic_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--serial-deterministic"])
     assert exc.value.code == 2
+
+
+def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # exp1 at 160x40 has 12,880 dofs, enough for a threaded BLAS dot to
+    # split its sum; every logged number must come out the same anyway.
+    src = os.path.dirname(os.path.dirname(galbrun.__file__))
+    configs = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+    cfg = os.path.join(configs, "exp1_rotational.cfg")
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        argv = ["stability-contrast", "--config", cfg, "--out", str(tmp_path / threads)]
+        subprocess.run(
+            [sys.executable, "-m", "galbrun.cli", *argv],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+    one, two = tmp_path / "1", tmp_path / "2"
+    files = sorted(p.relative_to(one) for p in one.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(two) for p in two.rglob("*") if p.is_file())
+    assert any(f.name == "energy.csv" for f in files)
+    for f in files:
+        assert (one / f).read_bytes() == (two / f).read_bytes(), f

@@ -44,6 +44,11 @@ def linear_dof_vector(mesh, dofs):
     return dofs.restrict(field)
 
 
+def step_matrix(op: StepOperator):
+    """The operator L = Mh / dt^2 + BC / (2 dt) that op.solve inverts."""
+    return (op.Mh / op.dt**2 + op.BC / (2.0 * op.dt)).tocsr()
+
+
 def test_plan_time_step_values(small_duct):
     _, mesh, _ = small_duct  # h_min = 1
     assert plan_time_step(mesh, M=0.0, cfl_safety=1.0) == pytest.approx(1.0)
@@ -61,7 +66,12 @@ def test_step_operator_solve_round_trip(small_duct):
     rng = np.random.default_rng(2)
     b = rng.standard_normal(dofs.n_dofs)
     x = op.solve(b)
-    assert np.abs(op.L @ x - b).max() < 1e-10 * np.abs(b).max()
+    L = step_matrix(op)
+    assert np.abs(L @ x - b).max() < 1e-10 * np.abs(b).max()
+    # The factor is of L^T; with flow L is not symmetric, so a solve with
+    # L^T in place of L fails the check above.
+    assert abs(L - L.T).max() > 1e-2 * abs(L).max()
+    assert np.abs(L.T @ x - b).max() > 1e-2 * np.abs(b).max()
     with pytest.raises(ValueError):
         StepOperator(mats, dt=0.0)
 
@@ -78,7 +88,7 @@ def test_step_operator_factor_is_fill_reducing():
     op = StepOperator(mats, dt)
     assert op._lu.L.nnz + op._lu.U.nnz <= 600_000
     b = np.random.default_rng(5).standard_normal(dofs.n_dofs)
-    want = spsolve(op.L.tocsc(), b)
+    want = spsolve(step_matrix(op).tocsc(), b)
     assert np.linalg.norm(op.solve(b) - want) <= 1e-13 * np.linalg.norm(want)
 
 
@@ -129,7 +139,7 @@ def test_scheme_rhs_matches_three_term_form(small_duct):
         - K_curr
         + F
     )
-    increment = three_level - op.L @ (2.0 * curr - prev)
+    increment = three_level - step_matrix(op) @ (2.0 * curr - prev)
     assert np.abs(got - increment).max() < 1e-14 * np.abs(three_level).max()
 
 
@@ -165,10 +175,14 @@ def test_taylor_start_exact_for_quadratic(small_duct):
     mats = build_system(mesh, dofs, M=0.5, s=1.0)
     w = linear_dof_vector(mesh, dofs)
     dt = 0.05
-    xi1 = taylor_first_step(
-        StepOperator(mats, dt), np.zeros_like(w), np.zeros_like(w), 2 * (mats.Mh @ w)
-    )
+    op = StepOperator(mats, dt)
+    zero = np.zeros_like(w)
+    xi1 = taylor_first_step(op, zero, zero, 2 * (mats.Mh @ w))
     assert np.abs(xi1 - dt * dt * w).max() < 1e-12 * np.abs(w).max()
+    # From rest, xi1 = dt^2/2 Mh^{-1} F0: the start's factor solves Mh.
+    F0 = np.random.default_rng(6).standard_normal(dofs.n_dofs)
+    accel = taylor_first_step(op, zero, zero, F0) / (0.5 * dt * dt)
+    assert np.abs(mats.Mh @ accel - F0).max() < 1e-12 * np.abs(F0).max()
 
 
 def test_instability_error_on_nonfinite_state(small_duct):

@@ -111,6 +111,30 @@ def test_dof_map_closed_box(small_duct):
     assert np.all(dofs.node_dofs[gamma, 0] == CONSTRAINED)
 
 
+def dof_map_per_node(mesh, closed_box):
+    """Oracle: number the free components node by node, x before y."""
+    wall, gamma = mesh.wall_node_mask(), mesh.gamma_node_mask()
+    node_dofs = np.full((mesh.n_nodes, 2), CONSTRAINED, dtype=np.int64)
+    counter = 0
+    for node in range(mesh.n_nodes):
+        for comp, fixed in enumerate((closed_box and gamma[node], wall[node])):
+            if not fixed:
+                node_dofs[node, comp] = counter
+                counter += 1
+    return counter, node_dofs
+
+
+@pytest.mark.parametrize("closed_box", [False, True])
+@pytest.mark.parametrize("nx, ny", [(1, 1), (4, 2), (40, 10)])
+def test_dof_map_matches_per_node_numbering(nx, ny, closed_box):
+    mesh = build_duct_mesh(DuctGeometry(R=4.0, h=1.0), nx, ny)
+    dofs = build_dof_map(mesh, closed_box=closed_box)
+    n_dofs, node_dofs = dof_map_per_node(mesh, closed_box)
+    assert dofs.n_dofs == n_dofs
+    assert dofs.node_dofs.dtype == node_dofs.dtype
+    assert np.array_equal(dofs.node_dofs, node_dofs)
+
+
 def test_expand_restrict_round_trip(small_duct):
     _, mesh, dofs = small_duct
     rng = np.random.default_rng(3)
