@@ -87,7 +87,6 @@ class RunConfig:
     init_amplitude: float = 1.0
     # output
     out_dir: str = "out"
-    energy_log: str = "energy.csv"
 
     def geometry(self) -> DuctGeometry:
         return DuctGeometry(R=self.R, h=self.h)

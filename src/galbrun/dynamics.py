@@ -2,22 +2,22 @@
 
 The scheme is the centered three-level discretization
 
-    Mh (x+ - 2 x0 + x-) / dt^2 + (Bh + Ch)(x+ - x-) / (2 dt)
-        + (Ah + Dh) x0 = F(t),
+    Mh (x+ - 2 x0 + x-) / dt^2 + BC (x+ - x-) / (2 dt) + K x0 = F(t),
 
+with the mass Mh, damping BC and stiffness K of assembly.build_system,
 taken in increment form: with the fixed operator
-L = Mh / dt^2 + (Bh + Ch) / (2 dt), LU-factorized once, each step solves
+L = Mh / dt^2 + BC / (2 dt), LU-factorized once, each step solves
 
-    L delta = F(t) - (Ah + Dh) x0 - (Bh + Ch)(x0 - x-) / dt,
+    L delta = F(t) - K x0 - BC (x0 - x-) / dt,
     x+ = 2 x0 - x- + delta,
 
-which costs two sparse products, K x0 and (Bh + Ch)(x0 - x-). The energy
+which costs two sparse products, K x0 and BC (x0 - x-). The energy
 record of the new pair reuses K x0, so with d^T Mh d a step does three
 full-size sparse products, plus the outflow flux on the boundary dofs.
 L is factored as L^T, for SuperLU's faster transposed solve (factorize).
 
 The logged energy (physics.energy) is the scheme's own: it pairs the
-staggered states through K = Ah + Dh, so the scheme balances it exactly
+staggered states through K, so the scheme balances it exactly
 against the damping and the source work. For s != 1, K need not be
 positive and the energy may go negative, so blow-up is judged by its
 kinetic part, which cannot.
@@ -122,15 +122,13 @@ def factorize(A: sp.spmatrix) -> SuperLU:
 
 class StepOperator:
     """Factorized per-step solve with L = Mh / dt^2 + BC / (2 dt), and the
-    mass Mh, the stiffness K = Ah + Dh and the damping BC = Bh + Ch."""
+    system's mass Mh, stiffness K and damping BC, held, not copied."""
 
     def __init__(self, mats: SystemMatrices, dt: float):
         if dt <= 0:
             raise ValueError("dt must be positive")
-        Mh = self.Mh = mats.Mh
-        self.K = (mats.Ah + mats.Dh).tocsr()
-        self.BC = (mats.Bh + mats.Ch).tocsr()
-        self._lu = factorize((Mh / dt**2 + self.BC / (2.0 * dt)).tocsr())
+        self.Mh, self.K, self.BC = mats.Mh, mats.K, mats.BC
+        self._lu = factorize(mats.Mh / dt**2 + mats.BC / (2.0 * dt))
         self.dt = dt
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -201,7 +199,6 @@ class RunResult:
     n_steps: int
     mesh: Mesh
     dofs: DofMap
-    mats: SystemMatrices
     config: RunConfig
     warnings: list[str]
     snapshots: list[tuple[float, np.ndarray]]
@@ -324,13 +321,9 @@ def run_simulation(
         K_prev: np.ndarray,
         at: np.ndarray | None = None,
     ) -> EnergyRecord:
-        E = energy(prev, curr, dt, op.Mh, K_prev)
+        E, kinetic = energy(prev, curr, dt, op.Mh, K_prev)
         rec = EnergyRecord(
-            step=step,
-            t=step * dt,
-            E=float(E),
-            kinetic=E.kinetic,
-            flux=flux_of(prev, curr),
+            step=step, t=step * dt, E=E, kinetic=kinetic, flux=flux_of(prev, curr)
         )
         records.append(rec)
         if probe_nodes.size:
@@ -387,7 +380,7 @@ def run_simulation(
     probe_norms = np.array(probe_rows) if probe_nodes.size else None
 
     if out_dir is not None:
-        write_energy_log(records, os.path.join(out_dir, cfg.energy_log))
+        write_energy_log(records, os.path.join(out_dir, "energy.csv"))
         with open(os.path.join(out_dir, "report.txt"), "w", newline="\n") as f:
             f.write(_report_text(status, records, dt, n_steps, warnings))
 
@@ -398,7 +391,6 @@ def run_simulation(
         n_steps=n_steps,
         mesh=mesh,
         dofs=dofs,
-        mats=mats,
         config=cfg,
         warnings=warnings,
         snapshots=snapshots,

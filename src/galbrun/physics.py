@@ -192,15 +192,6 @@ class CausalVorticity:
             return None
         return moments[:, inv.reshape(pts.shape[:-1])]
 
-    def __call__(self, pts: np.ndarray, t: float) -> np.ndarray:
-        moments = self._point_moments(pts, t)
-        if moments is None:
-            return np.zeros(pts.shape[:-1])
-        i0, _, i2, _ = moments
-        dy, agy = self._y_factors(pts)
-        w2 = self.source.width * self.source.width
-        return agy * (2.0 / w2 * i0 - (i2 + dy * dy * i0) / (w2 * w2))
-
     def gradient(self, pts: np.ndarray, t: float) -> np.ndarray:
         moments = self._point_moments(pts, t)
         if moments is None:
@@ -323,7 +314,7 @@ def make_energy_stiffness(mesh: Mesh, dofs: DofMap, M: float) -> sp.csr_matrix:
 
     Assembled independently of the system stiffness; on the constrained
     space it coincides with Ah + Dh at s = 1 (a discrete integration by
-    parts identity). Runs log the scheme's own energy with Ah + Dh; this
+    parts identity). Runs log the scheme's own energy with its K; this
     is the reference the test suite compares it against.
     """
     return (
@@ -332,39 +323,30 @@ def make_energy_stiffness(mesh: Mesh, dofs: DofMap, M: float) -> sp.csr_matrix:
     ).tocsr()
 
 
-class Energy(float):
-    """E of a state pair, carrying its kinetic part as .kinetic."""
-
-    kinetic: float
-
-    def __new__(cls, E: float, kinetic: float) -> Energy:
-        obj = super().__new__(cls, E)
-        obj.kinetic = kinetic
-        return obj
-
-
 def energy(
     xi_prev: np.ndarray,
     xi_curr: np.ndarray,
     dt: float,
     Mh: sp.spmatrix,
     K_prev: np.ndarray,
-) -> Energy:
-    """Discrete energy of a consecutive state pair.
+) -> tuple[float, float]:
+    """(E, kinetic): the discrete energy of a consecutive state pair and
+    its kinetic part,
 
     E = 1/2 [ d^T Mh d + xi_curr^T K_prev ], d = (xi_curr - xi_prev)/dt,
+    kinetic = 1/2 d^T Mh d,
+
     with K_prev = K xi_prev the stiffness applied to the earlier state
-    (the step that made xi_curr already formed it), and kinetic part
-    1/2 d^T Mh d.
+    (the step that made xi_curr already formed it).
 
-    With K the scheme's stiffness Ah + Dh, as run_simulation uses, the
-    leapfrog scheme balances it exactly:
+    With K and BC the scheme's stiffness and damping, as run_simulation
+    uses, the leapfrog scheme balances it exactly:
 
-        E_{n+1/2} - E_{n-1/2} = -dt v^T sym(Bh + Ch) v + dt F^T v,
+        E_{n+1/2} - E_{n-1/2} = -dt v^T sym(BC) v + dt F^T v,
 
     v = (x_{n+1} - x_{n-1}) / (2 dt). Without a source it is therefore
-    non-increasing where sym(Bh + Ch) >= 0, and conserved to roundoff for
-    the closed box at M = 0. For s != 1, Ah + Dh need not be positive and
+    non-increasing where sym(BC) >= 0, and conserved to roundoff for
+    the closed box at M = 0. For s != 1, K need not be positive and
     E may go negative; the kinetic part never does. Overflows to inf
     (silently, callers check finiteness) while a blown-up run is being
     detected. The dot products go through einsum, not BLAS, whose threaded
@@ -373,7 +355,7 @@ def energy(
     d = (xi_curr - xi_prev) / dt
     with np.errstate(over="ignore", invalid="ignore"):
         kinetic = 0.5 * float(np.einsum("i,i", d, Mh @ d))
-        return Energy(kinetic + 0.5 * float(np.einsum("i,i", xi_curr, K_prev)), kinetic)
+        return kinetic + 0.5 * float(np.einsum("i,i", xi_curr, K_prev)), kinetic
 
 
 def boundary_flux(

@@ -3,8 +3,8 @@ readers for the run artifacts.
 
 None of these is on a run path: the operators are summed from
 per-component blocks on one scalar pattern (galbrun.assembly), the load
-vector uses the separable source load of RhsAssembler, the vorticity comes
-from CausalVorticity and snapshots are written by
+vector uses the separable source load of RhsAssembler, the vorticity
+load comes from CausalVorticity's moments and snapshots are written by
 galbrun.output.write_snapshot. They are kept here, written the
 straightforward way, as independent oracles.
 """
@@ -21,7 +21,7 @@ from scipy.integrate import quad
 from galbrun.assembly import _gamma_edges, triangle_gradients
 from galbrun.mesh import DofMap, Mesh
 from galbrun.output import ENERGY_HEADER, EnergyRecord
-from galbrun.physics import SourceKind, SourceSpec, source_spatial
+from galbrun.physics import CausalVorticity, SourceKind, SourceSpec, source_spatial
 
 
 def _bump(spec: SourceSpec, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -139,6 +139,18 @@ class AnalyticVorticity:
         flat = pts.reshape(-1, 2)
         vals = np.array([self.value(p[0], p[1], t) for p in flat])
         return vals.reshape(pts.shape[:-1])
+
+
+def causal_psi(vort: CausalVorticity, pts: np.ndarray, t: float) -> np.ndarray:
+    """psi of CausalVorticity at points of shape (..., 2), from its moments:
+    psi = A g_y (2/w^2 I0 - (I2 + dy^2 I0) / w^4). Runs need only grad psi."""
+    moments = vort._point_moments(pts, t)
+    if moments is None:
+        return np.zeros(pts.shape[:-1])
+    i0, _, i2, _ = moments
+    dy, agy = vort._y_factors(pts)
+    w2 = vort.source.width * vort.source.width
+    return agy * (2.0 / w2 * i0 - (i2 + dy * dy * i0) / (w2 * w2))
 
 
 def write_snapshot_per_line(mesh: Mesh, field: np.ndarray, t: float, path: str) -> None:
@@ -314,15 +326,17 @@ def _padded_d(mesh: Mesh, dofs: DofMap) -> sp.csr_matrix:
 def padded_system(
     mesh: Mesh, dofs: DofMap, M: float, s: float, abc: str
 ) -> dict[str, sp.csr_matrix]:
-    """Mh, Ah, Bh, Ch and Dh of build_system, each element block padded to
-    the full 6x6 (triangles) or 4x4 (edges) vector block and scattered as
-    COO triples: the brute-force reference of the pattern scatter."""
-    zero = sp.csr_matrix((dofs.n_dofs,) * 2)
-    with_c = abc in ("stable", "naive")
-    return {
+    """Mh and the split forms that the abc variant's K = Ah (+ Dh) and
+    BC = Bh (+ Ch) are made of, each element block padded to the full 6x6
+    (triangles) or 4x4 (edges) vector block and scattered as COO triples:
+    the brute-force reference of the pattern scatter."""
+    forms = {
         "Mh": _padded_mass(mesh, dofs),
         "Ah": _padded_a(mesh, dofs, M, s),
         "Bh": _padded_b(mesh, dofs, M),
-        "Ch": _padded_c(mesh, dofs, M) if with_c else zero,
-        "Dh": _padded_d(mesh, dofs) if abc == "stable" else zero,
     }
+    if abc != "none":
+        forms["Ch"] = _padded_c(mesh, dofs, M)
+    if abc == "stable":
+        forms["Dh"] = _padded_d(mesh, dofs)
+    return forms

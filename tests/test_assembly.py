@@ -13,6 +13,7 @@ precision, not just to discretization accuracy:
 """
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -40,6 +41,23 @@ from galbrun.mesh import DofMap, DuctGeometry, Mesh, build_dof_map, build_duct_m
 
 from conftest import duct_area, make_free_dofmap, make_single_triangle
 from oracles import padded_system
+
+
+def assembled_forms(
+    mesh: Mesh, dofs: DofMap, M: float, s: float, abc: str
+) -> dict[str, sp.csr_matrix]:
+    """Mh and the split forms that the abc variant's K and BC are made of,
+    each from its own assemble_* call."""
+    forms = {
+        "Mh": assemble_mass(mesh, dofs),
+        "Ah": assemble_a(mesh, dofs, M, s),
+        "Bh": assemble_b(mesh, dofs, M),
+    }
+    if abc != "none":
+        forms["Ch"] = assemble_c(mesh, dofs, M)
+    if abc == "stable":
+        forms["Dh"] = assemble_d(mesh, dofs)
+    return forms
 
 
 def dense(mat: sp.spmatrix) -> np.ndarray:
@@ -317,10 +335,12 @@ def test_build_system_variants(small_duct):
     naive = build_system(mesh, dofs, M=0.5, s=1.0, abc="naive")
     closed = build_system(mesh, dofs, M=0.5, s=1.0, abc="none")
     assert isinstance(stable, SystemMatrices)
-    assert rel_diff(naive.Ch, stable.Ch) == 0.0
-    assert naive.Dh.nnz == 0
-    assert closed.Ch.nnz == 0 and closed.Dh.nnz == 0
-    assert stable.Dh.nnz > 0
+    assert [f.name for f in dataclasses.fields(SystemMatrices)] == ["Mh", "K", "BC"]
+    # naive drops Dh from K, none drops Ch from BC as well.
+    assert rel_diff(naive.BC, stable.BC) == 0.0
+    assert rel_diff(naive.K, closed.K) == 0.0
+    assert rel_diff(stable.K, naive.K) > 0.0
+    assert rel_diff(naive.BC, closed.BC) > 0.0
     with pytest.raises(ValueError):
         build_system(mesh, dofs, M=1.0, s=1.0)
     with pytest.raises(ValueError):
@@ -334,7 +354,8 @@ def test_assembled_matrices_store_no_zeros(medium_duct, abc):
     _, mesh, _ = medium_duct
     dofs = build_dof_map(mesh, closed_box=(abc == "none"))
     mats = build_system(mesh, dofs, M=0.5, s=1.0, abc=abc)
-    stored = {name: getattr(mats, name) for name in ("Mh", "Ah", "Bh", "Ch", "Dh")}
+    stored = {name: getattr(mats, name) for name in ("Mh", "K", "BC")}
+    stored.update(assembled_forms(mesh, dofs, 0.5, 1.0, abc))
     stored["boundary mass"] = assemble_boundary_mass(mesh, dofs)
     zeros = {name: int(np.count_nonzero(m.data == 0.0)) for name, m in stored.items()}
     assert zeros == dict.fromkeys(stored, 0)
@@ -365,7 +386,7 @@ def test_permutation_invariance():
     dofs_b = build_dof_map(shuffled)
     mats_a = build_system(base, dofs_a, M, s)
     mats_b = build_system(shuffled, dofs_b, M, s)
-    for name in ("Mh", "Ah", "Bh", "Ch", "Dh"):
+    for name in ("Mh", "K", "BC"):
         Ka = getattr(mats_a, name)
         Kb = getattr(mats_b, name)
         for fx, fy in fields:
@@ -393,12 +414,34 @@ def test_pattern_scatter_matches_padded_oracle(nx, ny, abc, s):
     mesh = build_duct_mesh(DuctGeometry(4.0, 1.0), nx, ny)
     dofs = build_dof_map(mesh, closed_box=(abc == "none"))
     M = 0.0 if abc == "none" else 0.5
-    mats = build_system(mesh, dofs, M, s, abc=abc)
-    for name, want in padded_system(mesh, dofs, M, s, abc).items():
-        got = getattr(mats, name)
+    forms = assembled_forms(mesh, dofs, M, s, abc)
+    padded = padded_system(mesh, dofs, M, s, abc)
+    assert forms.keys() == padded.keys()
+    for name, want in padded.items():
+        got = forms[name]
         assert isinstance(got, sp.csr_matrix) and got.has_canonical_format
         scale = abs(want).max()
         assert abs(got - want).max() <= 1e-15 * scale, name
+
+
+@pytest.mark.parametrize("abc", ["stable", "naive", "none"])
+def test_system_operators_are_the_sums_of_the_forms(abc):
+    # K = Ah + Dh and BC = Bh + Ch, with the forms of the variant only,
+    # bit for bit.
+    mesh = build_duct_mesh(DuctGeometry(4.0, 1.0), 40, 10)
+    dofs = build_dof_map(mesh, closed_box=(abc == "none"))
+    M = 0.0 if abc == "none" else 0.5
+    mats = build_system(mesh, dofs, M, 1.0, abc=abc)
+    forms = assembled_forms(mesh, dofs, M, 1.0, abc)
+    K, BC = forms["Ah"], forms["Bh"]
+    if "Dh" in forms:
+        K = K + forms["Dh"]
+    if "Ch" in forms:
+        BC = BC + forms["Ch"]
+    for got, want in ((mats.Mh, forms["Mh"]), (mats.K, K), (mats.BC, BC)):
+        assert isinstance(got, sp.csr_matrix) and got.has_canonical_format
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, part), getattr(want, part))
 
 
 def test_build_system_traced_peak_per_triangle():
@@ -423,4 +466,4 @@ def test_stiffness_stores_no_more_entries(nx, ny, nnz):
     # multiplied every time step, so the scatter must not grow it.
     mesh = build_duct_mesh(DuctGeometry(4.0, 1.0), nx, ny)
     mats = build_system(mesh, build_dof_map(mesh), M=0.5, s=1.0)
-    assert abs((mats.Ah + mats.Dh).nnz - nnz) <= 0.01 * nnz
+    assert abs(mats.K.nnz - nnz) <= 0.01 * nnz

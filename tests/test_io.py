@@ -1,6 +1,10 @@
 """Config parsing, validation and artifact round trips."""
 from __future__ import annotations
 
+import dataclasses
+import os
+import re
+
 import numpy as np
 import pytest
 
@@ -62,6 +66,26 @@ def test_parse_comments_and_blanks():
 def test_parse_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown config keys: nz, weird"):
         parse_config_text("nz = 3\nweird = x\nnx = 4")
+
+
+def readme_config_keys() -> list[str]:
+    """The keys named in the first column of the README's configuration
+    table, with name_x/y expanded to name_x and name_y."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path) as f:
+        section = f.read().split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    keys = []
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            for name in re.findall(r"`([^`]+)`", line.split("|")[1]):
+                head, _, tail = name.partition("/")
+                keys += [head] + ([head[: -len(tail)] + tail] if tail else [])
+    return keys
+
+
+def test_readme_table_names_every_config_key():
+    fields = [f.name for f in dataclasses.fields(RunConfig)]
+    assert sorted(readme_config_keys()) == sorted(fields)
 
 
 def test_parse_rejects_duplicates_and_garbage():
