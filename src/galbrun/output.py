@@ -10,6 +10,7 @@ reruns are bit-identical.
 from __future__ import annotations
 
 import csv
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,10 @@ import numpy as np
 from galbrun.mesh import Mesh
 
 ENERGY_HEADER = ("step", "t", "E", "kinetic", "flux", "status")
+
+# Rows formatted per % call. One call over a whole 320x80 mesh boxes about
+# 154k cell indices as Python ints at once; chunks bound that to a few MB.
+FORMAT_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -29,21 +34,30 @@ class EnergyRecord:
     status: str = "ok"  # "warned" marks the abort row of an unstable run
 
 
+def _format_rows(row: str, values: np.ndarray) -> Iterator[str]:
+    """The text of row % r for each row r of values, FORMAT_CHUNK_ROWS
+    rows per % call."""
+    for start in range(0, len(values), FORMAT_CHUNK_ROWS):
+        chunk = values[start : start + FORMAT_CHUNK_ROWS]
+        yield (row * len(chunk)) % tuple(chunk.ravel().tolist())
+
+
 def vtk_geometry(mesh: Mesh) -> str:
     """The POINTS, CELLS and CELL_TYPES blocks of a snapshot.
 
     They are the same in every snapshot of a run, so a run formats them
     once and hands the text to write_snapshot.
     """
-    n = mesh.n_nodes
     m = mesh.n_triangles
-    return (
-        f"POINTS {n} double\n"
-        + ("%.9g %.9g 0\n" * n) % tuple(mesh.nodes.ravel().tolist())
-        + f"CELLS {m} {4 * m}\n"
-        + ("3 %d %d %d\n" * m) % tuple(mesh.triangles.ravel().tolist())
-        + f"CELL_TYPES {m}\n"
-        + "5\n" * m
+    return "".join(
+        [
+            f"POINTS {mesh.n_nodes} double\n",
+            *_format_rows("%.9g %.9g 0\n", mesh.nodes),
+            f"CELLS {m} {4 * m}\n",
+            *_format_rows("3 %d %d %d\n", mesh.triangles),
+            f"CELL_TYPES {m}\n",
+            "5\n" * m,
+        ]
     )
 
 
@@ -64,9 +78,9 @@ def write_snapshot(geometry: str, field: np.ndarray, t: float, path: str) -> Non
         )
         f.write(geometry)
         f.write(f"POINT_DATA {n}\nVECTORS displacement double\n")
-        f.write(("%.9g %.9g 0\n" * n) % tuple(field.ravel().tolist()))
+        f.writelines(_format_rows("%.9g %.9g 0\n", field))
         f.write("SCALARS xi_norm double\nLOOKUP_TABLE default\n")
-        f.write(("%.9g\n" * n) % tuple(norm.tolist()))
+        f.writelines(_format_rows("%.9g\n", norm))
 
 
 def write_energy_log(records: list[EnergyRecord], path: str) -> None:

@@ -12,9 +12,11 @@ import os
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import spsolve
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu, spsolve
 
 from galbrun.assembly import (
+    SystemMatrices,
     assemble_a,
     assemble_b,
     assemble_c,
@@ -36,7 +38,7 @@ from galbrun.dynamics import (
     snap_time_step,
     taylor_first_step,
 )
-from galbrun.mesh import DuctGeometry, build_dof_map, build_duct_mesh
+from galbrun.mesh import DofMap, DuctGeometry, build_dof_map, build_duct_mesh
 from galbrun.physics import energy, make_energy_stiffness
 
 from oracles import read_energy_log, read_snapshot
@@ -93,18 +95,62 @@ def test_step_operator_holds_the_system_operators(small_duct):
 
 def test_step_operator_factor_is_fill_reducing():
     # On exp1's 160x40 operator the minimum-degree ordering on L^T + L
-    # fills the factors to 568,350 entries, SuperLU's default COLAMD to
-    # 835,072; the per-step solve time follows the fill.
+    # fills the factors of its two blocks to 568,350 entries, SuperLU's
+    # default COLAMD on the whole L to 835,072; the per-step solve time
+    # follows the fill.
     cfg = load_config(os.path.join(CONFIG_DIR, "exp1_rotational.cfg"))
     mesh = build_duct_mesh(cfg.geometry(), cfg.nx, cfg.ny)
     dofs = build_dof_map(mesh)
     mats = build_system(mesh, dofs, cfg.M, cfg.s, abc=cfg.abc)
     dt, _ = snap_time_step(plan_time_step(mesh, cfg.M, cfg.cfl_safety), cfg.t_end)
     op = StepOperator(mats, dt)
-    assert op._lu.L.nnz + op._lu.U.nnz <= 600_000
+    assert sum(lu.L.nnz + lu.U.nnz for _, lu in op._lu.parts) <= 600_000
     b = np.random.default_rng(5).standard_normal(dofs.n_dofs)
     want = spsolve(step_matrix(op).tocsc(), b)
     assert np.linalg.norm(op.solve(b) - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def split_case(case: str) -> tuple[DofMap, SystemMatrices]:
+    """The system of one block-split case: the open duct at M = 0.5 with
+    each ABC, the closed box at M = 0, and a one-cell-high duct."""
+    closed = case == "closed"
+    mesh = build_duct_mesh(DuctGeometry(4.0, 1.0), 40, 1 if case == "ny1" else 10)
+    dofs = build_dof_map(mesh, closed_box=closed)
+    abc = {"closed": "none", "naive": "naive"}.get(case, "stable")
+    mats = build_system(mesh, dofs, M=0.0 if closed else 0.5, s=1.0, abc=abc)
+    return dofs, mats
+
+
+SPLIT_CASES = ["stable", "naive", "closed", "ny1"]
+
+
+@pytest.mark.parametrize("case", SPLIT_CASES)
+def test_step_operator_factors_one_block_per_component(case):
+    # Mh, Bh and Ch act on one displacement component at a time, so L is
+    # block diagonal: one factor for the free x dofs and one for the free
+    # y dofs, or one alone when no y dof is free (ny = 1). Solving block
+    # by block must give the bits of one LU of the whole L.
+    dofs, mats = split_case(case)
+    op = StepOperator(mats, dt=0.05)
+    blocks = [idx.tolist() for idx, _ in op._lu.parts]
+    free = [d[d >= 0].tolist() for d in dofs.node_dofs.T]
+    assert sorted(blocks) == sorted(d for d in free if d)
+    assert len(blocks) == (1 if case == "ny1" else 2)
+    whole = splu(step_matrix(op).T.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    b = np.random.default_rng(7).standard_normal(dofs.n_dofs)
+    assert np.array_equal(op.solve(b), whole.solve(b, trans="T"))
+
+
+@pytest.mark.parametrize("case", SPLIT_CASES[:3])
+def test_step_operator_rejects_damping_across_components(case):
+    # The split rests on BC keeping within the components of Mh: one entry
+    # coupling an x dof to a y dof must be refused, not dropped.
+    dofs, mats = split_case(case)
+    x, y = (dofs.node_dofs[:, c].max() for c in (0, 1))
+    n = dofs.n_dofs
+    coupling = sp.csr_matrix(([1.0], ([x], [y])), shape=(n, n))
+    with pytest.raises(ValueError):
+        StepOperator(SystemMatrices(mats.Mh, mats.K, mats.BC + coupling), dt=0.05)
 
 
 def test_leapfrog_satisfies_three_level_relation(small_duct):

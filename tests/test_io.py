@@ -20,6 +20,7 @@ from galbrun.dynamics import run_simulation
 from galbrun.mesh import DuctGeometry, build_duct_mesh
 from galbrun.output import (
     ENERGY_HEADER,
+    FORMAT_CHUNK_ROWS,
     EnergyRecord,
     vtk_geometry,
     write_energy_log,
@@ -226,6 +227,41 @@ def test_snapshot_bytes_match_per_line_writer(tmp_path, nx, ny):
     write_snapshot(vtk_geometry(mesh), field, t, str(tmp_path / "new.vtk"))
     write_snapshot_per_line(mesh, field, t, str(tmp_path / "ref.vtk"))
     assert (tmp_path / "new.vtk").read_bytes() == (tmp_path / "ref.vtk").read_bytes()
+
+
+def test_chunked_snapshot_text_equals_one_shot_formatting(tmp_path):
+    # The rows are formatted FORMAT_CHUNK_ROWS at a time; on a mesh with
+    # more nodes and triangles than one chunk, and a partial last chunk,
+    # the text must equal one % over all the rows.
+    mesh = build_duct_mesh(DuctGeometry(4.0, 1.0), 130, 40)
+    n, m = mesh.n_nodes, mesh.n_triangles
+    for rows in (n, m):
+        assert rows > FORMAT_CHUNK_ROWS and rows % FORMAT_CHUNK_ROWS
+    field = np.random.default_rng(3).standard_normal((n, 2))
+    norm = np.hypot(field[:, 0], field[:, 1])
+    geometry = (
+        f"POINTS {n} double\n"
+        + ("%.9g %.9g 0\n" * n) % tuple(mesh.nodes.ravel().tolist())
+        + f"CELLS {m} {4 * m}\n"
+        + ("3 %d %d %d\n" * m) % tuple(mesh.triangles.ravel().tolist())
+        + f"CELL_TYPES {m}\n"
+        + "5\n" * m
+    )
+    assert vtk_geometry(mesh) == geometry
+    t = 0.25
+    want = (
+        "# vtk DataFile Version 2.0\n"
+        f"displacement snapshot t={t:.9g}\n"
+        "ASCII\n"
+        "DATASET UNSTRUCTURED_GRID\n"
+        + geometry
+        + f"POINT_DATA {n}\nVECTORS displacement double\n"
+        + ("%.9g %.9g 0\n" * n) % tuple(field.ravel().tolist())
+        + "SCALARS xi_norm double\nLOOKUP_TABLE default\n"
+        + ("%.9g\n" * n) % tuple(norm.tolist())
+    )
+    write_snapshot(vtk_geometry(mesh), field, t, str(tmp_path / "snap.vtk"))
+    assert (tmp_path / "snap.vtk").read_bytes() == want.encode()
 
 
 def test_snapshots_of_one_run_share_the_geometry(tmp_path):
