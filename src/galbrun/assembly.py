@@ -39,12 +39,13 @@ EDGE_QP_WEIGHTS = np.array([1.0, 1.0])
 
 @dataclass
 class SystemMatrices:
-    """Mh xi'' + BC xi' + K xi = F: the mass, the damping BC and the
-    stiffness K of one absorbing-condition variant, all CSR."""
+    """Mh xi'' + BC xi' + K xi = F: the mass, damping and stiffness of one
+    absorbing-condition variant, all CSR, and DofMap.components."""
 
     Mh: sp.csr_matrix
     K: sp.csr_matrix
     BC: sp.csr_matrix
+    components: tuple[slice, ...]
 
 
 def _areas(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -94,8 +95,8 @@ class _Pattern:
     The scalar node pattern of the cells, and the slot of every element entry
     on it, are found once per set of cells (see _Triangles).
     Each block is summed onto the pattern with one bincount. Entries lie as
-    (row component, slot, column component), which keeps the columns of
-    every row sorted for node major dofs, so the CSR matrix needs no sort.
+    (row component, column component, slot), which keeps the columns of
+    every row sorted for component major dofs: the CSR needs no sort.
     """
 
     def __init__(self, cells: np.ndarray, dofs: DofMap):
@@ -104,10 +105,10 @@ class _Pattern:
         pairs, slot = np.unique(key, return_inverse=True)
         self.slot = slot.astype(np.int32)
         rows, cols = np.divmod(pairs, n)
-        shape = (2, pairs.size, 2)  # (row component, slot, column component)
+        shape = (2, 2, pairs.size)  # (row component, column component, slot)
         node = dofs.node_dofs
-        self.row_dofs = np.broadcast_to(node[rows].T[:, :, None], shape).astype(np.int32)
-        self.col_dofs = np.broadcast_to(node[cols], shape).astype(np.int32)
+        self.row_dofs = np.broadcast_to(node[rows].T[:, None], shape).astype(np.int32)
+        self.col_dofs = np.broadcast_to(node[cols].T, shape).astype(np.int32)
         self.free = (self.row_dofs >= 0) & (self.col_dofs >= 0)
         self.n_dofs = dofs.n_dofs
 
@@ -116,8 +117,8 @@ class _Pattern:
         constrained components or zero sums."""
         val = np.zeros(self.free.shape)
         for (cr, cc), block in blocks.items():
-            val[cr, :, cc] = np.bincount(
-                self.slot, weights=block.ravel(), minlength=val.shape[1]
+            val[cr, cc] = np.bincount(
+                self.slot, weights=block.ravel(), minlength=val.shape[2]
             )
         keep = self.free & (val != 0.0)
         coo = (val[keep], (self.row_dofs[keep], self.col_dofs[keep]))
@@ -295,4 +296,4 @@ def build_system(
         BC = BC + assemble_c(mesh, dofs, M)
     if abc == "stable":
         K = K + assemble_d(mesh, dofs)
-    return SystemMatrices(Mh=Mh, K=K, BC=BC)
+    return SystemMatrices(Mh=Mh, K=K, BC=BC, components=dofs.components)

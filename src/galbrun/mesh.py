@@ -84,30 +84,34 @@ class Mesh:
 class DofMap:
     """Mapping from (node, component) pairs to global dof indices.
 
-    Numbering is node major with the x component first; eliminated
-    components hold CONSTRAINED. Constrained components are simply absent
-    from the algebraic system (strong elimination, homogeneous).
+    Numbering is component major, every free x component before every free
+    y one, each in node order; eliminated components hold CONSTRAINED and
+    are absent from the algebraic system (strong elimination, homogeneous).
     """
 
     n_nodes: int
     n_dofs: int
     node_dofs: np.ndarray  # (n_nodes, 2) int, CONSTRAINED where eliminated
 
+    @property
+    def components(self) -> tuple[slice, ...]:
+        """The dof ranges [0, n_x) of the free x and [n_x, n_dofs) of the
+        free y components; there is no y range when no y dof is free (ny = 1)."""
+        n_x = int(np.count_nonzero(self.node_dofs[:, 0] >= 0))
+        x = slice(0, n_x)
+        return (x, slice(n_x, self.n_dofs)) if n_x < self.n_dofs else (x,)
+
     def expand(self, x: np.ndarray) -> np.ndarray:
         """Scatter a dof vector to a (n_nodes, 2) nodal field, zeros at
         constrained components."""
         field = np.zeros((self.n_nodes, 2))
-        free = self.node_dofs >= 0
-        field[free] = x[self.node_dofs[free]]
+        field.T[self.node_dofs.T >= 0] = x  # the free components in dof order
         return field
 
     def restrict(self, field: np.ndarray) -> np.ndarray:
         """Gather a (n_nodes, 2) nodal field into a dof vector, dropping
         constrained components."""
-        free = self.node_dofs >= 0
-        x = np.zeros(self.n_dofs)
-        x[self.node_dofs[free]] = field[free]
-        return x
+        return field.T[self.node_dofs.T >= 0]
 
 
 def build_duct_mesh(geom: DuctGeometry, nx: int, ny: int) -> Mesh:
@@ -178,11 +182,11 @@ def build_dof_map(mesh: Mesh, closed_box: bool = False) -> DofMap:
     x = +-R are treated as rigid walls too and lose their x component; this
     variant serves the reflection-free conservation checks.
 
-    Numbering is deterministic: nodes in index order, x before y.
+    Numbering is deterministic: the x components in node order, then y.
     """
     gamma_wall = mesh.gamma_node_mask() if closed_box else np.zeros(mesh.n_nodes, bool)
     free = np.column_stack([~gamma_wall, ~mesh.wall_node_mask()])
     node_dofs = np.full((mesh.n_nodes, 2), CONSTRAINED, dtype=np.int64)
     n_dofs = np.count_nonzero(free)
-    node_dofs[free] = np.arange(n_dofs)  # row-major: node major, x before y
+    node_dofs.T[free.T] = np.arange(n_dofs)  # component major: x, then y
     return DofMap(n_nodes=mesh.n_nodes, n_dofs=n_dofs, node_dofs=node_dofs)

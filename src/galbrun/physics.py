@@ -233,25 +233,23 @@ class RhsAssembler:
         qp, self.qw = triangle_quadrature(mesh)
         self.n_dofs = dofs.n_dofs
         node_dofs = dofs.node_dofs[mesh.triangles]  # (m, 3, 2)
-        self._scatter_index = []
-        for comp in range(2):
-            idx = node_dofs[..., comp]
-            keep = idx >= 0
-            self._scatter_index.append((idx[keep], keep))
-        self._loads = [(self._scatter(f(qp)), p) for f, p in loads]
+        self._loads = [(self._scatter(mesh, dofs, f(qp)), p) for f, p in loads]
         self._vorticity_x = self._vorticity_map = None
         if vorticity is not None and self.s != 0.0:
             self._vorticity_x, self._vorticity_map = self._vorticity_load_map(
                 qp, node_dofs
             )
 
-    def _scatter(self, f: np.ndarray) -> np.ndarray:
-        """Load vector int f . phi_i of a force given at the quadrature points."""
-        F = np.zeros(self.n_dofs)
-        for comp, (idx, keep) in enumerate(self._scatter_index):
+    def _scatter(self, mesh: Mesh, dofs: DofMap, f: np.ndarray) -> np.ndarray:
+        """Load vector int f . phi_i of a force given at the quadrature points,
+        summed at the nodes and restricted to the dofs."""
+        nodal = np.zeros((mesh.n_nodes, 2))
+        for comp in range(2):
             vals = (self.qw * f[..., comp]) @ TRI_QP_BARY
-            F += np.bincount(idx, weights=vals[keep], minlength=self.n_dofs)
-        return F
+            nodal[:, comp] = np.bincount(
+                mesh.triangles.ravel(), weights=vals.ravel(), minlength=mesh.n_nodes
+            )
+        return dofs.restrict(nodal)
 
     def _quadrature_scatter(self, node_dofs: np.ndarray) -> list[sp.csr_matrix]:
         """Per load component, the matrix S with S[i, p] = qw_p phi_i(p) over

@@ -12,8 +12,9 @@ def duct_area(geom: DuctGeometry) -> float:
 
 
 def make_free_dofmap(n_nodes: int) -> DofMap:
-    """All components unknown; for single-element checks without walls."""
-    node_dofs = np.arange(2 * n_nodes, dtype=np.int64).reshape(n_nodes, 2)
+    """All components unknown, numbered component major like build_dof_map;
+    for single-element checks without walls."""
+    node_dofs = np.arange(2 * n_nodes, dtype=np.int64).reshape(2, n_nodes).T
     return DofMap(n_nodes=n_nodes, n_dofs=2 * n_nodes, node_dofs=node_dofs)
 
 

@@ -146,8 +146,9 @@ def test_element_mass_block():
     mesh, dofs = make_single_triangle()
     Mh = dense(assemble_mass(mesh, dofs))
     block = (0.5 / 12.0) * np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]], dtype=float)
-    # Layout is node major (x0, y0, x1, y1, ...): extract per-component views.
-    xs, ys = [0, 2, 4], [1, 3, 5]
+    # Layout is component major (x0, x1, x2, y0, y1, y2): extract
+    # per-component views.
+    xs, ys = [0, 1, 2], [3, 4, 5]
     assert np.allclose(Mh[np.ix_(xs, xs)], block, atol=1e-15)
     assert np.allclose(Mh[np.ix_(ys, ys)], block, atol=1e-15)
     assert np.allclose(Mh[np.ix_(xs, ys)], 0.0)
@@ -335,7 +336,13 @@ def test_build_system_variants(small_duct):
     naive = build_system(mesh, dofs, M=0.5, s=1.0, abc="naive")
     closed = build_system(mesh, dofs, M=0.5, s=1.0, abc="none")
     assert isinstance(stable, SystemMatrices)
-    assert [f.name for f in dataclasses.fields(SystemMatrices)] == ["Mh", "K", "BC"]
+    assert [f.name for f in dataclasses.fields(SystemMatrices)] == [
+        "Mh",
+        "K",
+        "BC",
+        "components",
+    ]
+    assert stable.components == dofs.components
     # naive drops Dh from K, none drops Ch from BC as well.
     assert rel_diff(naive.BC, stable.BC) == 0.0
     assert rel_diff(naive.K, closed.K) == 0.0

@@ -217,3 +217,18 @@ def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert any(f.name == "energy.csv" for f in files)
     for f in files:
         assert (one / f).read_bytes() == (two / f).read_bytes(), f
+
+
+def test_cli_import_leaves_out_scipy_graph_routines(tmp_path):
+    # No command needs scipy.sparse.csgraph: the step's LU blocks are the
+    # dof ranges of the two displacement components, not graph components.
+    # Importing it would cost every command tens of ms and about 1 MB.
+    src = os.path.dirname(os.path.dirname(galbrun.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = "import sys, galbrun.cli; print('scipy.sparse.csgraph' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, cwd=tmp_path, check=True, capture_output=True, text=True, timeout=120,
+    )
+    assert out.stdout.strip() == "False"

@@ -127,15 +127,21 @@ SPLIT_CASES = ["stable", "naive", "closed", "ny1"]
 @pytest.mark.parametrize("case", SPLIT_CASES)
 def test_step_operator_factors_one_block_per_component(case):
     # Mh, Bh and Ch act on one displacement component at a time, so L is
-    # block diagonal: one factor for the free x dofs and one for the free
-    # y dofs, or one alone when no y dof is free (ny = 1). Solving block
-    # by block must give the bits of one LU of the whole L.
+    # block diagonal: one factor for the free x dofs, the range [0, n_x),
+    # and one for the free y dofs, [n_x, n_dofs), or one alone when no y
+    # dof is free (ny = 1). Solving block by block must give the bits of
+    # one LU of the whole L.
     dofs, mats = split_case(case)
     op = StepOperator(mats, dt=0.05)
-    blocks = [idx.tolist() for idx, _ in op._lu.parts]
-    free = [d[d >= 0].tolist() for d in dofs.node_dofs.T]
-    assert sorted(blocks) == sorted(d for d in free if d)
-    assert len(blocks) == (1 if case == "ny1" else 2)
+    n_x = np.count_nonzero(dofs.node_dofs[:, 0] >= 0)
+    assert 0 < n_x <= dofs.n_dofs
+    want = [(0, dofs.n_dofs)] if case == "ny1" else [(0, n_x), (n_x, dofs.n_dofs)]
+    assert [(r.start, r.stop, r.step) for r, _ in op._lu.parts] == [
+        (a, b, None) for a, b in want
+    ]
+    for comp, (r, _) in enumerate(op._lu.parts):
+        free = dofs.node_dofs[:, comp]
+        assert np.array_equal(np.sort(free[free >= 0]), np.arange(r.start, r.stop))
     whole = splu(step_matrix(op).T.tocsc(), permc_spec="MMD_AT_PLUS_A")
     b = np.random.default_rng(7).standard_normal(dofs.n_dofs)
     assert np.array_equal(op.solve(b), whole.solve(b, trans="T"))
@@ -150,7 +156,20 @@ def test_step_operator_rejects_damping_across_components(case):
     n = dofs.n_dofs
     coupling = sp.csr_matrix(([1.0], ([x], [y])), shape=(n, n))
     with pytest.raises(ValueError):
-        StepOperator(SystemMatrices(mats.Mh, mats.K, mats.BC + coupling), dt=0.05)
+        StepOperator(
+            SystemMatrices(mats.Mh, mats.K, mats.BC + coupling, mats.components),
+            dt=0.05,
+        )
+
+
+def test_run_without_free_dofs_completes():
+    # The one-cell closed box eliminates every component: the x range is
+    # empty, there is no y range, and the run has nothing to solve.
+    cfg = RunConfig(nx=1, ny=1, abc="none", M=0.0, t_end=0.1, source_kind="none")
+    res = run_simulation(cfg)
+    assert res.dofs.n_dofs == 0
+    assert res.dofs.components == (slice(0, 0),)
+    assert res.status == Stable(res.n_steps)
 
 
 def test_leapfrog_satisfies_three_level_relation(small_duct):

@@ -111,14 +111,15 @@ def test_dof_map_closed_box(small_duct):
     assert np.all(dofs.node_dofs[gamma, 0] == CONSTRAINED)
 
 
-def dof_map_per_node(mesh, closed_box):
-    """Oracle: number the free components node by node, x before y."""
+def dof_map_per_component(mesh, closed_box):
+    """Oracle: number the free x components node by node, then the free y
+    components node by node."""
     wall, gamma = mesh.wall_node_mask(), mesh.gamma_node_mask()
     node_dofs = np.full((mesh.n_nodes, 2), CONSTRAINED, dtype=np.int64)
     counter = 0
-    for node in range(mesh.n_nodes):
-        for comp, fixed in enumerate((closed_box and gamma[node], wall[node])):
-            if not fixed:
+    for comp in range(2):
+        for node in range(mesh.n_nodes):
+            if not (closed_box and gamma[node], wall[node])[comp]:
                 node_dofs[node, comp] = counter
                 counter += 1
     return counter, node_dofs
@@ -129,10 +130,17 @@ def dof_map_per_node(mesh, closed_box):
 def test_dof_map_matches_per_node_numbering(nx, ny, closed_box):
     mesh = build_duct_mesh(DuctGeometry(R=4.0, h=1.0), nx, ny)
     dofs = build_dof_map(mesh, closed_box=closed_box)
-    n_dofs, node_dofs = dof_map_per_node(mesh, closed_box)
+    n_dofs, node_dofs = dof_map_per_component(mesh, closed_box)
     assert dofs.n_dofs == n_dofs
     assert dofs.node_dofs.dtype == node_dofs.dtype
     assert np.array_equal(dofs.node_dofs, node_dofs)
+    # The components are the ranges [0, n_x) and [n_x, n_dofs), the latter
+    # only when some y dof is free.
+    n_x = np.count_nonzero(node_dofs[:, 0] >= 0)
+    ranges = [(0, n_x)] + ([(n_x, n_dofs)] if n_x < n_dofs else [])
+    assert [(r.start, r.stop, r.step) for r in dofs.components] == [
+        (a, b, None) for a, b in ranges
+    ]
 
 
 def test_expand_restrict_round_trip(small_duct):
