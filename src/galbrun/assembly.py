@@ -15,7 +15,8 @@ Sign conventions are fixed by the energy identity: with
 (Bh x)_i = 2M (dxi/dx, phi_i) and Ch carrying weight (1 - n_x M) on the
 boundary whose outward normal has x component n_x, the symmetric part of
 Bh + Ch is exactly the plain boundary mass on Gamma- u Gamma+, so the
-semi-discrete energy obeys dE/dt = -int_Gamma |xi_t|^2 for F = 0.
+semi-discrete energy obeys dE/dt = -int_Gamma |xi_t|^2 for F = 0. A run
+logs that outflow as d^T sym(BC) d; no boundary mass is assembled.
 """
 
 from __future__ import annotations
@@ -226,12 +227,6 @@ def assemble_c(mesh: Mesh, dofs: DofMap, M: float) -> sp.csr_matrix:
     """
     edges, n_x = _gamma_edges(mesh)
     return _edge_mass(mesh, dofs, 1.0 - n_x * M, edges)
-
-
-def assemble_boundary_mass(mesh: Mesh, dofs: DofMap) -> sp.csr_matrix:
-    """Unweighted boundary mass on Gamma- u Gamma+ (the outflow flux form)."""
-    edges, _ = _gamma_edges(mesh)
-    return _edge_mass(mesh, dofs, np.ones(edges.shape[0]), edges)
 
 
 def assemble_d(mesh: Mesh, dofs: DofMap) -> sp.csr_matrix:

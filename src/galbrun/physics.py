@@ -359,11 +359,13 @@ def energy(
 def boundary_flux(
     xi_prev: np.ndarray, xi_curr: np.ndarray, dt: float, flux_mass: sp.spmatrix
 ) -> float:
-    """Outflow rate int_Gamma |dxi/dt|^2 with the same backward difference
-    as energy().
+    """Outflow rate d^T flux_mass d with the same backward difference
+    d = (xi_curr - xi_prev) / dt as energy().
 
-    The states may be restricted to the dofs on Gamma, with flux_mass
-    restricted alike. The scheme's velocity is centered,
+    run_simulation passes the states restricted to the dofs on Gamma and
+    flux_mass = sym(BC) restricted alike: the boundary mass of the outflow
+    int_Gamma |dxi/dt|^2 (assembly's energy identity), or zero for the
+    closed box at M = 0. The scheme's velocity is centered,
     (x_{n+1} - x_{n-1}) / (2 dt); this backward difference sits half a step
     off it, so the balance E_n - E_{n-1} = -dt * flux holds only to
     O(dt^2), not exactly.

@@ -5,8 +5,9 @@ None of these is on a run path: the operators are summed from
 per-component blocks on one scalar pattern (galbrun.assembly), the load
 vector uses the separable source load of RhsAssembler, the vorticity
 load comes from CausalVorticity's moments and snapshots are written by
-galbrun.output.write_snapshot. They are kept here, written the
-straightforward way, as independent oracles.
+galbrun.output.write_snapshot, and the outflow flux of a run is
+d^T sym(BC) d, not a separate boundary mass. They are kept here, written
+the straightforward way, as independent oracles.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import quad
 
-from galbrun.assembly import _gamma_edges, triangle_gradients
+from galbrun.assembly import _edge_mass, _gamma_edges, triangle_gradients
 from galbrun.mesh import DofMap, Mesh
 from galbrun.output import ENERGY_HEADER, EnergyRecord
 from galbrun.physics import CausalVorticity, SourceKind, SourceSpec, source_spatial
@@ -238,6 +239,13 @@ def read_energy_log(path: str) -> list[EnergyRecord]:
         for row in reader:
             records.append(EnergyRecord(int(row[0]), *map(float, row[1:5]), row[5]))
     return records
+
+
+def assemble_boundary_mass(mesh: Mesh, dofs: DofMap) -> sp.csr_matrix:
+    """Unweighted boundary mass on Gamma- u Gamma+, the form of the outflow
+    flux int_Gamma |dxi/dt|^2 that sym(Bh) + Ch reproduces."""
+    edges, _ = _gamma_edges(mesh)
+    return _edge_mass(mesh, dofs, np.ones(edges.shape[0]), edges)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from galbrun.assembly import (
     SystemMatrices,
     assemble_a,
     assemble_b,
-    assemble_boundary_mass,
     assemble_c,
     assemble_d,
     assemble_dx_stiffness,
@@ -40,7 +39,7 @@ from galbrun.assembly import (
 from galbrun.mesh import DofMap, DuctGeometry, Mesh, build_dof_map, build_duct_mesh
 
 from conftest import duct_area, make_free_dofmap, make_single_triangle
-from oracles import padded_system
+from oracles import assemble_boundary_mass, padded_system
 
 
 def assembled_forms(

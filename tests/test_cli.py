@@ -112,6 +112,17 @@ def test_closed_box_with_flow_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_mesh_without_free_dofs_exits_two(tmp_path, capsys):
+    # Every node of the one-cell closed box is a corner: no component is free.
+    cfg = write_cfg(
+        tmp_path / "a.cfg", nx=1, ny=1, abc="none", M=0.0, source_kind="none"
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert "no free dof" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "key, raw",
     [

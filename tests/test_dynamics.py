@@ -23,15 +23,15 @@ from galbrun.assembly import (
     assemble_d,
     build_system,
 )
-from galbrun.config import RunConfig, load_config
+from galbrun.config import ConfigError, RunConfig, load_config
 from galbrun.dynamics import (
     INSTABILITY_RATIO,
-    InstabilityError,
     RunResult,
     SimState,
     Stable,
     StepOperator,
     Unstable,
+    _initial_levels,
     leapfrog_step,
     plan_time_step,
     run_simulation,
@@ -39,9 +39,9 @@ from galbrun.dynamics import (
     taylor_first_step,
 )
 from galbrun.mesh import DofMap, DuctGeometry, build_dof_map, build_duct_mesh
-from galbrun.physics import energy, make_energy_stiffness
+from galbrun.physics import RhsAssembler, boundary_flux, energy, make_energy_stiffness
 
-from oracles import read_energy_log, read_snapshot
+from oracles import assemble_boundary_mass, read_energy_log, read_snapshot
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -162,14 +162,15 @@ def test_step_operator_rejects_damping_across_components(case):
         )
 
 
-def test_run_without_free_dofs_completes():
+def test_run_without_free_dofs_is_refused():
     # The one-cell closed box eliminates every component: the x range is
-    # empty, there is no y range, and the run has nothing to solve.
+    # empty, there is no y range, and a run would have nothing to solve.
+    dofs = build_dof_map(build_duct_mesh(DuctGeometry(2.0, 1.0), 1, 1), closed_box=True)
+    assert dofs.n_dofs == 0
+    assert dofs.components == (slice(0, 0),)
     cfg = RunConfig(nx=1, ny=1, abc="none", M=0.0, t_end=0.1, source_kind="none")
-    res = run_simulation(cfg)
-    assert res.dofs.n_dofs == 0
-    assert res.dofs.components == (slice(0, 0),)
-    assert res.status == Stable(res.n_steps)
+    with pytest.raises(ConfigError, match="no free dof"):
+        run_simulation(cfg)
 
 
 def test_leapfrog_satisfies_three_level_relation(small_duct):
@@ -263,14 +264,27 @@ def test_taylor_start_exact_for_quadratic(small_duct):
     assert np.abs(mats.Mh @ accel - F0).max() < 1e-12 * np.abs(F0).max()
 
 
-def test_instability_error_on_nonfinite_state(small_duct):
-    _, mesh, dofs = small_duct
-    mats = build_system(mesh, dofs, M=0.5, s=1.0)
-    op = StepOperator(mats, dt=0.05)
-    bad = np.full(dofs.n_dofs, np.inf)
-    with pytest.raises(InstabilityError) as err:
-        leapfrog_step(op, SimState(bad, bad, step=3), np.zeros(dofs.n_dofs))
-    assert err.value.step == 4
+def test_nonfinite_run_ends_unstable_on_the_energy_check():
+    # Past the leapfrog limit a huge start overflows within ten steps. E,
+    # which scales as |x|^2 / dt^2, goes non-finite first, and that row ends
+    # the run.
+    cfg = RunConfig(
+        nx=40,
+        ny=10,
+        cfl_safety=1.0,
+        t_end=20.0,
+        source_kind="none",
+        init_kind="bump",
+        init_amplitude=1e150,
+    )
+    res = run_simulation(cfg, probes=((0.0, 0.0),))
+    assert res.status == Unstable(step=10)
+    last = res.records[-1]
+    assert (last.step, last.status) == (10, "warned")
+    assert not np.isfinite(last.E)
+    assert all(r.status == "ok" for r in res.records[:-1])
+    assert [r.step for r in res.records] == list(range(11))
+    assert res.probe_norms.shape == (len(res.records), 1)
 
 
 def test_closed_box_energy_conservation_drift():
@@ -372,21 +386,55 @@ def test_plane_pulse_initial_level():
         R=1.0,
         nx=24,
         ny=8,
-        t_end=0.2,
         source_kind="none",
         init_kind="plane_pulse",
         init_center_x=-0.4,
         init_width=0.15,
-        snapshot_times=(0.0, 0.01),  # steps 0 and 1
+        t_end=0.01,  # one step: the final state is the two initial levels
+        snapshot_times=(),
+    )
+    res = run_simulation(cfg)
+    assert res.stable and res.n_steps == 1 and res.dt == 0.01
+    x = res.mesh.nodes[:, 0]
+    levels = (res.final_state.xi_prev, res.final_state.xi_curr)
+    for t, level in zip((0.0, res.dt), levels):
+        z = (x - (1.0 + cfg.M) * t + 0.4) / 0.15  # downstream at speed 1 + M
+        want = np.column_stack([np.exp(-0.5 * z * z), np.zeros_like(x)])
+        assert np.abs(res.dofs.expand(level) - want).max() < 1e-12
+
+
+def test_logged_flux_is_the_boundary_mass_flux():
+    # The run logs d^T sym(BC) d on the Gamma dofs; the energy identity's
+    # outflow int_Gamma |d|^2 is the flux through the boundary mass. Replay
+    # the run's trajectory and compare every row while a pulse leaves
+    # through Gamma+.
+    cfg = base_config(
+        R=1.0,
+        nx=24,
+        ny=8,
+        t_end=1.0,
+        source_kind="none",
+        init_kind="plane_pulse",
+        init_center_x=0.4,
+        init_width=0.15,
+        snapshot_times=(),
     )
     res = run_simulation(cfg)
     assert res.stable
-    x = res.mesh.nodes[:, 0]
-    assert [t for t, _ in res.snapshots] == [0.0, res.dt]
-    for t, field in res.snapshots:
-        z = (x - (1.0 + cfg.M) * t + 0.4) / 0.15  # downstream at speed 1 + M
-        want = np.column_stack([np.exp(-0.5 * z * z), np.zeros_like(x)])
-        assert np.abs(field - want).max() < 1e-12
+    mesh, dofs, dt = res.mesh, res.dofs, res.dt
+    op = StepOperator(build_system(mesh, dofs, cfg.M, cfg.s), dt)
+    xi0, xi1 = _initial_levels(cfg, mesh, dofs, op, RhsAssembler(mesh, dofs, (), cfg.s))
+    C0 = assemble_boundary_mass(mesh, dofs)
+    want = [boundary_flux(xi0, xi1, dt, C0)] * 2
+    state, zero = SimState(xi0, xi1, step=1), np.zeros(dofs.n_dofs)
+    while state.step < res.n_steps:
+        state = leapfrog_step(op, state, zero)
+        want.append(boundary_flux(state.xi_prev, state.xi_curr, dt, C0))
+    assert np.array_equal(state.xi_curr, res.final_state.xi_curr)
+    got = np.array([r.flux for r in res.records])
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+    # The pulse carried most of its energy out through Gamma+.
+    assert res.records[-1].E < 0.1 * res.records[0].E
 
 
 def test_energy_monotone_decay_without_forcing():

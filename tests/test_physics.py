@@ -42,6 +42,7 @@ from galbrun.physics import (
 from conftest import duct_area
 from oracles import (
     AnalyticVorticity,
+    assemble_boundary_mass,
     causal_psi,
     eval_source,
     source_curl,
@@ -535,8 +536,6 @@ def test_energy_of_uniform_motion(small_duct):
 
 def test_boundary_flux_of_uniform_motion(small_duct):
     geom, mesh, dofs = small_duct
-    from galbrun.assembly import assemble_boundary_mass
-
     C0 = assemble_boundary_mass(mesh, dofs)
     c, dt = 2.0, 0.05
     ones = dofs.restrict(np.column_stack([np.ones(mesh.n_nodes), np.zeros(mesh.n_nodes)]))
