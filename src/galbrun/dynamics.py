@@ -19,6 +19,8 @@ Mh and BC act on one displacement component at a time (only K couples
 the two) and the dofs are numbered one component after the other, so L
 is block diagonal on two dof ranges, factored one block at a time, each
 as its transpose for SuperLU's faster transposed solve (factorize).
+As SuperLU holds the GIL, on large meshes a forked worker does the y block
+while the run does the x block (StepOperator): same bits, more CPU time.
 
 The logged energy (physics.energy) is the scheme's own: it pairs the
 staggered states through K, so the scheme balances it exactly
@@ -31,8 +33,11 @@ own: E scales as |x|^2 / dt^2, so it goes non-finite first.
 from __future__ import annotations
 
 import math
+import mmap
 import os
+import weakref
 from collections.abc import Callable
+from contextlib import closing
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -119,7 +124,7 @@ def factorize(
     built and factored before the next: the full-size A is never formed
     and SuperLU's factorization scratch is held for one block at a time.
     The fill (568,350 entries at 160x40, 3,164,002 at 320x80) and the
-    solution bits are those of one LU of A.
+    solution bits are those of one LU of A, also with StepOperator's worker.
 
     Each block is factored as its transpose, with a minimum-degree
     ordering on A^T + A. The FE matrices here are structurally symmetric,
@@ -140,16 +145,31 @@ def factorize(
     return BlockLU(parts)
 
 
+# Both blocks need this many dofs for a worker (the set-up's break-even).
+WORKER_MIN_BLOCK = 3000
+_parent_ends: set[int] = set()  # this process's pipe ends to live workers
+
+
+def _reap(pid: int, *ends: int) -> None:
+    """Close this process's pipe ends to worker pid, which then exits; wait."""
+    _parent_ends.difference_update(ends)
+    for fd in ends:
+        os.close(fd)
+    os.waitpid(pid, 0)
+
+
 class StepOperator:
     """Factorized per-step solve with L = Mh / dt^2 + BC / (2 dt), and the
-    system's mass Mh, stiffness K and damping BC, held, not copied."""
+    system's mass Mh, stiffness K and damping BC, held, not copied.
+    close() reaps the y block's worker process (_fork), if it has one."""
 
     def __init__(self, mats: SystemMatrices, dt: float):
+        self._pid = 0  # the worker's, while it runs
         if dt <= 0:
             raise ValueError("dt must be positive")
         self.Mh, self.K, self.BC = mats.Mh, mats.K, mats.BC
-        self.components = mats.components
-        split = mats.components[-1].start  # the first y dof, or 0 for one block
+        self.components = blocks = mats.components
+        split = blocks[-1].start  # the first y dof, or 0 for one block
         rows, cols = mats.BC.nonzero()
         if np.any((rows >= split) != (cols >= split)):
             raise ValueError("the damping couples the two displacement components")
@@ -159,11 +179,58 @@ class StepOperator:
             Mh, BC = mats.Mh[r, r], mats.BC[r, r]
             return Mh / dt**2 + BC / (2.0 * dt)
 
-        self._lu = factorize(mats.components, block)
+        cpus = getattr(os, "sched_getaffinity", lambda pid: ())(0)
+        large = min(r.stop - r.start for r in blocks) >= WORKER_MIN_BLOCK
+        try:
+            if len(blocks) == 2 <= len(cpus) and large and hasattr(os, "fork"):
+                self._fork(blocks[-1], block)
+                blocks = blocks[:-1]
+            self._lu = factorize(blocks, block)
+            fill = os.read(self._done, 8) if self._pid else b""  # b"" if it died
+            self.worker_fill = int.from_bytes(fill, "little")
+        except BaseException:
+            self.close()
+            raise
         self.dt = dt
 
+    def _fork(self, r: slice, block_of: Callable[[slice], sp.spmatrix]) -> None:
+        """Fork the worker that factors block_of(r), sends its fill, then solves
+        on r through a shared mmap and one byte on a pipe each way per solve,
+        until its pipe's EOF or any error ends it through os._exit."""
+        self._y, buf = r, mmap.mmap(-1, 16 * (r.stop - r.start))
+        self._b, self._x = np.frombuffer(buf).reshape(2, -1)  # rhs, solution
+        (cmd, self._cmd), (self._done, done) = os.pipe(), os.pipe()
+        _parent_ends.update((self._cmd, self._done))
+        self._pid = os.fork()
+        if self._pid == 0:
+            try:
+                for fd in _parent_ends:  # a copy left open would hide its EOF
+                    os.close(fd)
+                lu = factorize((r,), block_of).parts[0][1]
+                os.write(done, (lu.L.nnz + lu.U.nnz).to_bytes(8, "little"))
+                while os.read(cmd, 1):
+                    self._x[:] = lu.solve(self._b, trans="T")
+                    os.write(done, b"\1")
+            finally:
+                os._exit(0)
+        os.close(cmd)
+        os.close(done)
+        self._reap = weakref.finalize(self, _reap, self._pid, self._cmd, self._done)
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self._lu.solve(rhs)
+        if not self._pid:
+            return self._lu.solve(rhs)
+        self._b[:] = rhs[self._y]
+        os.write(self._cmd, b"\1")
+        x = self._lu.solve(rhs)
+        if not os.read(self._done, 1):
+            raise RuntimeError(f"block solve worker {self._pid} exited")
+        return np.concatenate([x, self._x])
+
+    def close(self) -> None:
+        if self._pid:
+            self._reap()
+            self._pid, self._lu = 0, None  # a later solve raises
 
     def scheme_rhs(
         self, state: SimState, F: np.ndarray
@@ -297,116 +364,116 @@ def run_simulation(
     dt, n_steps = snap_time_step(
         plan_time_step(mesh, cfg.M, cfg.cfl_safety), cfg.t_end
     )
-    op = StepOperator(mats, dt)
-    # The outflow flux is d^T sym(BC) d. sym(BC) vanishes off the dofs of
-    # Gamma-/+ (to roundoff), and slicing it first makes no full-size matrix.
-    gamma = dofs.node_dofs[mesh.gamma_node_mask()]
-    gamma = np.sort(gamma[gamma >= 0])
-    BC_gamma = op.BC[gamma][:, gamma]
-    flux_mat = 0.5 * (BC_gamma + BC_gamma.T)
+    with closing(StepOperator(mats, dt)) as op:
+        # The outflow flux is d^T sym(BC) d. sym(BC) vanishes off the dofs of
+        # Gamma-/+ (to roundoff), and slicing it first makes no full-size matrix.
+        gamma = dofs.node_dofs[mesh.gamma_node_mask()]
+        gamma = np.sort(gamma[gamma >= 0])
+        BC_gamma = op.BC[gamma][:, gamma]
+        flux_mat = 0.5 * (BC_gamma + BC_gamma.T)
 
-    source = cfg.source_spec()
-    loads, vorticity = (), None
-    if source is not None:
-        loads = ((partial(source_spatial, source), source.time_profile),)
-        if source.kind == SourceKind.ROTATIONAL and cfg.s != 0.0:
-            vorticity = CausalVorticity(source, cfg.M)
-    rhs = RhsAssembler(mesh, dofs, loads, cfg.s, vorticity=vorticity)
+        source = cfg.source_spec()
+        loads, vorticity = (), None
+        if source is not None:
+            loads = ((partial(source_spatial, source), source.time_profile),)
+            if source.kind == SourceKind.ROTATIONAL and cfg.s != 0.0:
+                vorticity = CausalVorticity(source, cfg.M)
+        rhs = RhsAssembler(mesh, dofs, loads, cfg.s, vorticity=vorticity)
 
-    snapshot_steps: dict[int, float] = {}
-    for ts in cfg.snapshot_times:
-        snapshot_steps.setdefault(min(n_steps, max(0, round(ts / dt))), ts)
+        snapshot_steps: dict[int, float] = {}
+        for ts in cfg.snapshot_times:
+            snapshot_steps.setdefault(min(n_steps, max(0, round(ts / dt))), ts)
 
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        meta = _metadata_text(cfg, mesh, dofs, dt, n_steps, warnings)
-        with open(os.path.join(out_dir, "run_metadata.cfg"), "w", newline="\n") as f:
-            f.write(meta)
+        if out_dir is not None:
+            os.makedirs(out_dir, exist_ok=True)
+            meta = _metadata_text(cfg, mesh, dofs, dt, n_steps, warnings)
+            with open(os.path.join(out_dir, "run_metadata.cfg"), "w", newline="\n") as f:
+                f.write(meta)
 
-    probe_nodes = np.array(
-        [
-            np.argmin(np.hypot(mesh.nodes[:, 0] - px, mesh.nodes[:, 1] - py))
-            for px, py in probes
-        ],
-        dtype=np.int64,
-    )
+        probe_nodes = np.array(
+            [
+                np.argmin(np.hypot(mesh.nodes[:, 0] - px, mesh.nodes[:, 1] - py))
+                for px, py in probes
+            ],
+            dtype=np.int64,
+        )
 
-    xi0, xi1 = _initial_levels(cfg, mesh, dofs, op, rhs)
-    state = SimState(xi_prev=xi0, xi_curr=xi1, step=1)
+        xi0, xi1 = _initial_levels(cfg, mesh, dofs, op, rhs)
+        state = SimState(xi_prev=xi0, xi_curr=xi1, step=1)
 
-    records: list[EnergyRecord] = []
-    probe_rows: list[np.ndarray] = []
-    n_written = 0
-    geometry = ""  # the mesh's VTK text, formatted on the first snapshot
+        records: list[EnergyRecord] = []
+        probe_rows: list[np.ndarray] = []
+        n_written = 0
+        geometry = ""  # the mesh's VTK text, formatted on the first snapshot
 
-    def observe(
-        step: int,
-        prev: np.ndarray,
-        curr: np.ndarray,
-        K_prev: np.ndarray,
-        at: np.ndarray | None = None,
-    ) -> EnergyRecord:
-        E, kinetic = energy(prev, curr, dt, op.Mh, K_prev)
-        flux = boundary_flux(prev[gamma], curr[gamma], dt, flux_mat)
-        rec = EnergyRecord(step=step, t=step * dt, E=E, kinetic=kinetic, flux=flux)
-        records.append(rec)
-        if probe_nodes.size:
-            nodal = dofs.expand(curr if at is None else at)[probe_nodes]
-            probe_rows.append(np.hypot(nodal[:, 0], nodal[:, 1]))
-        return rec
+        def observe(
+            step: int,
+            prev: np.ndarray,
+            curr: np.ndarray,
+            K_prev: np.ndarray,
+            at: np.ndarray | None = None,
+        ) -> EnergyRecord:
+            E, kinetic = energy(prev, curr, dt, op.Mh, K_prev)
+            flux = boundary_flux(prev[gamma], curr[gamma], dt, flux_mat)
+            rec = EnergyRecord(step=step, t=step * dt, E=E, kinetic=kinetic, flux=flux)
+            records.append(rec)
+            if probe_nodes.size:
+                nodal = dofs.expand(curr if at is None else at)[probe_nodes]
+                probe_rows.append(np.hypot(nodal[:, 0], nodal[:, 1]))
+            return rec
 
-    def emit_snapshot(step: int, x: np.ndarray) -> None:
-        nonlocal n_written, geometry
-        if out_dir is None or step not in snapshot_steps:
-            return
-        if n_written == 0:
-            geometry = vtk_geometry(mesh)
-        t = step * dt
-        name = f"snap_{n_written:03d}_t{t:.6f}.vtk"
-        write_snapshot(geometry, dofs.expand(x), t, os.path.join(out_dir, name))
-        n_written += 1
+        def emit_snapshot(step: int, x: np.ndarray) -> None:
+            nonlocal n_written, geometry
+            if out_dir is None or step not in snapshot_steps:
+                return
+            if n_written == 0:
+                geometry = vtk_geometry(mesh)
+            t = step * dt
+            name = f"snap_{n_written:03d}_t{t:.6f}.vtk"
+            write_snapshot(geometry, dofs.expand(x), t, os.path.join(out_dir, name))
+            n_written += 1
 
-    status: Stable | Unstable | None = None
+        status: Stable | Unstable | None = None
 
-    # Rows n >= 1 log the backward pair at step n; row 0 reuses the starter
-    # pair, the only difference quotient available at t = 0.
-    K0 = op.K @ xi0
-    starter_rows = (observe(0, xi0, xi1, K0, at=xi0), observe(1, xi0, xi1, K0))
-    peak_E = max(r.E for r in starter_rows)
-    emit_snapshot(0, xi0)
-    emit_snapshot(1, xi1)
+        # Rows n >= 1 log the backward pair at step n; row 0 reuses the starter
+        # pair, the only difference quotient available at t = 0.
+        K0 = op.K @ xi0
+        starter_rows = (observe(0, xi0, xi1, K0, at=xi0), observe(1, xi0, xi1, K0))
+        peak_E = max(r.E for r in starter_rows)
+        emit_snapshot(0, xi0)
+        emit_snapshot(1, xi1)
 
-    while state.step < n_steps and status is None:
-        state = leapfrog_step(op, state, rhs(state.step * dt))
-        rec = observe(state.step, state.xi_prev, state.xi_curr, state.K_prev)
-        emit_snapshot(state.step, state.xi_curr)
-        peak_E = max(peak_E, rec.E)
-        if not np.isfinite(rec.E) or rec.kinetic > INSTABILITY_RATIO * peak_E:
-            records[-1] = replace(rec, status="warned")
-            status = Unstable(state.step)
+        while state.step < n_steps and status is None:
+            state = leapfrog_step(op, state, rhs(state.step * dt))
+            rec = observe(state.step, state.xi_prev, state.xi_curr, state.K_prev)
+            emit_snapshot(state.step, state.xi_curr)
+            peak_E = max(peak_E, rec.E)
+            if not np.isfinite(rec.E) or rec.kinetic > INSTABILITY_RATIO * peak_E:
+                records[-1] = replace(rec, status="warned")
+                status = Unstable(state.step)
 
-    if status is None:
-        status = Stable(steps=n_steps)
+        if status is None:
+            status = Stable(steps=n_steps)
 
-    probe_norms = np.array(probe_rows) if probe_nodes.size else None
+        probe_norms = np.array(probe_rows) if probe_nodes.size else None
 
-    if out_dir is not None:
-        write_energy_log(records, os.path.join(out_dir, "energy.csv"))
-        with open(os.path.join(out_dir, "report.txt"), "w", newline="\n") as f:
-            f.write(_report_text(status, records, dt, n_steps, warnings))
+        if out_dir is not None:
+            write_energy_log(records, os.path.join(out_dir, "energy.csv"))
+            with open(os.path.join(out_dir, "report.txt"), "w", newline="\n") as f:
+                f.write(_report_text(status, records, dt, n_steps, warnings))
 
-    return RunResult(
-        status=status,
-        records=records,
-        dt=dt,
-        n_steps=n_steps,
-        mesh=mesh,
-        dofs=dofs,
-        config=cfg,
-        warnings=warnings,
-        probe_norms=probe_norms,
-        final_state=state,
-    )
+        return RunResult(
+            status=status,
+            records=records,
+            dt=dt,
+            n_steps=n_steps,
+            mesh=mesh,
+            dofs=dofs,
+            config=cfg,
+            warnings=warnings,
+            probe_norms=probe_norms,
+            final_state=state,
+        )
 
 
 def _metadata_text(

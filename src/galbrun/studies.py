@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable
 
@@ -129,11 +130,11 @@ def _mms_solve(
         raise ValueError("dt must divide t_end")
     xi0 = dofs.restrict(case.xi(mesh.nodes, 0.0))
     zeta0 = dofs.restrict(case.xi_t(mesh.nodes, 0.0))
-    op = StepOperator(mats, dt)
-    xi1 = taylor_first_step(op, xi0, zeta0, rhs(0.0))
-    state = SimState(xi0, xi1, step=1)
-    while state.step < n_steps:
-        state = leapfrog_step(op, state, rhs(state.step * dt))
+    with closing(StepOperator(mats, dt)) as op:
+        xi1 = taylor_first_step(op, xi0, zeta0, rhs(0.0))
+        state = SimState(xi0, xi1, step=1)
+        while state.step < n_steps:
+            state = leapfrog_step(op, state, rhs(state.step * dt))
     return state.xi_curr, dofs, mats
 
 

@@ -9,12 +9,15 @@ accounting the acceptance studies rely on.
 from __future__ import annotations
 
 import os
+import signal
+from contextlib import closing, contextmanager
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu, spsolve
 
+from galbrun import dynamics
 from galbrun.assembly import (
     SystemMatrices,
     assemble_a,
@@ -32,6 +35,7 @@ from galbrun.dynamics import (
     StepOperator,
     Unstable,
     _initial_levels,
+    factorize,
     leapfrog_step,
     plan_time_step,
     run_simulation,
@@ -40,6 +44,7 @@ from galbrun.dynamics import (
 )
 from galbrun.mesh import DofMap, DuctGeometry, build_dof_map, build_duct_mesh
 from galbrun.physics import RhsAssembler, boundary_flux, energy, make_energy_stiffness
+from galbrun.studies import cmd_stability_contrast
 
 from oracles import assemble_boundary_mass, read_energy_log, read_snapshot
 
@@ -93,6 +98,25 @@ def test_step_operator_holds_the_system_operators(small_duct):
     assert op.Mh is mats.Mh and op.K is mats.K and op.BC is mats.BC
 
 
+def force_worker(monkeypatch) -> None:
+    """Let StepOperator start a worker at any block size, on any machine
+    with os.fork."""
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork on this platform")
+    monkeypatch.setattr(dynamics, "WORKER_MIN_BLOCK", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def factor_fill(op: StepOperator) -> int:
+    """Entries of op's LU factors, over both blocks wherever they live."""
+    return sum(lu.L.nnz + lu.U.nnz for _, lu in op._lu.parts) + op.worker_fill
+
+
+def factor_ranges(op: StepOperator) -> list[slice]:
+    """The dof ranges of op's factors, in solve order."""
+    return [r for r, _ in op._lu.parts] + ([op._y] if op._pid else [])
+
+
 def test_step_operator_factor_is_fill_reducing():
     # On exp1's 160x40 operator the minimum-degree ordering on L^T + L
     # fills the factors of its two blocks to 568,350 entries, SuperLU's
@@ -103,11 +127,11 @@ def test_step_operator_factor_is_fill_reducing():
     dofs = build_dof_map(mesh)
     mats = build_system(mesh, dofs, cfg.M, cfg.s, abc=cfg.abc)
     dt, _ = snap_time_step(plan_time_step(mesh, cfg.M, cfg.cfl_safety), cfg.t_end)
-    op = StepOperator(mats, dt)
-    assert sum(lu.L.nnz + lu.U.nnz for _, lu in op._lu.parts) <= 600_000
-    b = np.random.default_rng(5).standard_normal(dofs.n_dofs)
-    want = spsolve(step_matrix(op).tocsc(), b)
-    assert np.linalg.norm(op.solve(b) - want) <= 1e-13 * np.linalg.norm(want)
+    with closing(StepOperator(mats, dt)) as op:
+        assert factor_fill(op) <= 600_000
+        b = np.random.default_rng(5).standard_normal(dofs.n_dofs)
+        want = spsolve(step_matrix(op).tocsc(), b)
+        assert np.linalg.norm(op.solve(b) - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def split_case(case: str) -> tuple[DofMap, SystemMatrices]:
@@ -124,27 +148,33 @@ def split_case(case: str) -> tuple[DofMap, SystemMatrices]:
 SPLIT_CASES = ["stable", "naive", "closed", "ny1"]
 
 
+@pytest.mark.parametrize("worker", [False, True], ids=["in_process", "worker"])
 @pytest.mark.parametrize("case", SPLIT_CASES)
-def test_step_operator_factors_one_block_per_component(case):
+def test_step_operator_factors_one_block_per_component(case, worker, monkeypatch):
     # Mh, Bh and Ch act on one displacement component at a time, so L is
     # block diagonal: one factor for the free x dofs, the range [0, n_x),
     # and one for the free y dofs, [n_x, n_dofs), or one alone when no y
     # dof is free (ny = 1). Solving block by block must give the bits of
-    # one LU of the whole L.
+    # one LU of the whole L, with the y block in this process or, forced
+    # below the crossover here, in a worker.
+    if worker:
+        force_worker(monkeypatch)
     dofs, mats = split_case(case)
-    op = StepOperator(mats, dt=0.05)
-    n_x = np.count_nonzero(dofs.node_dofs[:, 0] >= 0)
-    assert 0 < n_x <= dofs.n_dofs
-    want = [(0, dofs.n_dofs)] if case == "ny1" else [(0, n_x), (n_x, dofs.n_dofs)]
-    assert [(r.start, r.stop, r.step) for r, _ in op._lu.parts] == [
-        (a, b, None) for a, b in want
-    ]
-    for comp, (r, _) in enumerate(op._lu.parts):
-        free = dofs.node_dofs[:, comp]
-        assert np.array_equal(np.sort(free[free >= 0]), np.arange(r.start, r.stop))
-    whole = splu(step_matrix(op).T.tocsc(), permc_spec="MMD_AT_PLUS_A")
-    b = np.random.default_rng(7).standard_normal(dofs.n_dofs)
-    assert np.array_equal(op.solve(b), whole.solve(b, trans="T"))
+    with closing(StepOperator(mats, dt=0.05)) as op:
+        assert bool(op._pid) == (worker and case != "ny1")
+        n_x = np.count_nonzero(dofs.node_dofs[:, 0] >= 0)
+        assert 0 < n_x <= dofs.n_dofs
+        want = [(0, dofs.n_dofs)] if case == "ny1" else [(0, n_x), (n_x, dofs.n_dofs)]
+        assert [(r.start, r.stop, r.step) for r in factor_ranges(op)] == [
+            (a, b, None) for a, b in want
+        ]
+        for comp, r in enumerate(factor_ranges(op)):
+            free = dofs.node_dofs[:, comp]
+            assert np.array_equal(np.sort(free[free >= 0]), np.arange(r.start, r.stop))
+        whole = splu(step_matrix(op).T.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        assert factor_fill(op) == whole.L.nnz + whole.U.nnz
+        b = np.random.default_rng(7).standard_normal(dofs.n_dofs)
+        assert np.array_equal(op.solve(b), whole.solve(b, trans="T"))
 
 
 @pytest.mark.parametrize("case", SPLIT_CASES[:3])
@@ -160,6 +190,148 @@ def test_step_operator_rejects_damping_across_components(case):
             SystemMatrices(mats.Mh, mats.K, mats.BC + coupling, mats.components),
             dt=0.05,
         )
+
+
+def no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@contextmanager
+def deadline(seconds: int):
+    """Raise TimeoutError in whatever blocks past the deadline."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still blocked after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def exp1_system() -> tuple[SystemMatrices, float]:
+    cfg = load_config(os.path.join(CONFIG_DIR, "exp1_rotational.cfg"))
+    mesh = build_duct_mesh(cfg.geometry(), cfg.nx, cfg.ny)
+    mats = build_system(mesh, build_dof_map(mesh), cfg.M, cfg.s, abc=cfg.abc)
+    dt, _ = snap_time_step(plan_time_step(mesh, cfg.M, cfg.cfl_safety), cfg.t_end)
+    return mats, dt
+
+
+def closed_box_system(nx: int, ny: int) -> tuple[SystemMatrices, float]:
+    mesh = build_duct_mesh(DuctGeometry(4.0, 1.0), nx, ny)
+    dofs = build_dof_map(mesh, closed_box=True)
+    return build_system(mesh, dofs, M=0.0, s=1.0, abc="none"), 0.01
+
+
+@pytest.mark.parametrize(
+    "system, above",
+    [
+        (exp1_system, True),
+        (lambda: closed_box_system(160, 40), True),
+        (lambda: closed_box_system(40, 10), False),
+    ],
+    ids=["exp1", "closed_160x40", "closed_40x10"],
+)
+def test_worker_solve_is_bit_identical(system, above, monkeypatch):
+    # Above the crossover, on two CPUs, a worker process solves the y block;
+    # on one CPU, or below the crossover, no worker starts. Every way, a
+    # solve gives the bits of the in-process block factors.
+    if above and not hasattr(os, "fork"):
+        pytest.skip("no os.fork on this platform")
+    mats, dt = system()
+    blocks = mats.components
+    assert (min(r.stop - r.start for r in blocks) >= dynamics.WORKER_MIN_BLOCK) == above
+
+    def block(r: slice) -> sp.spmatrix:
+        return mats.Mh[r, r] / dt**2 + mats.BC[r, r] / (2.0 * dt)
+
+    want = factorize(blocks, block)
+    rhs = np.random.default_rng(3).standard_normal((3, mats.Mh.shape[0]))
+    for cpus, worker in (({0, 1}, above), ({0}, False)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        with closing(StepOperator(mats, dt)) as op:
+            assert bool(op._pid) == worker
+            for b in rhs:
+                assert np.array_equal(op.solve(b), want.solve(b))
+    assert no_child_left()
+
+
+@pytest.fixture
+def worker_pids(monkeypatch) -> list[int]:
+    """Workers at every block size; the pid of each one started."""
+    force_worker(monkeypatch)
+    pids = []
+    fork = StepOperator._fork
+
+    def spy(self, *args):
+        fork(self, *args)
+        pids.append(self._pid)
+
+    monkeypatch.setattr(StepOperator, "_fork", spy)
+    return pids
+
+
+def test_run_reaps_its_worker(worker_pids):
+    assert run_simulation(base_config()).stable
+    assert len(worker_pids) == 1
+    assert no_child_left()
+
+
+def test_run_reaps_its_worker_when_a_step_raises(worker_pids, monkeypatch):
+    step = dynamics.leapfrog_step
+
+    def fail_at_step_3(op, state, F):
+        if state.step == 3:
+            raise RuntimeError("step failed")
+        return step(op, state, F)
+
+    monkeypatch.setattr(dynamics, "leapfrog_step", fail_at_step_3)
+    with pytest.raises(RuntimeError, match="step failed") as raised:
+        run_simulation(base_config())
+    # Checked while the traceback, and with it the run's frame, is alive.
+    assert raised.tb is not None
+    assert len(worker_pids) == 1
+    assert no_child_left()
+
+
+def test_stability_contrast_reaps_its_workers(worker_pids, tmp_path):
+    cmd_stability_contrast(base_config(), out_dir=str(tmp_path))
+    assert len(worker_pids) == 2
+    assert no_child_left()
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["first_first", "last_first"])
+def test_two_live_operators_close_in_either_order(order, worker_pids):
+    # The second worker inherits the first one's pipes at its fork and must
+    # drop them, or closing the first operator first would wait forever.
+    _, mats = split_case("stable")
+    ops = [StepOperator(mats, dt) for dt in (0.05, 0.1)]
+    b = np.ones(mats.Mh.shape[0])
+    for op in ops:
+        op.solve(b)
+    with deadline(30):
+        for i in order:
+            ops[i].close()
+    assert len(worker_pids) == 2
+    assert no_child_left()
+
+
+def test_killed_worker_makes_the_next_solve_raise(worker_pids):
+    _, mats = split_case("stable")
+    b = np.ones(mats.Mh.shape[0])
+    with closing(StepOperator(mats, dt=0.05)) as op:
+        op.solve(b)
+        os.kill(op._pid, signal.SIGKILL)
+        with deadline(30), pytest.raises((RuntimeError, BrokenPipeError)):
+            op.solve(b)
+    assert no_child_left()
 
 
 def test_run_without_free_dofs_is_refused():
