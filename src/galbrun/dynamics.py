@@ -28,6 +28,10 @@ against the damping and the source work. For s != 1, K need not be
 positive and the energy may go negative, so blow-up is judged by its
 kinetic part, which cannot. A non-finite update needs no check of its
 own: E scales as |x|^2 / dt^2, so it goes non-finite first.
+
+march is the one time loop: it starts, steps, observes and judges a
+Problem, which run_simulation builds from a configuration and the
+manufactured-solution study (galbrun.studies) from its own loads.
 """
 
 from __future__ import annotations
@@ -155,7 +159,8 @@ def _reap(pid: int, *ends: int) -> None:
     _parent_ends.difference_update(ends)
     for fd in ends:
         os.close(fd)
-    os.waitpid(pid, 0)
+    if pid:  # 0: the fork failed
+        os.waitpid(pid, 0)
 
 
 class StepOperator:
@@ -201,7 +206,11 @@ class StepOperator:
         self._b, self._x = np.frombuffer(buf).reshape(2, -1)  # rhs, solution
         (cmd, self._cmd), (self._done, done) = os.pipe(), os.pipe()
         _parent_ends.update((self._cmd, self._done))
-        self._pid = os.fork()
+        try:
+            self._pid = os.fork()
+        except BaseException:  # EAGAIN, ENOMEM: no worker to reap
+            _reap(0, cmd, self._cmd, self._done, done)
+            raise
         if self._pid == 0:
             try:
                 for fd in _parent_ends:  # a copy left open would hide its EOF
@@ -305,16 +314,75 @@ class RunResult:
         return isinstance(self.status, Stable)
 
 
+@dataclass
+class Problem:
+    """What march steps: the system on a mesh's dofs, n_steps of dt, the load
+    F(t) and the start (xi0, xi1), or xi0 and velocity zeta0 if xi1 is None."""
+
+    mesh: Mesh
+    dofs: DofMap
+    mats: SystemMatrices
+    dt: float
+    n_steps: int
+    rhs: RhsAssembler
+    xi0: np.ndarray
+    xi1: np.ndarray | None
+    zeta0: np.ndarray | None
+
+
+def march(
+    p: Problem, visit: Callable[[int, np.ndarray], None] = lambda step, x: None
+) -> tuple[Stable | Unstable, list[EnergyRecord], SimState]:
+    """Step p, observe each pair and judge: (status, records, final state).
+
+    Row n >= 1 logs the backward pair at step n; row 0 reuses the starter
+    pair, the only difference quotient at t = 0. The flux is d^T sym(BC) d
+    on the dofs of Gamma-/+. visit(n, x) sees each row's displacement, xi0
+    at row 0. The march stops Unstable, its last row "warned", when E goes
+    non-finite or the kinetic part exceeds INSTABILITY_RATIO times the
+    largest E logged so far.
+    """
+    dt = p.dt
+    with closing(StepOperator(p.mats, dt)) as op:
+        # sym(BC) vanishes off the dofs of Gamma-/+ (to roundoff), and
+        # slicing it first makes no full-size matrix.
+        gamma = p.dofs.node_dofs[p.mesh.gamma_node_mask()]
+        gamma = np.sort(gamma[gamma >= 0])
+        BC_gamma = op.BC[gamma][:, gamma]
+        flux_mat = 0.5 * (BC_gamma + BC_gamma.T)
+
+        xi0, xi1 = p.xi0, p.xi1
+        if xi1 is None:
+            xi1 = taylor_first_step(op, xi0, p.zeta0, p.rhs(0.0))
+        records: list[EnergyRecord] = []
+
+        def observe(step: int, prev: np.ndarray, curr: np.ndarray, K_prev: np.ndarray):
+            E, kinetic = energy(prev, curr, dt, op.Mh, K_prev)
+            flux = boundary_flux(prev[gamma], curr[gamma], dt, flux_mat)
+            records.append(EnergyRecord(step, step * dt, E, kinetic, flux))
+            visit(step, curr if step else prev)
+            return E
+
+        K0 = op.K @ xi0
+        peak_E = max(observe(0, xi0, xi1, K0), observe(1, xi0, xi1, K0))
+        state = SimState(xi_prev=xi0, xi_curr=xi1, step=1)
+        while state.step < p.n_steps:
+            state = leapfrog_step(op, state, p.rhs(state.step * dt))
+            E = observe(state.step, state.xi_prev, state.xi_curr, state.K_prev)
+            peak_E = max(peak_E, E)
+            if not np.isfinite(E) or records[-1].kinetic > INSTABILITY_RATIO * peak_E:
+                records[-1] = replace(records[-1], status="warned")
+                return Unstable(state.step), records, state
+    return Stable(steps=p.n_steps), records, state
+
+
 def _initial_levels(
-    cfg: RunConfig,
-    mesh: Mesh,
-    dofs: DofMap,
-    op: StepOperator,
-    rhs: RhsAssembler,
-) -> tuple[np.ndarray, np.ndarray]:
+    cfg: RunConfig, mesh: Mesh, dofs: DofMap, dt: float
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """The run's start (xi0, xi1, zeta0), as Problem holds it."""
     if cfg.init_kind == InitKind.NONE:
         zero = np.zeros(dofs.n_dofs)
-        return zero, zero.copy()
+        return zero, zero.copy(), None
     if cfg.init_kind == InitKind.PLANE_PULSE:
         # Exact downstream pulse xi = (A exp(-((x - (1 + M) t - x0) / w)^2 / 2), 0).
         def pulse(t: float) -> np.ndarray:
@@ -325,7 +393,7 @@ def _initial_levels(
             )
             return dofs.restrict(field)
 
-        return pulse(0.0), pulse(op.dt)
+        return pulse(0.0), pulse(dt), None
     # gradient-of-bump displacement released from rest
     bump = SourceSpec(
         kind=SourceKind.IRROTATIONAL,
@@ -333,8 +401,7 @@ def _initial_levels(
         width=cfg.init_width,
         amplitude=cfg.init_amplitude,
     )
-    xi0 = dofs.restrict(source_spatial(bump, mesh.nodes))
-    return xi0, taylor_first_step(op, xi0, np.zeros(dofs.n_dofs), rhs(0.0))
+    return dofs.restrict(source_spatial(bump, mesh.nodes)), None, np.zeros(dofs.n_dofs)
 
 
 def run_simulation(
@@ -342,15 +409,12 @@ def run_simulation(
     out_dir: str | None = None,
     probes: tuple[tuple[float, float], ...] = (),
 ) -> RunResult:
-    """Execute one configured run.
+    """Execute one configured run: build its Problem and march it.
 
     Writes snapshots, the energy log, a metadata echo and a short report
     into out_dir when given; otherwise only the returned records and
-    final state are kept. The run aborts with an Unstable status when the
-    logged energy goes non-finite, or when the kinetic part exceeds
-    INSTABILITY_RATIO times the largest energy logged so far; partial
-    outputs are preserved either way. The logged flux is d^T sym(BC) d on
-    the dofs of Gamma-/+. A mesh with no free dof raises ConfigError.
+    final state are kept. Partial outputs are preserved when the march
+    stops Unstable. A mesh with no free dof raises ConfigError.
     """
     warnings = cfg.validate()
     variant = cfg.abc_variant()
@@ -364,116 +428,70 @@ def run_simulation(
     dt, n_steps = snap_time_step(
         plan_time_step(mesh, cfg.M, cfg.cfl_safety), cfg.t_end
     )
-    with closing(StepOperator(mats, dt)) as op:
-        # The outflow flux is d^T sym(BC) d. sym(BC) vanishes off the dofs of
-        # Gamma-/+ (to roundoff), and slicing it first makes no full-size matrix.
-        gamma = dofs.node_dofs[mesh.gamma_node_mask()]
-        gamma = np.sort(gamma[gamma >= 0])
-        BC_gamma = op.BC[gamma][:, gamma]
-        flux_mat = 0.5 * (BC_gamma + BC_gamma.T)
+    source = cfg.source_spec()
+    loads, vorticity = (), None
+    if source is not None:
+        loads = ((partial(source_spatial, source), source.time_profile),)
+        if source.kind == SourceKind.ROTATIONAL and cfg.s != 0.0:
+            vorticity = CausalVorticity(source, cfg.M)
+    rhs = RhsAssembler(mesh, dofs, loads, cfg.s, vorticity=vorticity)
+    start = _initial_levels(cfg, mesh, dofs, dt)
+    problem = Problem(mesh, dofs, mats, dt, n_steps, rhs, *start)
 
-        source = cfg.source_spec()
-        loads, vorticity = (), None
-        if source is not None:
-            loads = ((partial(source_spatial, source), source.time_profile),)
-            if source.kind == SourceKind.ROTATIONAL and cfg.s != 0.0:
-                vorticity = CausalVorticity(source, cfg.M)
-        rhs = RhsAssembler(mesh, dofs, loads, cfg.s, vorticity=vorticity)
+    snapshot_steps: dict[int, float] = {}
+    for ts in cfg.snapshot_times:
+        snapshot_steps.setdefault(min(n_steps, max(0, round(ts / dt))), ts)
 
-        snapshot_steps: dict[int, float] = {}
-        for ts in cfg.snapshot_times:
-            snapshot_steps.setdefault(min(n_steps, max(0, round(ts / dt))), ts)
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        meta = _metadata_text(cfg, mesh, dofs, dt, n_steps, warnings)
+        with open(os.path.join(out_dir, "run_metadata.cfg"), "w", newline="\n") as f:
+            f.write(meta)
 
-        if out_dir is not None:
-            os.makedirs(out_dir, exist_ok=True)
-            meta = _metadata_text(cfg, mesh, dofs, dt, n_steps, warnings)
-            with open(os.path.join(out_dir, "run_metadata.cfg"), "w", newline="\n") as f:
-                f.write(meta)
+    probe_nodes = np.array(
+        [
+            np.argmin(np.hypot(mesh.nodes[:, 0] - px, mesh.nodes[:, 1] - py))
+            for px, py in probes
+        ],
+        dtype=np.int64,
+    )
+    probe_rows: list[np.ndarray] = []
+    n_written = 0
+    geometry = ""  # the mesh's VTK text, formatted on the first snapshot
 
-        probe_nodes = np.array(
-            [
-                np.argmin(np.hypot(mesh.nodes[:, 0] - px, mesh.nodes[:, 1] - py))
-                for px, py in probes
-            ],
-            dtype=np.int64,
-        )
+    def visit(step: int, x: np.ndarray) -> None:
+        nonlocal n_written, geometry
+        if probe_nodes.size:
+            nodal = dofs.expand(x)[probe_nodes]
+            probe_rows.append(np.hypot(nodal[:, 0], nodal[:, 1]))
+        if out_dir is None or step not in snapshot_steps:
+            return
+        if n_written == 0:
+            geometry = vtk_geometry(mesh)
+        t = step * dt
+        name = f"snap_{n_written:03d}_t{t:.6f}.vtk"
+        write_snapshot(geometry, dofs.expand(x), t, os.path.join(out_dir, name))
+        n_written += 1
 
-        xi0, xi1 = _initial_levels(cfg, mesh, dofs, op, rhs)
-        state = SimState(xi_prev=xi0, xi_curr=xi1, step=1)
+    status, records, state = march(problem, visit)
 
-        records: list[EnergyRecord] = []
-        probe_rows: list[np.ndarray] = []
-        n_written = 0
-        geometry = ""  # the mesh's VTK text, formatted on the first snapshot
+    if out_dir is not None:
+        write_energy_log(records, os.path.join(out_dir, "energy.csv"))
+        with open(os.path.join(out_dir, "report.txt"), "w", newline="\n") as f:
+            f.write(_report_text(status, records, dt, n_steps, warnings))
 
-        def observe(
-            step: int,
-            prev: np.ndarray,
-            curr: np.ndarray,
-            K_prev: np.ndarray,
-            at: np.ndarray | None = None,
-        ) -> EnergyRecord:
-            E, kinetic = energy(prev, curr, dt, op.Mh, K_prev)
-            flux = boundary_flux(prev[gamma], curr[gamma], dt, flux_mat)
-            rec = EnergyRecord(step=step, t=step * dt, E=E, kinetic=kinetic, flux=flux)
-            records.append(rec)
-            if probe_nodes.size:
-                nodal = dofs.expand(curr if at is None else at)[probe_nodes]
-                probe_rows.append(np.hypot(nodal[:, 0], nodal[:, 1]))
-            return rec
-
-        def emit_snapshot(step: int, x: np.ndarray) -> None:
-            nonlocal n_written, geometry
-            if out_dir is None or step not in snapshot_steps:
-                return
-            if n_written == 0:
-                geometry = vtk_geometry(mesh)
-            t = step * dt
-            name = f"snap_{n_written:03d}_t{t:.6f}.vtk"
-            write_snapshot(geometry, dofs.expand(x), t, os.path.join(out_dir, name))
-            n_written += 1
-
-        status: Stable | Unstable | None = None
-
-        # Rows n >= 1 log the backward pair at step n; row 0 reuses the starter
-        # pair, the only difference quotient available at t = 0.
-        K0 = op.K @ xi0
-        starter_rows = (observe(0, xi0, xi1, K0, at=xi0), observe(1, xi0, xi1, K0))
-        peak_E = max(r.E for r in starter_rows)
-        emit_snapshot(0, xi0)
-        emit_snapshot(1, xi1)
-
-        while state.step < n_steps and status is None:
-            state = leapfrog_step(op, state, rhs(state.step * dt))
-            rec = observe(state.step, state.xi_prev, state.xi_curr, state.K_prev)
-            emit_snapshot(state.step, state.xi_curr)
-            peak_E = max(peak_E, rec.E)
-            if not np.isfinite(rec.E) or rec.kinetic > INSTABILITY_RATIO * peak_E:
-                records[-1] = replace(rec, status="warned")
-                status = Unstable(state.step)
-
-        if status is None:
-            status = Stable(steps=n_steps)
-
-        probe_norms = np.array(probe_rows) if probe_nodes.size else None
-
-        if out_dir is not None:
-            write_energy_log(records, os.path.join(out_dir, "energy.csv"))
-            with open(os.path.join(out_dir, "report.txt"), "w", newline="\n") as f:
-                f.write(_report_text(status, records, dt, n_steps, warnings))
-
-        return RunResult(
-            status=status,
-            records=records,
-            dt=dt,
-            n_steps=n_steps,
-            mesh=mesh,
-            dofs=dofs,
-            config=cfg,
-            warnings=warnings,
-            probe_norms=probe_norms,
-            final_state=state,
-        )
+    return RunResult(
+        status=status,
+        records=records,
+        dt=dt,
+        n_steps=n_steps,
+        mesh=mesh,
+        dofs=dofs,
+        config=cfg,
+        warnings=warnings,
+        probe_norms=np.array(probe_rows) if probe_nodes.size else None,
+        final_state=state,
+    )
 
 
 def _metadata_text(

@@ -1,6 +1,7 @@
 """Verification studies behind the CLI subcommands.
 
-Three studies, each returning a small report object with a text() method:
+Three studies, each returning a small report object with a text() method;
+every run steps through galbrun.dynamics.march and keeps its verdict:
 
   * cmd_convergence: manufactured-solution L2 orders, spatial and temporal;
   * cmd_abc_reflection: reflection coefficient of the absorbing boundary
@@ -21,28 +22,26 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
-from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from galbrun.assembly import SystemMatrices, build_system
+from galbrun.assembly import build_system
 from galbrun.config import ConfigError, RunConfig
 from galbrun.dynamics import (
+    Problem,
     RunResult,
-    SimState,
-    StepOperator,
+    Stable,
     Unstable,
-    leapfrog_step,
+    march,
     plan_time_step,
     run_simulation,
     snap_time_step,
     status_text,
-    taylor_first_step,
 )
-from galbrun.mesh import DofMap, DuctGeometry, Mesh, build_dof_map, build_duct_mesh
+from galbrun.mesh import DuctGeometry, Mesh, build_dof_map, build_duct_mesh
 from galbrun.physics import Load, RhsAssembler
 
 
@@ -108,41 +107,22 @@ def manufactured_case(M: float, s: float, omega: float = 2.0) -> MmsCase:
     return MmsCase(xi=xi, xi_t=xi_t, loads=loads, M=M, s=s)
 
 
-def _mms_mesh_and_step(
-    case: MmsCase, n: int, cfl: float, t_end: float
-) -> tuple[Mesh, float]:
-    """The n-by-n closed unit box and the run's snapped step on it."""
-    mesh = build_duct_mesh(DuctGeometry(1.0, 1.0), n, n)
-    dt, _ = snap_time_step(plan_time_step(mesh, case.M, cfl), t_end)
-    return mesh, dt
-
-
 def _mms_solve(
-    case: MmsCase, mesh: Mesh, dt: float, t_end: float
-) -> tuple[np.ndarray, DofMap, SystemMatrices]:
-    """Dof vector at t_end on the closed box mesh, production stepping,
-    with the dof map and matrices it was computed on."""
+    case: MmsCase, mesh: Mesh, n_steps: int, t_end: float
+) -> tuple[np.ndarray, Stable | Unstable, Problem]:
+    """(x at t_end, verdict, problem) of n_steps steps on the closed box."""
     dofs = build_dof_map(mesh, closed_box=True)
     mats = build_system(mesh, dofs, case.M, case.s, abc="none")
     rhs = RhsAssembler(mesh, dofs, case.loads, case.s)
-    n_steps = round(t_end / dt)
-    if abs(n_steps * dt - t_end) > 1e-12 * t_end:
-        raise ValueError("dt must divide t_end")
     xi0 = dofs.restrict(case.xi(mesh.nodes, 0.0))
     zeta0 = dofs.restrict(case.xi_t(mesh.nodes, 0.0))
-    with closing(StepOperator(mats, dt)) as op:
-        xi1 = taylor_first_step(op, xi0, zeta0, rhs(0.0))
-        state = SimState(xi0, xi1, step=1)
-        while state.step < n_steps:
-            state = leapfrog_step(op, state, rhs(state.step * dt))
-    return state.xi_curr, dofs, mats
+    p = Problem(mesh, dofs, mats, t_end / n_steps, n_steps, rhs, xi0, None, zeta0)
+    status, _, state = march(p)
+    return state.xi_curr, status, p
 
 
-def _mms_error(case: MmsCase, mesh: Mesh, dt: float, t_end: float) -> float:
-    xi, dofs, mats = _mms_solve(case, mesh, dt, t_end)
-    exact = dofs.restrict(case.xi(mesh.nodes, t_end))
-    err = xi - exact
-    return math.sqrt((err @ (mats.Mh @ err)) / (exact @ (mats.Mh @ exact)))
+def _warning(status: Stable | Unstable) -> str:
+    return "" if isinstance(status, Stable) else f"  [warning: {status_text(status)}]"
 
 
 @dataclass(frozen=True)
@@ -151,13 +131,20 @@ class ConvergenceReport:
     labels: tuple[str, ...]
     steps: tuple[float, ...]  # h or dt per level
     errors: tuple[float, ...]
-    order: float
+    statuses: tuple[Stable | Unstable, ...]  # each level's run
+
+    @property
+    def order(self) -> float:
+        """The slope of log error against log step over the levels."""
+        return float(np.polyfit(np.log(self.steps), np.log(self.errors), 1)[0])
 
     def text(self) -> str:
         name = "h" if self.kind == "spatial" else "dt"
         lines = [f"{self.kind} convergence (relative L2 at t_end):"]
-        for label, s, e in zip(self.labels, self.steps, self.errors):
-            lines.append(f"  {label}: {name} = {s:.6g}, error = {e:.6e}")
+        rows = zip(self.labels, self.steps, self.errors, self.statuses)
+        for label, s, e, status in rows:
+            note = _warning(status)
+            lines.append(f"  {label}: {name} = {s:.6g}, error = {e:.6e}{note}")
         lines.append(f"  observed order: {self.order:.3f}")
         return "\n".join(lines)
 
@@ -180,16 +167,16 @@ def spatial_convergence(
             f"at least 3; got {levels}"
         )
     case = manufactured_case(M, s)
-    hs, errors, labels = [], [], []
+    rows = []
     for n in levels:
-        mesh, dt = _mms_mesh_and_step(case, n, cfl, t_end)
-        errors.append(_mms_error(case, mesh, dt, t_end))
-        hs.append(2.0 / n)
-        labels.append(f"n = {n:3d} (dt = {dt:.6g})")
-    order = float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
-    return ConvergenceReport(
-        "spatial", tuple(labels), tuple(hs), tuple(errors), order
-    )
+        mesh = build_duct_mesh(DuctGeometry(1.0, 1.0), n, n)
+        _, n_steps = snap_time_step(plan_time_step(mesh, M, cfl), t_end)
+        xi, status, p = _mms_solve(case, mesh, n_steps, t_end)
+        exact = p.dofs.restrict(case.xi(mesh.nodes, t_end))
+        err, Mh = xi - exact, p.mats.Mh
+        error = math.sqrt((err @ (Mh @ err)) / (exact @ (Mh @ exact)))
+        rows.append((f"n = {n:3d} (dt = {p.dt:.6g})", 2.0 / n, error, status))
+    return ConvergenceReport("spatial", *zip(*rows))
 
 
 def temporal_convergence(
@@ -206,21 +193,18 @@ def temporal_convergence(
     if halvings < 3:
         raise ConfigError("convergence study needs at least 3 levels")
     case = manufactured_case(M, s)
-    mesh, dt0 = _mms_mesh_and_step(case, n, cfl, t_end)
-    ref, _, mats = _mms_solve(case, mesh, dt0 / ref_factor, t_end)
-    scale = math.sqrt(ref @ (mats.Mh @ ref))
+    mesh = build_duct_mesh(DuctGeometry(1.0, 1.0), n, n)
+    _, n0 = snap_time_step(plan_time_step(mesh, M, cfl), t_end)
+    ref, _, p = _mms_solve(case, mesh, n0 * ref_factor, t_end)
+    scale = math.sqrt(ref @ (p.mats.Mh @ ref))
 
-    dts, errors, labels = [], [], []
+    rows = []
     for k in range(halvings):
-        dt = dt0 / 2**k
-        diff = _mms_solve(case, mesh, dt, t_end)[0] - ref
-        errors.append(math.sqrt(diff @ (mats.Mh @ diff)) / scale)
-        dts.append(dt)
-        labels.append(f"n = {n:3d} (dt = {dt:.6g})")
-    order = float(np.polyfit(np.log(dts), np.log(errors), 1)[0])
-    return ConvergenceReport(
-        "temporal", tuple(labels), tuple(dts), tuple(errors), order
-    )
+        xi, status, p = _mms_solve(case, mesh, n0 * 2**k, t_end)
+        diff = xi - ref
+        error = math.sqrt(diff @ (p.mats.Mh @ diff)) / scale
+        rows.append((f"n = {n:3d} (dt = {p.dt:.6g})", p.dt, error, status))
+    return ConvergenceReport("temporal", *zip(*rows))
 
 
 @dataclass(frozen=True)
@@ -271,7 +255,7 @@ class ReflectionLevel:
     rho: float
     passage_peak: float
     reflected_peak: float
-    status: str  # "Stable" or "Unstable at step k"
+    status: Stable | Unstable
 
 
 @dataclass(frozen=True)
@@ -289,10 +273,9 @@ class ReflectionReport:
             f"post-exit window [{self.post_window[0]:.2f}, {self.post_window[1]:.2f}]):"
         ]
         for lv in self.levels:
-            note = "" if lv.status == "Stable" else f"  [warning: {lv.status}]"
             lines.append(
                 f"  nx = {lv.nx:3d}, ny = {lv.ny:3d}, dt = {lv.dt:.6g}: "
-                f"rho = {lv.rho:.6e}{note}"
+                f"rho = {lv.rho:.6e}{_warning(lv.status)}"
             )
         return "\n".join(lines) + "\n"
 
@@ -341,7 +324,6 @@ def cmd_abc_reflection(
         in_post = (tvals >= post[0]) & (tvals <= post[1])
         peak = float(norms[in_passage].max())
         reflected = float(norms[in_post].max()) if in_post.any() else float("nan")
-        status = "Stable" if res.stable else status_text(res.status)
         out_levels.append(
             ReflectionLevel(
                 nx=nx,
@@ -350,7 +332,7 @@ def cmd_abc_reflection(
                 rho=reflected / peak,
                 passage_peak=peak,
                 reflected_peak=reflected,
-                status=status,
+                status=res.status,
             )
         )
     return ReflectionReport(

@@ -122,7 +122,7 @@ def test_criterion_3_reflection_coefficient_refinement():
         len(rhos) == 3
         and rhos[0] > rhos[1] > rhos[2]
         and rhos[2] < 0.02
-        and all(lv.status == "Stable" for lv in rep.levels)
+        and all(isinstance(lv.status, Stable) for lv in rep.levels)
     )
     assert verdict(
         3,

@@ -48,9 +48,11 @@ def test_traced_name_resolves(modname, attr):
 def test_run_hooks_resolve():
     dyn = importlib.import_module("galbrun.dynamics")
     assert callable(dyn.run_simulation) and callable(dyn.leapfrog_step)
-    # The step hook swaps the module global, so run_simulation must look
-    # leapfrog_step up there at call time rather than hold its own reference.
-    assert "leapfrog_step" in dyn.run_simulation.__code__.co_names
+    # The step hook swaps the module global, so the time loop, march, must
+    # look leapfrog_step up there at call time rather than hold its own
+    # reference, and run_simulation must step through march.
+    assert "leapfrog_step" in dyn.march.__code__.co_names
+    assert "march" in dyn.run_simulation.__code__.co_names
 
 
 def test_step_hook_sees_one_call_per_step(monkeypatch):

@@ -135,3 +135,26 @@ def test_definition_used_only_by_tests_is_caught():
     real = references(src)
     assert unreferenced(src, real | references(tests)) == []
     assert serving_only_tests(src, real, {"exported"}) == ["tested", "C.probe"]
+
+
+def call_sites(name: str) -> list[str]:
+    """path:line of every call of name in src/galbrun, as f() or m.f()."""
+    return [
+        f"{path}:{node.lineno}"
+        for path in SRC_MODULES
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Call)
+        and (
+            isinstance(node.func, ast.Name)
+            and node.func.id == name
+            or isinstance(node.func, ast.Attribute)
+            and node.func.attr == name
+        )
+    ]
+
+
+@pytest.mark.parametrize("name", ["leapfrog_step", "taylor_first_step"])
+def test_one_time_loop(name):
+    # Every command steps through dynamics.march: one starter call and one
+    # step call in the package.
+    assert len(call_sites(name)) == 1, call_sites(name)

@@ -8,6 +8,7 @@ accounting the acceptance studies rely on.
 """
 from __future__ import annotations
 
+import errno
 import os
 import signal
 from contextlib import closing, contextmanager
@@ -43,7 +44,7 @@ from galbrun.dynamics import (
     taylor_first_step,
 )
 from galbrun.mesh import DofMap, DuctGeometry, build_dof_map, build_duct_mesh
-from galbrun.physics import RhsAssembler, boundary_flux, energy, make_energy_stiffness
+from galbrun.physics import boundary_flux, energy, make_energy_stiffness
 from galbrun.studies import cmd_stability_contrast
 
 from oracles import assemble_boundary_mass, read_energy_log, read_snapshot
@@ -334,6 +335,26 @@ def test_killed_worker_makes_the_next_solve_raise(worker_pids):
     assert no_child_left()
 
 
+def test_failed_fork_leaks_no_pipe(monkeypatch):
+    # os.fork can raise (EAGAIN, ENOMEM) after the worker's two pipes are
+    # open: the operator must close all four ends and forget its own two.
+    force_worker(monkeypatch)
+    fd_dir = "/proc/self/fd"
+    if not os.path.isdir(fd_dir):
+        pytest.skip("no /proc/self/fd on this platform")
+    _, mats = split_case("stable")
+
+    def fail():
+        raise OSError(errno.EAGAIN, "fork failed")
+
+    monkeypatch.setattr(os, "fork", fail)
+    before = len(os.listdir(fd_dir))
+    with pytest.raises(OSError, match="fork failed"):
+        StepOperator(mats, dt=0.05)
+    assert len(os.listdir(fd_dir)) == before
+    assert dynamics._parent_ends == set()
+
+
 def test_run_without_free_dofs_is_refused():
     # The one-cell closed box eliminates every component: the x range is
     # empty, there is no y range, and a run would have nothing to solve.
@@ -595,7 +616,7 @@ def test_logged_flux_is_the_boundary_mass_flux():
     assert res.stable
     mesh, dofs, dt = res.mesh, res.dofs, res.dt
     op = StepOperator(build_system(mesh, dofs, cfg.M, cfg.s), dt)
-    xi0, xi1 = _initial_levels(cfg, mesh, dofs, op, RhsAssembler(mesh, dofs, (), cfg.s))
+    xi0, xi1, _ = _initial_levels(cfg, mesh, dofs, dt)
     C0 = assemble_boundary_mass(mesh, dofs)
     want = [boundary_flux(xi0, xi1, dt, C0)] * 2
     state, zero = SimState(xi0, xi1, step=1), np.zeros(dofs.n_dofs)

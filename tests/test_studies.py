@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from galbrun.config import ConfigError, RunConfig
-from galbrun.dynamics import EnergyRecord
+from galbrun.dynamics import EnergyRecord, Stable, Unstable
 from galbrun.studies import (
     ContrastReport,
+    ConvergenceReport,
     ReflectionLevel,
     ReflectionReport,
     cmd_abc_reflection,
@@ -131,13 +132,44 @@ def test_convergence_report_carries_level_and_dt():
     assert "n =   4" in text and "dt = " in text and "h = " in text
 
 
+def test_convergence_report_flags_unstable_level():
+    rep = ConvergenceReport(
+        "spatial",
+        ("n =   8 (dt = 0.1)", "n =  16 (dt = 0.05)", "n =  32 (dt = 0.025)"),
+        (0.25, 0.125, 0.0625),
+        (1e-2, 2.5e-3, 6.25e-4),
+        (Stable(5), Unstable(7), Stable(20)),
+    )
+    lines = rep.text().splitlines()
+    flagged = [line for line in lines if "[warning" in line]
+    assert flagged == [lines[2]]
+    assert lines[2].endswith("error = 2.500000e-03  [warning: Unstable at step 7]")
+    assert rep.order == pytest.approx(2.0)
+
+
+def test_default_convergence_levels_are_stable_and_unmarked():
+    # Every level of the default study ends Stable, so its text is the
+    # unmarked one: a row per level, then the observed order.
+    study = cmd_convergence()
+    for rep in (study.spatial, study.temporal):
+        assert all(isinstance(status, Stable) for status in rep.statuses)
+        name = "h" if rep.kind == "spatial" else "dt"
+        want = [f"{rep.kind} convergence (relative L2 at t_end):"]
+        want += [
+            f"  {label}: {name} = {s:.6g}, error = {e:.6e}"
+            for label, s, e in zip(rep.labels, rep.steps, rep.errors)
+        ]
+        want.append(f"  observed order: {rep.order:.3f}")
+        assert rep.text() == "\n".join(want)
+
+
 # ---------------------------------------------------------------------------
 # reflection
 
 
 def test_reflection_shrinks_under_refinement():
     rep = cmd_abc_reflection(levels=((80, 10), (160, 20)))
-    assert rep.levels[0].status == "Stable"
+    assert isinstance(rep.levels[0].status, Stable)
     assert rep.levels[1].rho < rep.levels[0].rho < 0.05
     assert rep.levels[0].dt > rep.levels[1].dt > 0.0
     assert "rho = " in rep.text() and "dt = " in rep.text()
@@ -165,7 +197,7 @@ def test_reflection_report_flags_unstable_level():
         rho=float("nan"),
         passage_peak=1.0,
         reflected_peak=float("nan"),
-        status="Unstable at step 7",
+        status=Unstable(7),
     )
     rep = ReflectionReport(
         levels=(lv,), probe=(3.0, 0.0), passage_window=(1.0, 4.0), post_window=(5.0, 8.0)
