@@ -12,15 +12,18 @@ L = Mh / dt^2 + BC / (2 dt), LU-factorized once, each step solves
     x+ = 2 x0 - x- + delta,
 
 which costs two sparse products, K x0 and BC (x0 - x-). The energy
-record of the new pair reuses K x0, so with d^T Mh d a step does three
-full-size sparse products, plus the outflow flux d^T sym(BC) d on the
-dofs of Gamma-/+, the only rows where sym(BC) is non-zero.
-Mh and BC act on one displacement component at a time (only K couples
-the two) and the dofs are numbered one component after the other, so L
-is block diagonal on two dof ranges, factored one block at a time, each
-as its transpose for SuperLU's faster transposed solve (factorize).
-As SuperLU holds the GIL, on large meshes a forked worker does the y block
-while the run does the x block (StepOperator): same bits, more CPU time.
+record of the new pair reuses K x0, d = (x+ - x0) / dt and Mh d from the
+step, so a step does three sparse products in all, plus the outflow flux
+d^T sym(BC) d on the dofs of Gamma-/+, the only rows where sym(BC) is
+non-zero. Mh and BC act on one displacement component at a time (only K
+couples the two) and the dofs are numbered one component after the
+other, so L is block diagonal on two dof ranges, factored one block at a
+time, each as its transpose for SuperLU's faster transposed solve
+(factorize). A process steps a range of dofs at a time: its rows of K x0
+and BC (x0 - x-), of the right-hand side, of the block solve, of the update
+and of Mh d (StepOperator._advance). As SuperLU holds the GIL, on large
+meshes a forked worker steps the y range while the run steps the x range,
+and otherwise the run steps both: same bits, more CPU time.
 
 The logged energy (physics.energy) is the scheme's own: it pairs the
 staggered states through K, so the scheme balances it exactly
@@ -98,21 +101,26 @@ def status_text(status: Stable | Unstable, n_steps: int | None = None) -> str:
 class SimState:
     """Two consecutive displacement vectors; step indexes xi_curr.
 
-    K_prev is K xi_prev when the step that made this state formed it.
+    K_prev = K xi_prev, d = (xi_curr - xi_prev) / dt and Mh_d = Mh d when
+    the step that made this state formed them. A state a StepOperator made
+    lives in its buffers, which its next step rewrites: K_prev, d, Mh_d,
+    and xi_prev with the new state.
     """
 
     xi_prev: np.ndarray
     xi_curr: np.ndarray
     step: int
     K_prev: np.ndarray | None = None
+    d: np.ndarray | None = None
+    Mh_d: np.ndarray | None = None
 
 
 @dataclass
 class BlockLU:
-    """LU factors of a block-diagonal A, one per block: parts holds
-    (r, lu) for consecutive dof ranges r that cover A, lu the SuperLU of
-    the transpose of A[r, r], so solve(b) = A^{-1} b concatenates the
-    lu.solve(b[r], trans="T")."""
+    """LU factors of diagonal blocks of a block-diagonal A: parts holds
+    (r, lu) for consecutive dof ranges r, lu the SuperLU of the transpose
+    of A[r, r], so solve(b), the rows of A^{-1} b on those ranges,
+    concatenates the lu.solve(b[r], trans="T")."""
 
     parts: list[tuple[slice, SuperLU]]
 
@@ -149,6 +157,15 @@ def factorize(
     return BlockLU(parts)
 
 
+def _row_block(A: sp.csr_matrix, r: slice) -> sp.csr_matrix:
+    """The rows r of A, on A's own data and indices: only indptr is new."""
+    a, b = A.indptr[r.start], A.indptr[r.stop]
+    return sp.csr_matrix(
+        (A.data[a:b], A.indices[a:b], A.indptr[r.start : r.stop + 1] - a),
+        shape=(r.stop - r.start, A.shape[1]),
+    )
+
+
 # Both blocks need this many dofs for a worker (the set-up's break-even).
 WORKER_MIN_BLOCK = 3000
 _parent_ends: set[int] = set()  # this process's pipe ends to live workers
@@ -164,9 +181,17 @@ def _reap(pid: int, *ends: int) -> None:
 
 
 class StepOperator:
-    """Factorized per-step solve with L = Mh / dt^2 + BC / (2 dt), and the
-    system's mass Mh, stiffness K and damping BC, held, not copied.
-    close() reaps the y block's worker process (_fork), if it has one."""
+    """The leapfrog step with L = Mh / dt^2 + BC / (2 dt) factorized, and
+    the system's mass Mh, stiffness K and damping BC, held, not copied.
+
+    A process steps the dof range of the blocks it factored (_advance). The
+    states sit in a pair of buffers, x_{n-1} in slot k and x_n in slot
+    1 - k, and x_{n+1} takes the place of x_{n-1}. The pair, K x_n, d_{n+1},
+    Mh d_{n+1} and the load share one anonymous mmap with the worker
+    process (_fork) that, on large meshes, factors the y block and steps
+    the y range while this process does the x block and range; otherwise
+    this process steps the whole range. close() reaps the worker.
+    """
 
     def __init__(self, mats: SystemMatrices, dt: float):
         self._pid = 0  # the worker's, while it runs
@@ -174,10 +199,19 @@ class StepOperator:
             raise ValueError("dt must be positive")
         self.Mh, self.K, self.BC = mats.Mh, mats.K, mats.BC
         self.components = blocks = mats.components
-        split = blocks[-1].start  # the first y dof, or 0 for one block
-        rows, cols = mats.BC.nonzero()
-        if np.any((rows >= split) != (cols >= split)):
-            raise ValueError("the damping couples the two displacement components")
+        self.dt = dt
+        # A process's rows of BC and Mh may reach only its own rows of d.
+        for r in blocks:
+            for A in (mats.BC, mats.Mh):
+                cols = A.indices[A.indptr[r.start] : A.indptr[r.stop]]
+                if cols.size and not r.start <= cols.min() <= cols.max() < r.stop:
+                    raise ValueError(
+                        "the mass or damping couples the two displacement components"
+                    )
+        shared = np.frombuffer(mmap.mmap(-1, 6 * 8 * mats.K.shape[0])).reshape(6, -1)
+        # Each process writes its own rows of the load F and of d.
+        *self._pair, self._Kx, self._d, self._Mh_d, self._F = shared
+        self._phase = 0  # the slot of x_{n-1} at the next step
 
         def block(r: slice) -> sp.spmatrix:
             # Slice both, then sum: slicing within the sum cost 3 MB more peak RSS.
@@ -190,20 +224,30 @@ class StepOperator:
             if len(blocks) == 2 <= len(cpus) and large and hasattr(os, "fork"):
                 self._fork(blocks[-1], block)
                 blocks = blocks[:-1]
-            self._lu = factorize(blocks, block)
+            self._own(blocks, block)
             fill = os.read(self._done, 8) if self._pid else b""  # b"" if it died
             self.worker_fill = int.from_bytes(fill, "little")
         except BaseException:
             self.close()
             raise
-        self.dt = dt
+
+    def _own(
+        self, blocks: tuple[slice, ...], block_of: Callable[[slice], sp.spmatrix]
+    ) -> None:
+        """Factor the blocks and take their dof range r and its rows of K, BC
+        and Mh (_row_block): what this process steps."""
+        self._lu = factorize(blocks, block_of)
+        self._r = r = slice(blocks[0].start, blocks[-1].stop)
+        # The row views come after the factors: allocated before them, these
+        # and a scratch vector raised the peak RSS at 320x80 by 3 MB.
+        self._rows = [_row_block(A, r) for A in (self.K, self.BC, self.Mh)]
 
     def _fork(self, r: slice, block_of: Callable[[slice], sp.spmatrix]) -> None:
-        """Fork the worker that factors block_of(r), sends its fill, then solves
-        on r through a shared mmap and one byte on a pipe each way per solve,
-        until its pipe's EOF or any error ends it through os._exit."""
-        self._y, buf = r, mmap.mmap(-1, 16 * (r.stop - r.start))
-        self._b, self._x = np.frombuffer(buf).reshape(2, -1)  # rhs, solution
+        """Fork the worker that factors block_of(r), sends its fill, then steps
+        the range r (_advance) on each command, the phase k in one byte on a
+        pipe, and answers with one byte, until its pipe's EOF or any
+        error ends it through os._exit."""
+        self._y = r
         (cmd, self._cmd), (self._done, done) = os.pipe(), os.pipe()
         _parent_ends.update((self._cmd, self._done))
         try:
@@ -215,10 +259,11 @@ class StepOperator:
             try:
                 for fd in _parent_ends:  # a copy left open would hide its EOF
                     os.close(fd)
-                lu = factorize((r,), block_of).parts[0][1]
+                self._own((r,), block_of)
+                lu = self._lu.parts[0][1]
                 os.write(done, (lu.L.nnz + lu.U.nnz).to_bytes(8, "little"))
-                while os.read(cmd, 1):
-                    self._x[:] = lu.solve(self._b, trans="T")
+                while k := os.read(cmd, 1):
+                    self._advance(k[0], self._F)
                     os.write(done, b"\1")
             finally:
                 os._exit(0)
@@ -226,35 +271,65 @@ class StepOperator:
         os.close(done)
         self._reap = weakref.finalize(self, _reap, self._pid, self._cmd, self._done)
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if not self._pid:
-            return self._lu.solve(rhs)
-        self._b[:] = rhs[self._y]
-        os.write(self._cmd, b"\1")
-        x = self._lu.solve(rhs)
-        if not os.read(self._done, 1):
-            raise RuntimeError(f"block solve worker {self._pid} exited")
-        return np.concatenate([x, self._x])
+    def advance(self, state: SimState, F: np.ndarray) -> SimState:
+        """The state one step after state under the load F, in the pair.
 
-    def close(self) -> None:
+        A state other than the pair's own is copied in first. With a worker,
+        this process writes F's y rows to the shared load and sends the
+        phase, steps the x range, and waits for the y range.
+        """
+        k = self._phase
+        prev, curr = self._pair[k], self._pair[1 - k]
+        if state.xi_prev is not prev or state.xi_curr is not curr:
+            # Copied first: the state may hold the pair's buffers swapped.
+            prev[:], curr[:] = state.xi_prev.copy(), state.xi_curr.copy()
         if self._pid:
-            self._reap()
-            self._pid, self._lu = 0, None  # a later solve raises
+            self._F[self._y] = F[self._y]
+            os.write(self._cmd, bytes([k]))
+        self._advance(k, F)
+        if self._pid and not os.read(self._done, 1):
+            raise RuntimeError(f"step worker {self._pid} exited")
+        self._phase = 1 - k
+        return SimState(curr, prev, state.step + 1, self._Kx, self._d, self._Mh_d)
 
-    def scheme_rhs(
-        self, state: SimState, F: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(F - K x_n - BC (x_n - x_{n-1}) / dt, K x_n): the right-hand side
-        of L (x_{n+1} - 2 x_n + x_{n-1}) and the stiffness product that the
-        energy of the next pair reuses.
+    def _advance(self, k: int, F: np.ndarray) -> None:
+        """Step this process's rows r from (x_{n-1}, x_n) in the pair's slots
+        (k, 1 - k) to x_{n+1} in slot k, leaving (K x_n)[r], d_{n+1}[r] =
+        (x_{n+1} - x_n)[r] / dt and (Mh d_{n+1})[r]. Every product is taken
+        row by row, so the bits are those of the full-size products.
 
         A blown-up state can give inf - inf here; the run's energy check
         reports the non-finite result, so the warning is silenced.
         """
+        r, d = self._r, self._d
+        prev, curr = self._pair[k], self._pair[1 - k]
         with np.errstate(invalid="ignore", over="ignore"):
-            Kx = self.K @ state.xi_curr
-            d = (state.xi_curr - state.xi_prev) / self.dt
-            return F - Kx - self.BC @ d, Kx
+            # d[r] holds d_n, then the right-hand side, then d_{n+1}.
+            d[r], self._Kx[r] = self.scheme_rhs(prev, curr, F)
+            prev[r] = 2.0 * curr[r] - prev[r] + self._lu.solve(d)
+            d[r] = (prev[r] - curr[r]) / self.dt
+            self._Mh_d[r] = self._rows[2] @ d
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """L^{-1} rhs: the step from rest under the load rhs."""
+        rest = np.zeros_like(rhs)
+        return self.advance(SimState(rest, rest, 0), rhs).xi_curr.copy()
+
+    def close(self) -> None:
+        if self._pid:
+            self._reap()
+            self._pid, self._lu = 0, None  # a later step raises
+
+    def scheme_rhs(
+        self, prev: np.ndarray, curr: np.ndarray, F: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """This process's rows r of (F - K x_n - BC (x_n - x_{n-1}) / dt, K x_n):
+        the right-hand side of L (x_{n+1} - 2 x_n + x_{n-1}) and the
+        stiffness product that the energy of the next pair reuses."""
+        r, (K, BC, _) = self._r, self._rows
+        Kx = K @ curr
+        self._d[r] = (curr[r] - prev[r]) / self.dt
+        return F[r] - Kx - BC @ self._d, Kx
 
 
 def plan_time_step(mesh: Mesh, M: float, cfl_safety: float) -> float:
@@ -272,16 +347,9 @@ def snap_time_step(dt_raw: float, t_end: float) -> tuple[float, int]:
 
 
 def leapfrog_step(op: StepOperator, state: SimState, F: np.ndarray) -> SimState:
-    """Advance one step; the run's energy check reports a non-finite state."""
-    rhs, Kx = op.scheme_rhs(state, F)
-    with np.errstate(invalid="ignore", over="ignore"):
-        xi_next = 2.0 * state.xi_curr - state.xi_prev + op.solve(rhs)
-    return SimState(
-        xi_prev=state.xi_curr,
-        xi_curr=xi_next,
-        step=state.step + 1,
-        K_prev=Kx,
-    )
+    """Advance one step (StepOperator.advance); the run's energy check
+    reports a non-finite state."""
+    return op.advance(state, F)
 
 
 def taylor_first_step(
@@ -356,24 +424,28 @@ def march(
             xi1 = taylor_first_step(op, xi0, p.zeta0, p.rhs(0.0))
         records: list[EnergyRecord] = []
 
-        def observe(step: int, prev: np.ndarray, curr: np.ndarray, K_prev: np.ndarray):
-            E, kinetic = energy(prev, curr, dt, op.Mh, K_prev)
-            flux = boundary_flux(prev[gamma], curr[gamma], dt, flux_mat)
+        def observe(step: int, s: SimState) -> float:
+            E, kinetic = energy(s.d, s.Mh_d, s.xi_curr, s.K_prev)
+            flux = boundary_flux(s.xi_prev[gamma], s.xi_curr[gamma], dt, flux_mat)
             records.append(EnergyRecord(step, step * dt, E, kinetic, flux))
-            visit(step, curr if step else prev)
+            visit(step, s.xi_curr if step else s.xi_prev)
             return E
 
-        K0 = op.K @ xi0
-        peak_E = max(observe(0, xi0, xi1, K0), observe(1, xi0, xi1, K0))
-        state = SimState(xi_prev=xi0, xi_curr=xi1, step=1)
+        d = (xi1 - xi0) / dt
+        state = SimState(xi0, xi1, 1, op.K @ xi0, d, op.Mh @ d)
+        peak_E = max(observe(0, state), observe(1, state))
+        status: Stable | Unstable = Stable(steps=p.n_steps)
         while state.step < p.n_steps:
             state = leapfrog_step(op, state, p.rhs(state.step * dt))
-            E = observe(state.step, state.xi_prev, state.xi_curr, state.K_prev)
+            E = observe(state.step, state)
             peak_E = max(peak_E, E)
             if not np.isfinite(E) or records[-1].kinetic > INSTABILITY_RATIO * peak_E:
                 records[-1] = replace(records[-1], status="warned")
-                return Unstable(state.step), records, state
-    return Stable(steps=p.n_steps), records, state
+                status = Unstable(state.step)
+                break
+    # Copied out of the operator's buffers, which it would otherwise keep.
+    final = SimState(state.xi_prev.copy(), state.xi_curr.copy(), state.step)
+    return status, records, final
 
 
 def _initial_levels(

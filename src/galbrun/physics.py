@@ -322,20 +322,16 @@ def make_energy_stiffness(mesh: Mesh, dofs: DofMap, M: float) -> sp.csr_matrix:
 
 
 def energy(
-    xi_prev: np.ndarray,
-    xi_curr: np.ndarray,
-    dt: float,
-    Mh: sp.spmatrix,
-    K_prev: np.ndarray,
+    d: np.ndarray, Mh_d: np.ndarray, xi_curr: np.ndarray, K_prev: np.ndarray
 ) -> tuple[float, float]:
-    """(E, kinetic): the discrete energy of a consecutive state pair and
-    its kinetic part,
+    """(E, kinetic): the discrete energy of a consecutive state pair
+    (xi_prev, xi_curr) and its kinetic part,
 
-    E = 1/2 [ d^T Mh d + xi_curr^T K_prev ], d = (xi_curr - xi_prev)/dt,
-    kinetic = 1/2 d^T Mh d,
+    E = 1/2 [ d^T Mh d + xi_curr^T K_prev ], kinetic = 1/2 d^T Mh d,
 
-    with K_prev = K xi_prev the stiffness applied to the earlier state
-    (the step that made xi_curr already formed it).
+    from d = (xi_curr - xi_prev)/dt, Mh_d = Mh d and K_prev = K xi_prev,
+    the stiffness applied to the earlier state: the step that made xi_curr
+    already formed all three.
 
     With K and BC the scheme's stiffness and damping, as run_simulation
     uses, the leapfrog scheme balances it exactly:
@@ -350,9 +346,8 @@ def energy(
     detected. The dot products go through einsum, not BLAS, whose threaded
     ddot sums in an order set by the thread count.
     """
-    d = (xi_curr - xi_prev) / dt
     with np.errstate(over="ignore", invalid="ignore"):
-        kinetic = 0.5 * float(np.einsum("i,i", d, Mh @ d))
+        kinetic = 0.5 * float(np.einsum("i,i", d, Mh_d))
         return kinetic + 0.5 * float(np.einsum("i,i", xi_curr, K_prev)), kinetic
 
 

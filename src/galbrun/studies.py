@@ -132,6 +132,7 @@ class ConvergenceReport:
     steps: tuple[float, ...]  # h or dt per level
     errors: tuple[float, ...]
     statuses: tuple[Stable | Unstable, ...]  # each level's run
+    reference: Stable | Unstable | None = None  # the temporal study's reference
 
     @property
     def order(self) -> float:
@@ -145,6 +146,8 @@ class ConvergenceReport:
         for label, s, e, status in rows:
             note = _warning(status)
             lines.append(f"  {label}: {name} = {s:.6g}, error = {e:.6e}{note}")
+        if isinstance(self.reference, Unstable):
+            lines.append(f"  reference run{_warning(self.reference)}")
         lines.append(f"  observed order: {self.order:.3f}")
         return "\n".join(lines)
 
@@ -195,7 +198,7 @@ def temporal_convergence(
     case = manufactured_case(M, s)
     mesh = build_duct_mesh(DuctGeometry(1.0, 1.0), n, n)
     _, n0 = snap_time_step(plan_time_step(mesh, M, cfl), t_end)
-    ref, _, p = _mms_solve(case, mesh, n0 * ref_factor, t_end)
+    ref, ref_status, p = _mms_solve(case, mesh, n0 * ref_factor, t_end)
     scale = math.sqrt(ref @ (p.mats.Mh @ ref))
 
     rows = []
@@ -204,7 +207,7 @@ def temporal_convergence(
         diff = xi - ref
         error = math.sqrt(diff @ (p.mats.Mh @ diff)) / scale
         rows.append((f"n = {n:3d} (dt = {p.dt:.6g})", p.dt, error, status))
-    return ConvergenceReport("temporal", *zip(*rows))
+    return ConvergenceReport("temporal", *zip(*rows), reference=ref_status)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ from __future__ import annotations
 import errno
 import os
 import signal
+import warnings
 from contextlib import closing, contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -355,6 +357,111 @@ def test_failed_fork_leaks_no_pipe(monkeypatch):
     assert dynamics._parent_ends == set()
 
 
+def exp1_config(**over) -> RunConfig:
+    cfg = load_config(os.path.join(CONFIG_DIR, "exp1_rotational.cfg"))
+    return replace(cfg, snapshot_times=(), **over)
+
+
+MARCH_CASES = {
+    "exp1_s1": lambda: exp1_config(),
+    "exp1_s0": lambda: exp1_config(s=0.0),
+    "pulse_out": lambda: base_config(
+        R=1.0,
+        nx=24,
+        ny=8,
+        t_end=1.0,
+        source_kind="none",
+        init_kind="plane_pulse",
+        init_center_x=0.4,
+        init_width=0.15,
+        snapshot_times=(),
+    ),
+    "closed_40x10": lambda: RunConfig(
+        nx=40, ny=10, abc="none", M=0.0, t_end=0.5, snapshot_times=()
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(MARCH_CASES))
+def test_worker_march_is_bit_identical(case, worker_pids, monkeypatch):
+    # The worker steps the y range of every step and forms its rows of K x
+    # and Mh d: the records and the final state must be the in-process bits.
+    cfg = MARCH_CASES[case]()
+    worker = run_simulation(cfg)
+    assert len(worker_pids) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    alone = run_simulation(cfg)
+    assert len(worker_pids) == 1
+    assert no_child_left()
+    assert worker.status == alone.status
+    for name in ("E", "kinetic", "flux", "status"):
+        got = [getattr(r, name) for r in worker.records]
+        assert np.array_equal(got, [getattr(r, name) for r in alone.records]), name
+    a, b = worker.final_state, alone.final_state
+    assert a.step == b.step
+    assert np.array_equal(a.xi_prev, b.xi_prev)
+    assert np.array_equal(a.xi_curr, b.xi_curr)
+    if case == "exp1_s0":
+        assert isinstance(worker.status, Unstable)
+    else:
+        assert isinstance(worker.status, Stable)
+    if case == "pulse_out":
+        assert max(r.flux for r in worker.records) > 0.0
+
+
+def test_worker_silences_floating_point_warnings(worker_pids, capfd):
+    # The worker shares the run's stderr, so it must silence floating-point
+    # warnings as the run does. Made errors here, an unsilenced one stops the
+    # run, in the worker through its exit. The 1e150 start of
+    # test_nonfinite_run_ends_unstable_on_the_energy_check overflows E; a
+    # state that is already non-finite overflows every product of the step.
+    cfg = RunConfig(
+        nx=40,
+        ny=10,
+        cfl_safety=1.0,
+        t_end=20.0,
+        source_kind="none",
+        init_kind="bump",
+        init_amplitude=1e150,
+    )
+    _, mats = split_case("stable")
+    blown = np.full(mats.Mh.shape[0], np.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # before the fork, for the worker too
+        res = run_simulation(cfg)
+        with closing(StepOperator(mats, dt=0.05)) as op:
+            state = leapfrog_step(op, SimState(blown, blown, 1), np.zeros_like(blown))
+    assert res.status == Unstable(step=10)
+    assert not np.isfinite(state.xi_curr).any()
+    assert len(worker_pids) == 2
+    assert no_child_left()
+    assert "Warning" not in capfd.readouterr().err
+
+
+def test_one_command_byte_per_step(monkeypatch):
+    # The run hands the worker one byte per step on its command pipe, and
+    # march steps n_steps - 1 times after the starter pair.
+    force_worker(monkeypatch)
+    writes, fork, write = {}, StepOperator._fork, os.write
+
+    def spy_fork(self, *args):
+        fork(self, *args)
+        writes[self._cmd] = []
+
+    def counted(fd, data):
+        if fd in writes:
+            writes[fd].append(data)
+        return write(fd, data)
+
+    monkeypatch.setattr(StepOperator, "_fork", spy_fork)
+    monkeypatch.setattr(os, "write", counted)
+    res = run_simulation(base_config())
+    assert res.stable and res.n_steps > 2
+    (sent,) = writes.values()
+    assert len(sent) == len(b"".join(sent)) == res.n_steps - 1
+    assert no_child_left()
+
+
 def test_run_without_free_dofs_is_refused():
     # The one-cell closed box eliminates every component: the x range is
     # empty, there is no y range, and a run would have nothing to solve.
@@ -403,7 +510,7 @@ def test_scheme_rhs_matches_three_term_form(small_duct):
     BC = Bh + Ch
     K_curr = Ah @ curr + Dh @ curr
     want = F - K_curr - (Bh @ (curr - prev) + Ch @ (curr - prev)) / dt
-    got, Kx = op.scheme_rhs(SimState(prev, curr, step=1), F)
+    got, Kx = op.scheme_rhs(prev, curr, F)
     assert np.abs(got - want).max() < 1e-14 * np.abs(want).max()
     assert np.abs(Kx - K_curr).max() < 1e-14 * np.abs(K_curr).max()
     # It is the three-level right-hand side less L (2 x_n - x_{n-1}).
@@ -495,7 +602,8 @@ def test_closed_box_energy_conservation_drift():
     f1 = np.column_stack([np.cos(x + y), np.sin(3 * y) * x])
     xi0 = dofs.restrict(f0)
     xi1 = xi0 + dt * dofs.restrict(f1)
-    E0 = energy(xi0, xi1, dt, mats.Mh, Ke @ xi0)[0]
+    d0 = (xi1 - xi0) / dt
+    E0 = energy(d0, mats.Mh @ d0, xi1, Ke @ xi0)[0]
     assert E0 > 0.0
 
     state = SimState(xi0, xi1, step=1)
@@ -505,7 +613,9 @@ def test_closed_box_energy_conservation_drift():
     for _ in range(n_steps):
         state = leapfrog_step(op, state, zero)
         if state.step % 250 == 0:
-            E = energy(state.xi_prev, state.xi_curr, dt, mats.Mh, Ke @ state.xi_prev)[0]
+            prev, curr = state.xi_prev, state.xi_curr
+            d = (curr - prev) / dt
+            E, _ = energy(d, mats.Mh @ d, curr, Ke @ prev)
             worst = max(worst, abs(E - E0) / (E0 * state.step))
     assert worst < 1e-10
 

@@ -9,6 +9,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from galbrun import studies
 from galbrun.config import ConfigError, RunConfig
 from galbrun.dynamics import EnergyRecord, Stable, Unstable
 from galbrun.studies import (
@@ -161,6 +162,30 @@ def test_default_convergence_levels_are_stable_and_unmarked():
         ]
         want.append(f"  observed order: {rep.order:.3f}")
         assert rep.text() == "\n".join(want)
+    # The reference runs 32 times the 16 steps of the coarsest level.
+    assert study.temporal.reference == Stable(steps=512)
+
+
+def test_temporal_report_flags_unstable_reference(monkeypatch):
+    # Every temporal error is measured against the reference run, so a
+    # reference that ended Unstable marks the report, on a line of its own.
+    solve, calls = studies._mms_solve, []
+
+    def reference_unstable(case, mesh, n_steps, t_end):
+        x, status, p = solve(case, mesh, n_steps, t_end)
+        calls.append(n_steps)
+        return x, Unstable(9) if len(calls) == 1 else status, p
+
+    monkeypatch.setattr(studies, "_mms_solve", reference_unstable)
+    rep = temporal_convergence(n=6)
+    assert calls[0] == 32 * calls[1]  # the reference, first
+    assert rep.reference == Unstable(9)
+    assert all(isinstance(status, Stable) for status in rep.statuses)
+    lines = rep.text().splitlines()
+    assert [line for line in lines if "[warning" in line] == [
+        "  reference run  [warning: Unstable at step 9]"
+    ]
+    assert lines[-1].startswith("  observed order: ")
 
 
 # ---------------------------------------------------------------------------
