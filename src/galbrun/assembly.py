@@ -33,10 +33,6 @@ from galbrun.mesh import BoundaryTag, DofMap, Mesh
 TRI_QP_BARY = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 TRI_QP_WEIGHTS = np.array([1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0])
 
-# Two-point Gauss rule on an edge, exact through degree 3.
-EDGE_QP = np.array([-1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0)])
-EDGE_QP_WEIGHTS = np.array([1.0, 1.0])
-
 
 @dataclass
 class SystemMatrices:

@@ -202,8 +202,6 @@ def parse_config_text(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: duplicate key {key}")
         try:
             kwargs[key] = _parse_value(key, raw)
-        except ConfigError:
-            raise
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
     if unknown:

@@ -17,13 +17,13 @@ step, so a step does three sparse products in all, plus the outflow flux
 d^T sym(BC) d on the dofs of Gamma-/+, the only rows where sym(BC) is
 non-zero. Mh and BC act on one displacement component at a time (only K
 couples the two) and the dofs are numbered one component after the
-other, so L is block diagonal on two dof ranges, factored one block at a
-time, each as its transpose for SuperLU's faster transposed solve
-(factorize). A process steps a range of dofs at a time: its rows of K x0
-and BC (x0 - x-), of the right-hand side, of the block solve, of the update
-and of Mh d (StepOperator._advance). As SuperLU holds the GIL, on large
-meshes a forked worker steps the y range while the run steps the x range,
-and otherwise the run steps both: same bits, more CPU time.
+other, so L is block diagonal on two dof ranges, and each diagonal block
+(StepOperator._block) has its own LU (factorize). A process steps a range
+of dofs at a time: its rows of K x0 and BC (x0 - x-), of the right-hand
+side, its block solves, in place, of the update and of Mh d
+(StepOperator._advance). As SuperLU holds the GIL, on large meshes a
+forked worker steps the y range while the run steps the x range, and
+otherwise the run steps both: same bits, more CPU time.
 
 The logged energy (physics.energy) is the scheme's own: it pairs the
 staggered states through K, so the scheme balances it exactly
@@ -115,46 +115,18 @@ class SimState:
     Mh_d: np.ndarray | None = None
 
 
-@dataclass
-class BlockLU:
-    """LU factors of diagonal blocks of a block-diagonal A: parts holds
-    (r, lu) for consecutive dof ranges r, lu the SuperLU of the transpose
-    of A[r, r], so solve(b), the rows of A^{-1} b on those ranges,
-    concatenates the lu.solve(b[r], trans="T")."""
+def factorize(A: sp.spmatrix) -> SuperLU:
+    """The LU of A^T, so that lu.solve(b, trans="T") solves A x = b.
 
-    parts: list[tuple[slice, SuperLU]]
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        return np.concatenate([lu.solve(b[r], trans="T") for r, lu in self.parts])
-
-
-def factorize(
-    blocks: tuple[slice, ...], block_of: Callable[[slice], sp.spmatrix]
-) -> BlockLU:
-    """Factors of a block-diagonal A, one LU per diagonal block A[r, r] =
-    block_of(r) for r in blocks (DofMap.components for the step), each
-    built and factored before the next: the full-size A is never formed
-    and SuperLU's factorization scratch is held for one block at a time.
-    The fill (568,350 entries at 160x40, 3,164,002 at 320x80) and the
-    solution bits are those of one LU of A, also with StepOperator's worker.
-
-    Each block is factored as its transpose, with a minimum-degree
-    ordering on A^T + A. The FE matrices here are structurally symmetric,
-    which SuperLU's default ordering (COLAMD) ignores: at 320x80 the step
-    operator fills to 4.9M entries under it. SuperLU's forward solve
-    scatters column updates supernode by supernode; its transposed solve
-    (trans="T") gathers them, and on the same factors took 0.80 against
-    1.02 ms at 160x40 and 6.26 against 7.10 ms at 320x80 (2-core Xeon,
-    one BLAS thread).
+    The ordering is minimum degree on A^T + A. The FE matrices here are
+    structurally symmetric, which SuperLU's default ordering (COLAMD)
+    ignores: at 320x80 the step operator fills to 4.9M entries under it.
+    SuperLU's forward solve scatters column updates supernode by supernode;
+    its transposed solve (trans="T") gathers them, and on the same factors
+    took 0.80 against 1.02 ms at 160x40 and 6.26 against 7.10 ms at 320x80
+    (2-core Xeon, one BLAS thread).
     """
-    parts = []
-    for r in blocks:
-        block = block_of(r)
-        parts.append((r, splu(block.T.tocsc(), permc_spec="MMD_AT_PLUS_A")))
-        # Freed before the next block is built: at 320x80 this kept the
-        # run's peak RSS about 4 MB lower.
-        del block
-    return BlockLU(parts)
+    return splu(A.T.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
 def _row_block(A: sp.csr_matrix, r: slice) -> sp.csr_matrix:
@@ -186,11 +158,12 @@ class StepOperator:
 
     A process steps the dof range of the blocks it factored (_advance). The
     states sit in a pair of buffers, x_{n-1} in slot k and x_n in slot
-    1 - k, and x_{n+1} takes the place of x_{n-1}. The pair, K x_n, d_{n+1},
-    Mh d_{n+1} and the load share one anonymous mmap with the worker
-    process (_fork) that, on large meshes, factors the y block and steps
-    the y range while this process does the x block and range; otherwise
-    this process steps the whole range. close() reaps the worker.
+    1 - k, and x_{n+1} takes the place of x_{n-1}. The pair, K x_n, d_{n+1}
+    (within a step, the right-hand side and then the increment), Mh d_{n+1}
+    and the load share one anonymous mmap with the worker process (_fork)
+    that, on large meshes, factors the y block and steps the y range while
+    this process does the x; otherwise this process steps the whole range.
+    close() reaps the worker.
     """
 
     def __init__(self, mats: SystemMatrices, dt: float):
@@ -212,41 +185,43 @@ class StepOperator:
         # Each process writes its own rows of the load F and of d.
         *self._pair, self._Kx, self._d, self._Mh_d, self._F = shared
         self._phase = 0  # the slot of x_{n-1} at the next step
-
-        def block(r: slice) -> sp.spmatrix:
-            # Slice both, then sum: slicing within the sum cost 3 MB more peak RSS.
-            Mh, BC = mats.Mh[r, r], mats.BC[r, r]
-            return Mh / dt**2 + BC / (2.0 * dt)
-
         cpus = getattr(os, "sched_getaffinity", lambda pid: ())(0)
         large = min(r.stop - r.start for r in blocks) >= WORKER_MIN_BLOCK
         try:
             if len(blocks) == 2 <= len(cpus) and large and hasattr(os, "fork"):
-                self._fork(blocks[-1], block)
+                self._fork(blocks[-1])
                 blocks = blocks[:-1]
-            self._own(blocks, block)
+            self._own(blocks)
             fill = os.read(self._done, 8) if self._pid else b""  # b"" if it died
             self.worker_fill = int.from_bytes(fill, "little")
         except BaseException:
             self.close()
             raise
 
-    def _own(
-        self, blocks: tuple[slice, ...], block_of: Callable[[slice], sp.spmatrix]
-    ) -> None:
+    def _block(self, r: slice) -> sp.spmatrix:
+        """L's diagonal block L[r, r]."""
+        # Slice both, then sum: slicing within the sum cost 3 MB more peak RSS.
+        Mh, BC = self.Mh[r, r], self.BC[r, r]
+        return Mh / self.dt**2 + BC / (2.0 * self.dt)
+
+    def _own(self, blocks: tuple[slice, ...]) -> None:
         """Factor the blocks and take their dof range r and its rows of K, BC
         and Mh (_row_block): what this process steps."""
-        self._lu = factorize(blocks, block_of)
+        # One block at a time, each freed before the next is built, and no
+        # full-size L: at 320x80 the peak RSS stayed about 4 MB lower. The
+        # fill (568,350 entries at 160x40, 3,164,002 at 320x80) and the
+        # solution bits are those of one LU of L, also with the worker.
+        self._lu = [(q, factorize(self._block(q))) for q in blocks]
         self._r = r = slice(blocks[0].start, blocks[-1].stop)
         # The row views come after the factors: allocated before them, these
         # and a scratch vector raised the peak RSS at 320x80 by 3 MB.
         self._rows = [_row_block(A, r) for A in (self.K, self.BC, self.Mh)]
 
-    def _fork(self, r: slice, block_of: Callable[[slice], sp.spmatrix]) -> None:
-        """Fork the worker that factors block_of(r), sends its fill, then steps
-        the range r (_advance) on each command, the phase k in one byte on a
-        pipe, and answers with one byte, until its pipe's EOF or any
-        error ends it through os._exit."""
+    def _fork(self, r: slice) -> None:
+        """Fork the worker that factors L[r, r] (_own), sends its fill, then
+        steps the range r of the shared buffers, d[r] included (_advance), on
+        each command, the phase k in one byte on a pipe, and answers with one
+        byte, until its pipe's EOF or any error ends it through os._exit."""
         self._y = r
         (cmd, self._cmd), (self._done, done) = os.pipe(), os.pipe()
         _parent_ends.update((self._cmd, self._done))
@@ -259,8 +234,8 @@ class StepOperator:
             try:
                 for fd in _parent_ends:  # a copy left open would hide its EOF
                     os.close(fd)
-                self._own((r,), block_of)
-                lu = self._lu.parts[0][1]
+                self._own((r,))
+                [(_, lu)] = self._lu
                 os.write(done, (lu.L.nnz + lu.U.nnz).to_bytes(8, "little"))
                 while k := os.read(cmd, 1):
                     self._advance(k[0], self._F)
@@ -295,8 +270,10 @@ class StepOperator:
     def _advance(self, k: int, F: np.ndarray) -> None:
         """Step this process's rows r from (x_{n-1}, x_n) in the pair's slots
         (k, 1 - k) to x_{n+1} in slot k, leaving (K x_n)[r], d_{n+1}[r] =
-        (x_{n+1} - x_n)[r] / dt and (Mh d_{n+1})[r]. Every product is taken
-        row by row, so the bits are those of the full-size products.
+        (x_{n+1} - x_n)[r] / dt and (Mh d_{n+1})[r]. The block solves run in
+        place, so d[r] holds the increment x_{n+1} - 2 x_n + x_{n-1} before
+        the update. Every product is taken row by row, so the bits are those
+        of the full-size products.
 
         A blown-up state can give inf - inf here; the run's energy check
         reports the non-finite result, so the warning is silenced.
@@ -304,9 +281,11 @@ class StepOperator:
         r, d = self._r, self._d
         prev, curr = self._pair[k], self._pair[1 - k]
         with np.errstate(invalid="ignore", over="ignore"):
-            # d[r] holds d_n, then the right-hand side, then d_{n+1}.
+            # d[r] holds d_n, the right-hand side, the increment, then d_{n+1}.
             d[r], self._Kx[r] = self.scheme_rhs(prev, curr, F)
-            prev[r] = 2.0 * curr[r] - prev[r] + self._lu.solve(d)
+            for q, lu in self._lu:
+                d[q] = lu.solve(d[q], trans="T")
+            prev[r] = 2.0 * curr[r] - prev[r] + d[r]
             d[r] = (prev[r] - curr[r]) / self.dt
             self._Mh_d[r] = self._rows[2] @ d
 
@@ -359,8 +338,9 @@ def taylor_first_step(
 
     xi1 = xi0 + dt zeta0 + dt^2/2 Mh^{-1} (F0 - K xi0 - BC zeta0)
     """
-    rhs = F0 - op.K @ xi0 - op.BC @ zeta0
-    accel = factorize(op.components, lambda r: op.Mh[r, r]).solve(rhs)
+    accel = F0 - op.K @ xi0 - op.BC @ zeta0
+    for r in op.components:  # Mh is block diagonal, like L
+        accel[r] = factorize(op.Mh[r, r]).solve(accel[r], trans="T")
     return xi0 + op.dt * zeta0 + 0.5 * op.dt * op.dt * accel
 
 
@@ -426,7 +406,7 @@ def march(
 
         def observe(step: int, s: SimState) -> float:
             E, kinetic = energy(s.d, s.Mh_d, s.xi_curr, s.K_prev)
-            flux = boundary_flux(s.xi_prev[gamma], s.xi_curr[gamma], dt, flux_mat)
+            flux = boundary_flux(s.d[gamma], flux_mat)
             records.append(EnergyRecord(step, step * dt, E, kinetic, flux))
             visit(step, s.xi_curr if step else s.xi_prev)
             return E

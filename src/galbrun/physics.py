@@ -351,13 +351,11 @@ def energy(
         return kinetic + 0.5 * float(np.einsum("i,i", xi_curr, K_prev)), kinetic
 
 
-def boundary_flux(
-    xi_prev: np.ndarray, xi_curr: np.ndarray, dt: float, flux_mass: sp.spmatrix
-) -> float:
+def boundary_flux(d: np.ndarray, flux_mass: sp.spmatrix) -> float:
     """Outflow rate d^T flux_mass d with the same backward difference
     d = (xi_curr - xi_prev) / dt as energy().
 
-    run_simulation passes the states restricted to the dofs on Gamma and
+    dynamics.march passes the step's d restricted to the dofs on Gamma and
     flux_mass = sym(BC) restricted alike: the boundary mass of the outflow
     int_Gamma |dxi/dt|^2 (assembly's energy identity), or zero for the
     closed box at M = 0. The scheme's velocity is centered,
@@ -365,7 +363,6 @@ def boundary_flux(
     off it, so the balance E_n - E_{n-1} = -dt * flux holds only to
     O(dt^2), not exactly.
     """
-    d = (xi_curr - xi_prev) / dt
     with np.errstate(over="ignore", invalid="ignore"):
         return float(np.einsum("i,i", d, flux_mass @ d))
 

@@ -256,8 +256,6 @@ class ReflectionLevel:
     ny: int
     dt: float
     rho: float
-    passage_peak: float
-    reflected_peak: float
     status: Stable | Unstable
 
 
@@ -333,8 +331,6 @@ def cmd_abc_reflection(
                 ny=ny,
                 dt=res.dt,
                 rho=reflected / peak,
-                passage_peak=peak,
-                reflected_peak=reflected,
                 status=res.status,
             )
         )

@@ -21,8 +21,6 @@ import pytest
 import scipy.sparse as sp
 
 from galbrun.assembly import (
-    EDGE_QP,
-    EDGE_QP_WEIGHTS,
     SystemMatrices,
     assemble_a,
     assemble_b,
@@ -94,13 +92,6 @@ def test_triangle_quadrature_degree_two_exact():
              (2, 0): 1 / 12, (1, 1): 1 / 24, (0, 2): 1 / 12}
     for (a, b), val in exact.items():
         got = np.sum(w * pts[..., 0] ** a * pts[..., 1] ** b)
-        assert got == pytest.approx(val, abs=1e-15)
-
-
-def test_edge_rule_degree_three_exact():
-    # int_{-1}^{1} t^k dt for k = 0..3.
-    for k, val in enumerate([2.0, 0.0, 2.0 / 3.0, 0.0]):
-        got = np.sum(EDGE_QP_WEIGHTS * EDGE_QP**k)
         assert got == pytest.approx(val, abs=1e-15)
 
 

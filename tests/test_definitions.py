@@ -1,11 +1,13 @@
-"""Every function, class and method defined in src/galbrun is used.
+"""Every function, class, method and constant defined in src/galbrun is used.
 
-A top-level function or class, or a method of a top-level class, must be
-referenced by its name somewhere in src/, tests/ or bench/: read as a name
-or an attribute, imported, or written in a string other than a docstring
-(bench/child.py names the methods it wraps as "Class.method" strings).
-Dunder methods are called by the language and are exempt. The match is by
-name only, so it finds definitions nothing mentions, not every dead one.
+A top-level function, class or constant (a name a module-level statement
+assigns), or a method of a top-level class, must be referenced by its name
+somewhere in src/, tests/ or bench/: read as a name or an attribute,
+imported, or written in a string other than a docstring (bench/child.py
+names the methods it wraps as "Class.method" strings). Assigning a name does
+not use it. Dunder names are used by the language and are exempt. The match
+is by name only, so it finds definitions nothing mentions, not every dead
+one.
 
 Test-only code belongs in tests/: a definition must also be referenced
 from src/ or bench/, unless its name is exported in galbrun.__all__.
@@ -39,8 +41,13 @@ def parse(path: str) -> ast.Module:
         return ast.parse(f.read())
 
 
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def definitions(tree: ast.Module) -> list[str]:
-    """Top-level functions and classes, and "Class.method" for methods."""
+    """Top-level functions, classes and constants, and "Class.method" for
+    methods."""
     out = []
     for node in tree.body:
         if isinstance(node, (*FUNCTION, ast.ClassDef)):
@@ -49,8 +56,15 @@ def definitions(tree: ast.Module) -> list[str]:
             out += [
                 f"{node.name}.{m.name}"
                 for m in node.body
-                if isinstance(m, FUNCTION)
-                and not (m.name.startswith("__") and m.name.endswith("__"))
+                if isinstance(m, FUNCTION) and not is_dunder(m.name)
+            ]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [
+                n.id
+                for t in targets
+                for n in ast.walk(t)
+                if isinstance(n, ast.Name) and not is_dunder(n.id)
             ]
     return out
 
@@ -66,9 +80,9 @@ def references(tree: ast.Module) -> set[str]:
     }
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.update(node.name.split("."))
@@ -117,9 +131,12 @@ def test_unreferenced_definition_is_caught():
         "    def n(self): pass\n"
         "def f(): pass\n"
         "def g(): pass\n"
-        'TABLE = ("A.n",)\n'
+        "LIMIT = 2\n"
+        "UNUSED = 3\n"
+        'TABLE = ("A.n", LIMIT)\n'
+        "print(TABLE)\n"
     )
-    assert unreferenced(tree, references(tree)) == ["A.m", "f", "g"]
+    assert unreferenced(tree, references(tree)) == ["A.m", "f", "g", "UNUSED"]
 
 
 def test_definition_used_only_by_tests_is_caught():
@@ -129,12 +146,13 @@ def test_definition_used_only_by_tests_is_caught():
         "def exported(): pass\n"
         "class C:\n"
         "    def probe(self): pass\n"
+        "LIMIT = 1\n"
         "used(); C()\n"
     )
-    tests = ast.parse("tested(); exported(); C().probe()\n")
+    tests = ast.parse("tested(); exported(); C().probe(); print(LIMIT)\n")
     real = references(src)
     assert unreferenced(src, real | references(tests)) == []
-    assert serving_only_tests(src, real, {"exported"}) == ["tested", "C.probe"]
+    assert serving_only_tests(src, real, {"exported"}) == ["tested", "C.probe", "LIMIT"]
 
 
 def call_sites(name: str) -> list[str]:

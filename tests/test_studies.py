@@ -220,8 +220,6 @@ def test_reflection_report_flags_unstable_level():
         ny=10,
         dt=0.01,
         rho=float("nan"),
-        passage_peak=1.0,
-        reflected_peak=float("nan"),
         status=Unstable(7),
     )
     rep = ReflectionReport(
