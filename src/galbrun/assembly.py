@@ -21,6 +21,7 @@ logs that outflow as d^T sym(BC) d; no boundary mass is assembled.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,40 +87,54 @@ def minimum_edge_length(mesh: Mesh) -> float:
     return float(np.min(lengths))
 
 
+# Elements per pass of _Pattern.scatter. At 4,096 a pass's temporaries set
+# build_system's traced peak at 160x40 (562 against 511 B per triangle).
+_CHUNK = 2048
+
+
 class _Pattern:
     """Scatter of per-component element blocks over a set of (n_el, k) cells.
 
     The scalar node pattern of the cells, and the slot of every element entry
-    on it, are found once per set of cells (see _Triangles).
-    Each block is summed onto the pattern with one bincount. Entries lie as
-    (row component, column component, slot), which keeps the columns of
-    every row sorted for component major dofs: the CSR needs no sort.
+    on it, are found once per set of cells (see _Triangles). Each block is
+    summed onto the pattern with np.add.at, _CHUNK elements at a time in
+    element order: the sums of one bincount over all elements, bit for bit,
+    without an (n_el, k, k) array. Entries lie as (row component, column
+    component, slot), which keeps the columns of every row sorted for
+    component major dofs: the CSR needs no sort.
     """
 
     def __init__(self, cells: np.ndarray, dofs: DofMap):
         n = dofs.n_nodes
         key = (cells[:, :, None].astype(np.int64) * n + cells[:, None, :]).ravel()
         pairs, slot = np.unique(key, return_inverse=True)
-        self.slot = slot.astype(np.int32)
+        self.slot = slot.astype(np.int32).reshape(len(cells), -1)
         rows, cols = np.divmod(pairs, n)
-        shape = (2, 2, pairs.size)  # (row component, column component, slot)
-        node = dofs.node_dofs
-        self.row_dofs = np.broadcast_to(node[rows].T[:, None], shape).astype(np.int32)
-        self.col_dofs = np.broadcast_to(node[cols].T, shape).astype(np.int32)
-        self.free = (self.row_dofs >= 0) & (self.col_dofs >= 0)
+        # The dofs of the (row component, column component, slot) entries,
+        # broadcast: (2, 1, slots) and (1, 2, slots).
+        node = dofs.node_dofs.astype(np.int32)
+        self.row_dofs, self.col_dofs = node[rows].T[:, None], node[cols].T[None]
         self.n_dofs = dofs.n_dofs
 
-    def scatter(self, blocks: dict[tuple[int, int], np.ndarray]) -> sp.csr_matrix:
-        """CSR matrix of the blocks keyed by (row, column) component, without
-        constrained components or zero sums."""
-        val = np.zeros(self.free.shape)
-        for (cr, cc), block in blocks.items():
-            val[cr, cc] = np.bincount(
-                self.slot, weights=block.ravel(), minlength=val.shape[2]
-            )
-        keep = self.free & (val != 0.0)
-        coo = (val[keep], (self.row_dofs[keep], self.col_dofs[keep]))
-        return sp.csr_matrix(coo, shape=(self.n_dofs,) * 2)
+    def scatter(
+        self, blocks: Callable[[slice], dict[tuple[int, int], np.ndarray]]
+    ) -> sp.csr_matrix:
+        """CSR matrix of the element blocks, blocks(e) those of the elements
+        e keyed by (row, column) component, without constrained components
+        or zero sums."""
+        val = np.zeros((2, 2, self.row_dofs.shape[-1]))
+        for start in range(0, len(self.slot), _CHUNK):
+            e = slice(start, start + _CHUNK)
+            slot = self.slot[e].ravel()
+            for (cr, cc), block in blocks(e).items():
+                np.add.at(val[cr, cc], slot, block.ravel())
+        keep = (val != 0.0) & (self.row_dofs >= 0) & (self.col_dofs >= 0)
+        data = val[keep]
+        del val  # before the entries' dofs and the CSR's own arrays
+        rows, cols = (
+            np.broadcast_to(x, keep.shape)[keep] for x in (self.row_dofs, self.col_dofs)
+        )
+        return sp.csr_matrix((data, (rows, cols)), shape=(self.n_dofs,) * 2)
 
 
 class _Triangles(_Pattern):
@@ -142,7 +157,7 @@ def assemble_mass(
     per component."""
     tri = tri or _Triangles(mesh, dofs)
     block = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-    return tri.scatter(_diagonal(tri.area[:, None, None] * block))
+    return tri.scatter(lambda e: _diagonal(tri.area[e, None, None] * block))
 
 
 def assemble_a(
@@ -159,19 +174,21 @@ def assemble_a(
     is gx gy^T - s gy gx^T and the y-x block its transpose.
     """
     tri = tri or _Triangles(mesh, dofs)
-    gx, gy, a = tri.gx, tri.gy, tri.area[:, None, None]
-    gxx = gx[:, :, None] * gx[:, None, :]
-    gyy = gy[:, :, None] * gy[:, None, :]
-    gxy = gx[:, :, None] * gy[:, None, :]
-    kx = M * M * (a * gxx)
-    xy = a * (gxy - s * gxy.transpose(0, 2, 1))
-    blocks = {
-        (0, 0): a * (gxx + s * gyy) - kx,
-        (1, 1): a * (gyy + s * gxx) - kx,
-        (0, 1): xy,
-        (1, 0): xy.transpose(0, 2, 1),
-    }
-    del gxx, gyy, gxy, kx  # freed before the scatter, which sets the peak
+
+    def blocks(e: slice) -> dict[tuple[int, int], np.ndarray]:
+        gx, gy, a = tri.gx[e], tri.gy[e], tri.area[e, None, None]
+        gxx = gx[:, :, None] * gx[:, None, :]
+        gyy = gy[:, :, None] * gy[:, None, :]
+        gxy = gx[:, :, None] * gy[:, None, :]
+        kx = M * M * (a * gxx)
+        xy = a * (gxy - s * gxy.transpose(0, 2, 1))
+        return {
+            (0, 0): a * (gxx + s * gyy) - kx,
+            (1, 1): a * (gyy + s * gxx) - kx,
+            (0, 1): xy,
+            (1, 0): xy.transpose(0, 2, 1),
+        }
+
     return tri.scatter(blocks)
 
 
@@ -186,9 +203,12 @@ def assemble_b(
     away from Gamma- u Gamma+.
     """
     tri = tri or _Triangles(mesh, dofs)
-    row = 2.0 * M * (tri.area[:, None] / 3.0) * tri.gx  # same for every test index i
-    block = np.broadcast_to(row[:, None, :], (row.shape[0], 3, 3))
-    return tri.scatter(_diagonal(block))
+
+    def blocks(e: slice) -> dict[tuple[int, int], np.ndarray]:
+        row = 2.0 * M * (tri.area[e, None] / 3.0) * tri.gx[e]  # same for every i
+        return _diagonal(np.broadcast_to(row[:, None, :], (row.shape[0], 3, 3)))
+
+    return tri.scatter(blocks)
 
 
 def _gamma_edges(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
@@ -211,7 +231,7 @@ def _edge_mass(
     ell = np.linalg.norm(mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]], axis=1)
     block = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
     scaled = (edge_weights * ell)[:, None, None] * block
-    return _Pattern(edges, dofs).scatter(_diagonal(scaled))
+    return _Pattern(edges, dofs).scatter(lambda e: _diagonal(scaled[e]))
 
 
 def assemble_c(mesh: Mesh, dofs: DofMap, M: float) -> sp.csr_matrix:
@@ -243,23 +263,30 @@ def assemble_d(mesh: Mesh, dofs: DofMap) -> sp.csr_matrix:
     # R dxi/dtau . eta = -(dv/dtau) eta_x + (du/dtau) eta_y: the x row of a
     # test node holds (+1/2, -1/2) at (a_y, b_y), its y row the negatives.
     xy = np.broadcast_to([[0.5, -0.5], [0.5, -0.5]], (edges.shape[0], 2, 2))
-    return _Pattern(edges, dofs).scatter({(0, 1): xy, (1, 0): -xy})
+    return _Pattern(edges, dofs).scatter(lambda e: {(0, 1): xy[e], (1, 0): -xy[e]})
 
 
 def assemble_gradient_stiffness(mesh: Mesh, dofs: DofMap) -> sp.csr_matrix:
     """Componentwise int grad xi : grad eta (full H1 seminorm matrix)."""
-    gx, gy, area = triangle_gradients(mesh)
-    kk = area[:, None, None] * (
-        gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :]
-    )
-    return _Pattern(mesh.triangles, dofs).scatter(_diagonal(kk))
+    tri = _Triangles(mesh, dofs)
+
+    def blocks(e: slice) -> dict[tuple[int, int], np.ndarray]:
+        gx, gy = tri.gx[e], tri.gy[e]
+        gg = gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :]
+        return _diagonal(tri.area[e, None, None] * gg)
+
+    return tri.scatter(blocks)
 
 
 def assemble_dx_stiffness(mesh: Mesh, dofs: DofMap) -> sp.csr_matrix:
     """Componentwise int (dxi/dx) . (deta/dx)."""
-    gx, _, area = triangle_gradients(mesh)
-    kx = area[:, None, None] * gx[:, :, None] * gx[:, None, :]
-    return _Pattern(mesh.triangles, dofs).scatter(_diagonal(kx))
+    tri = _Triangles(mesh, dofs)
+
+    def blocks(e: slice) -> dict[tuple[int, int], np.ndarray]:
+        gx = tri.gx[e]
+        return _diagonal(tri.area[e, None, None] * gx[:, :, None] * gx[:, None, :])
+
+    return tri.scatter(blocks)
 
 
 def build_system(
@@ -280,7 +307,7 @@ def build_system(
     Mh = assemble_mass(mesh, dofs, tri)
     K = assemble_a(mesh, dofs, M, s, tri)
     BC = assemble_b(mesh, dofs, M, tri)
-    # Freed before the sums allocate K and BC, the pattern's 11 MB (320x80)
+    # Freed before the sums allocate K and BC, the pattern's 8 MB (320x80)
     # is reused; freed after, it stays resident under the LU's peak.
     del tri
     if abc != "none":

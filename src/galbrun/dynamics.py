@@ -20,9 +20,10 @@ couples the two) and the dofs are numbered one component after the
 other, so L is block diagonal on two dof ranges, and each diagonal block
 (StepOperator._block) has its own LU (factorize). A process steps a range
 of dofs at a time: its rows of K x0 and BC (x0 - x-), of the right-hand
-side, its block solves, in place, of the update and of Mh d
-(StepOperator._advance). As SuperLU holds the GIL, on large meshes a
-forked worker steps the y range while the run steps the x range, and
+side, its block solves, in place, of the update and of Mh d, and each
+block's partials of the record (StepOperator._advance), which the step
+sums in block order. As SuperLU holds the GIL, on large meshes one forked
+worker steps each block while the run builds the next step's load, and
 otherwise the run steps both: same bits, more CPU time.
 
 The logged energy (physics.energy) is the scheme's own: it pairs the
@@ -101,18 +102,16 @@ def status_text(status: Stable | Unstable, n_steps: int | None = None) -> str:
 class SimState:
     """Two consecutive displacement vectors; step indexes xi_curr.
 
-    K_prev = K xi_prev, d = (xi_curr - xi_prev) / dt and Mh_d = Mh d when
-    the step that made this state formed them. A state a StepOperator made
-    lives in its buffers, which its next step rewrites: K_prev, d, Mh_d,
-    and xi_prev with the new state.
+    observed is the pair's (E, kinetic, flux) (StepOperator.observe) when
+    the step that made the state formed it. A state a StepOperator made
+    lives in its buffers, whose next step overwrites xi_prev with the new
+    state.
     """
 
     xi_prev: np.ndarray
     xi_curr: np.ndarray
     step: int
-    K_prev: np.ndarray | None = None
-    d: np.ndarray | None = None
-    Mh_d: np.ndarray | None = None
+    observed: tuple[float, float, float] | None = None
 
 
 def factorize(A: sp.spmatrix) -> SuperLU:
@@ -138,41 +137,65 @@ def _row_block(A: sp.csr_matrix, r: slice) -> sp.csr_matrix:
     )
 
 
-# Both blocks need this many dofs for a worker (the set-up's break-even).
+# Both blocks need this many dofs for the workers (the set-up's break-even).
 WORKER_MIN_BLOCK = 3000
 _parent_ends: set[int] = set()  # this process's pipe ends to live workers
 
 
-def _reap(pid: int, *ends: int) -> None:
-    """Close this process's pipe ends to worker pid, which then exits; wait."""
-    _parent_ends.difference_update(ends)
-    for fd in ends:
-        os.close(fd)
-    if pid:  # 0: the fork failed
-        os.waitpid(pid, 0)
+@dataclass(frozen=True)
+class _Worker:
+    """A forked process that steps one block (StepOperator._fork), and this
+    process's ends of its command and reply pipes."""
+
+    pid: int
+    block: int  # the index of its dof range in StepOperator.components
+    cmd: int
+    done: int
+
+
+def _reap(workers: list[_Worker]) -> None:
+    """Close this process's pipe ends to the workers, which then exit; wait
+    for each."""
+    for w in workers:
+        _parent_ends.difference_update((w.cmd, w.done))
+        os.close(w.cmd)
+        os.close(w.done)
+    for w in workers:
+        os.waitpid(w.pid, 0)
+    workers.clear()
 
 
 class StepOperator:
     """The leapfrog step with L = Mh / dt^2 + BC / (2 dt) factorized, and
     the system's mass Mh, stiffness K and damping BC, held, not copied.
 
-    A process steps the dof range of the blocks it factored (_advance). The
-    states sit in a pair of buffers, x_{n-1} in slot k and x_n in slot
-    1 - k, and x_{n+1} takes the place of x_{n-1}. The pair, K x_n, d_{n+1}
-    (within a step, the right-hand side and then the increment), Mh d_{n+1}
-    and the load share one anonymous mmap with the worker process (_fork)
-    that, on large meshes, factors the y block and steps the y range while
-    this process does the x; otherwise this process steps the whole range.
-    close() reaps the worker.
+    A process steps the dof range of the blocks it factored and writes each
+    block's (E, kinetic, flux) partials (_advance); the step's record sums
+    them in block order. The states sit in a pair of buffers, x_{n-1} in
+    slot k and x_n in slot 1 - k, and x_{n+1} takes the place of x_{n-1}.
+    The pair, K x_n, d_{n+1} (within a step, the right-hand side and then
+    the increment), Mh d_{n+1}, the partials and two load slots, by phase,
+    share one anonymous mmap with the worker processes (_fork) that, on
+    large meshes, factor and step one block each, while this process
+    builds the next step's load (advance); otherwise this process steps
+    every block. load, when given, is the load F(t) a step at time t
+    takes, and gamma the dofs whose outflow flux is logged. close() reaps
+    the workers.
     """
 
-    def __init__(self, mats: SystemMatrices, dt: float):
-        self._pid = 0  # the worker's, while it runs
+    def __init__(
+        self,
+        mats: SystemMatrices,
+        dt: float,
+        load: Callable[[float], np.ndarray] | None = None,
+        gamma: np.ndarray = np.empty(0, dtype=np.int64),
+    ):
+        self._workers: list[_Worker] = []
         if dt <= 0:
             raise ValueError("dt must be positive")
         self.Mh, self.K, self.BC = mats.Mh, mats.K, mats.BC
         self.components = blocks = mats.components
-        self.dt = dt
+        self.dt, self.load = dt, load
         # A process's rows of BC and Mh may reach only its own rows of d.
         for r in blocks:
             for A in (mats.BC, mats.Mh):
@@ -181,19 +204,42 @@ class StepOperator:
                     raise ValueError(
                         "the mass or damping couples the two displacement components"
                     )
-        shared = np.frombuffer(mmap.mmap(-1, 6 * 8 * mats.K.shape[0])).reshape(6, -1)
-        # Each process writes its own rows of the load F and of d.
-        *self._pair, self._Kx, self._d, self._Mh_d, self._F = shared
-        self._phase = 0  # the slot of x_{n-1} at the next step
+        # Each block's dofs on Gamma and sym(BC) on them, sliced first so as
+        # to make no full-size matrix: the block's outflow flux.
+        self._gamma = [gamma[(r.start <= gamma) & (gamma < r.stop)] for r in blocks]
+        self._flux = []
+        for g in self._gamma:
+            A = self.BC[g][:, g]
+            self._flux.append(0.5 * (A + A.T))
+        n = mats.K.shape[0]
+        shared = np.frombuffer(mmap.mmap(-1, 8 * (7 * n + 3 * len(blocks))))
+        vectors = shared[: 7 * n].reshape(7, n)
+        self._pair, self._F = vectors[:2], vectors[2:4]
+        # Each process writes its own rows of these and its blocks' partials.
+        self._Kx, self._d, self._Mh_d = vectors[4:]
+        self._parts = shared[7 * n :].reshape(len(blocks), 3)
+        self._phase = 0  # the slot of x_{n-1}, and of the load, at the next step
+        self._ahead: float | None = None  # the time of the next slot's load
+        self._lu: list[tuple[int, SuperLU]] | None = []
+        self.worker_fill = 0
+        self._reap = weakref.finalize(self, _reap, self._workers)
         cpus = getattr(os, "sched_getaffinity", lambda pid: ())(0)
         large = min(r.stop - r.start for r in blocks) >= WORKER_MIN_BLOCK
         try:
             if len(blocks) == 2 <= len(cpus) and large and hasattr(os, "fork"):
-                self._fork(blocks[-1])
-                blocks = blocks[:-1]
-            self._own(blocks)
-            fill = os.read(self._done, 8) if self._pid else b""  # b"" if it died
-            self.worker_fill = int.from_bytes(fill, "little")
+                for i in range(len(blocks)):
+                    self._fork(i)
+                for w in self._workers:  # both factor at once
+                    fill = os.read(w.done, 8)
+                    if not fill:
+                        r = blocks[w.block]
+                        raise RuntimeError(
+                            f"step worker {w.pid} (dofs {r.start}:{r.stop}) "
+                            "exited before it was ready"
+                        )
+                    self.worker_fill += int.from_bytes(fill, "little")
+            else:
+                self._own(range(len(blocks)))
         except BaseException:
             self.close()
             raise
@@ -204,76 +250,95 @@ class StepOperator:
         Mh, BC = self.Mh[r, r], self.BC[r, r]
         return Mh / self.dt**2 + BC / (2.0 * self.dt)
 
-    def _own(self, blocks: tuple[slice, ...]) -> None:
-        """Factor the blocks and take their dof range r and its rows of K, BC
-        and Mh (_row_block): what this process steps."""
+    def _own(self, blocks: range) -> None:
+        """Factor the blocks, by index, and take their dof range r and its
+        rows of K, BC and Mh (_row_block): what this process steps."""
         # One block at a time, each freed before the next is built, and no
         # full-size L: at 320x80 the peak RSS stayed about 4 MB lower. The
         # fill (568,350 entries at 160x40, 3,164,002 at 320x80) and the
-        # solution bits are those of one LU of L, also with the worker.
-        self._lu = [(q, factorize(self._block(q))) for q in blocks]
-        self._r = r = slice(blocks[0].start, blocks[-1].stop)
+        # solution bits are those of one LU of L, also with the workers.
+        self._lu = [(i, factorize(self._block(self.components[i]))) for i in blocks]
+        first, last = self.components[blocks[0]], self.components[blocks[-1]]
+        self._r = r = slice(first.start, last.stop)
         # The row views come after the factors: allocated before them, these
         # and a scratch vector raised the peak RSS at 320x80 by 3 MB.
         self._rows = [_row_block(A, r) for A in (self.K, self.BC, self.Mh)]
 
-    def _fork(self, r: slice) -> None:
-        """Fork the worker that factors L[r, r] (_own), sends its fill, then
-        steps the range r of the shared buffers, d[r] included (_advance), on
-        each command, the phase k in one byte on a pipe, and answers with one
-        byte, until its pipe's EOF or any error ends it through os._exit."""
-        self._y = r
-        (cmd, self._cmd), (self._done, done) = os.pipe(), os.pipe()
-        _parent_ends.update((self._cmd, self._done))
+    def _fork(self, i: int) -> None:
+        """Fork the worker that factors block i (_own), sends its fill, then,
+        on each command, the phase k in one byte on a pipe, steps the block
+        in the shared buffers under the load in slot k (_advance) and answers
+        with one byte, until its pipe's EOF or any error ends it through
+        os._exit."""
+        (cmd, w_cmd), (w_done, done) = os.pipe(), os.pipe()
+        _parent_ends.update((w_cmd, w_done))
         try:
-            self._pid = os.fork()
+            pid = os.fork()
         except BaseException:  # EAGAIN, ENOMEM: no worker to reap
-            _reap(0, cmd, self._cmd, self._done, done)
+            _parent_ends.difference_update((w_cmd, w_done))
+            for fd in (cmd, w_cmd, w_done, done):
+                os.close(fd)
             raise
-        if self._pid == 0:
+        if pid == 0:
             try:
                 for fd in _parent_ends:  # a copy left open would hide its EOF
                     os.close(fd)
-                self._own((r,))
+                self._own(range(i, i + 1))
                 [(_, lu)] = self._lu
                 os.write(done, (lu.L.nnz + lu.U.nnz).to_bytes(8, "little"))
                 while k := os.read(cmd, 1):
-                    self._advance(k[0], self._F)
+                    self._advance(k[0], self._F[k[0]])
                     os.write(done, b"\1")
             finally:
                 os._exit(0)
         os.close(cmd)
         os.close(done)
-        self._reap = weakref.finalize(self, _reap, self._pid, self._cmd, self._done)
+        self._workers.append(_Worker(pid, i, w_cmd, w_done))
 
-    def advance(self, state: SimState, F: np.ndarray) -> SimState:
-        """The state one step after state under the load F, in the pair.
+    def advance(self, state: SimState, F: np.ndarray | float) -> SimState:
+        """The state one step after state, in the pair, with its record:
+        under the load vector F, or under the operator's load at time F.
 
-        A state other than the pair's own is copied in first. With a worker,
-        this process writes F's y rows to the shared load and sends the
-        phase, steps the x range, and waits for the y range.
+        A state other than the pair's own is copied in first. With workers,
+        this process puts the load in the phase's slot, sends each worker
+        the phase and, given a time, builds the next step's load, at
+        (step + 1) dt, in the other slot before it waits for them.
         """
         k = self._phase
         prev, curr = self._pair[k], self._pair[1 - k]
         if state.xi_prev is not prev or state.xi_curr is not curr:
             # Copied first: the state may hold the pair's buffers swapped.
             prev[:], curr[:] = state.xi_prev.copy(), state.xi_curr.copy()
-        if self._pid:
-            self._F[self._y] = F[self._y]
-            os.write(self._cmd, bytes([k]))
-        self._advance(k, F)
-        if self._pid and not os.read(self._done, 1):
-            raise RuntimeError(f"step worker {self._pid} exited")
+        at_time = not isinstance(F, np.ndarray)
+        if not self._workers:
+            self._advance(k, self.load(F) if at_time else F)
+        else:
+            if not at_time or F != self._ahead:
+                self._F[k][:] = self.load(F) if at_time else F
+            self._ahead = None
+            for w in self._workers:
+                os.write(w.cmd, bytes([k]))
+            if at_time:
+                t = (state.step + 1) * self.dt
+                try:
+                    self._F[1 - k][:] = self.load(t)
+                    self._ahead = t
+                except Exception:  # raised again by the step at t, not by this one
+                    pass
+            for w in self._workers:
+                if not os.read(w.done, 1):
+                    raise RuntimeError(f"step worker {w.pid} exited")
         self._phase = 1 - k
-        return SimState(curr, prev, state.step + 1, self._Kx, self._d, self._Mh_d)
+        return SimState(curr, prev, state.step + 1, self._total(self._parts))
 
     def _advance(self, k: int, F: np.ndarray) -> None:
         """Step this process's rows r from (x_{n-1}, x_n) in the pair's slots
         (k, 1 - k) to x_{n+1} in slot k, leaving (K x_n)[r], d_{n+1}[r] =
-        (x_{n+1} - x_n)[r] / dt and (Mh d_{n+1})[r]. The block solves run in
-        place, so d[r] holds the increment x_{n+1} - 2 x_n + x_{n-1} before
-        the update. Every product is taken row by row, so the bits are those
-        of the full-size products.
+        (x_{n+1} - x_n)[r] / dt, (Mh d_{n+1})[r] and its blocks' partials of
+        the new pair's record. The block solves run in place, so d[r] holds
+        the increment x_{n+1} - 2 x_n + x_{n-1} before the update. Every
+        product is taken row by row, so the bits are those of the full-size
+        products.
 
         A blown-up state can give inf - inf here; the run's energy check
         reports the non-finite result, so the warning is silenced.
@@ -283,11 +348,39 @@ class StepOperator:
         with np.errstate(invalid="ignore", over="ignore"):
             # d[r] holds d_n, the right-hand side, the increment, then d_{n+1}.
             d[r], self._Kx[r] = self.scheme_rhs(prev, curr, F)
-            for q, lu in self._lu:
+            for i, lu in self._lu:
+                q = self.components[i]
                 d[q] = lu.solve(d[q], trans="T")
             prev[r] = 2.0 * curr[r] - prev[r] + d[r]
             d[r] = (prev[r] - curr[r]) / self.dt
             self._Mh_d[r] = self._rows[2] @ d
+        for i, _ in self._lu:
+            self._parts[i] = self._observe(i, d, self._Mh_d, prev, self._Kx)
+
+    def _observe(
+        self, i: int, d: np.ndarray, Mh_d: np.ndarray, x: np.ndarray, Kx: np.ndarray
+    ) -> tuple[float, float, float]:
+        """Block i's partials of observe."""
+        q, g = self.components[i], self._gamma[i]
+        E, kinetic = energy(d[q], Mh_d[q], x[q], Kx[q])
+        return E, kinetic, boundary_flux(d[g], self._flux[i])
+
+    def observe(
+        self, d: np.ndarray, Mh_d: np.ndarray, x: np.ndarray, Kx: np.ndarray
+    ) -> tuple[float, float, float]:
+        """(E, kinetic, flux) of a pair whose later state is x, from d, its
+        difference quotient, Mh_d = Mh d and Kx = K times its earlier state:
+        physics.energy on each block's rows plus physics.boundary_flux on its
+        dofs of gamma, summed in block order, as a step sums them."""
+        n = len(self.components)
+        return self._total(np.array([self._observe(i, d, Mh_d, x, Kx) for i in range(n)]))
+
+    @staticmethod
+    def _total(parts: np.ndarray) -> tuple[float, float, float]:
+        """The blocks' partials summed in block order."""
+        with np.errstate(invalid="ignore", over="ignore"):
+            E, kinetic, flux = parts.sum(axis=0)
+        return float(E), float(kinetic), float(flux)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """L^{-1} rhs: the step from rest under the load rhs."""
@@ -295,9 +388,9 @@ class StepOperator:
         return self.advance(SimState(rest, rest, 0), rhs).xi_curr.copy()
 
     def close(self) -> None:
-        if self._pid:
+        if self._workers:
             self._reap()
-            self._pid, self._lu = 0, None  # a later step raises
+            self._lu = None  # a later step raises
 
     def scheme_rhs(
         self, prev: np.ndarray, curr: np.ndarray, F: np.ndarray
@@ -325,9 +418,12 @@ def snap_time_step(dt_raw: float, t_end: float) -> tuple[float, int]:
     return t_end / n, n
 
 
-def leapfrog_step(op: StepOperator, state: SimState, F: np.ndarray) -> SimState:
-    """Advance one step (StepOperator.advance); the run's energy check
-    reports a non-finite state."""
+def leapfrog_step(
+    op: StepOperator, state: SimState, F: np.ndarray | float
+) -> SimState:
+    """Advance one step under the load F, or op's load at time F
+    (StepOperator.advance); the run's energy check reports a non-finite
+    state."""
     return op.advance(state, F)
 
 
@@ -391,33 +487,28 @@ def march(
     largest E logged so far.
     """
     dt = p.dt
-    with closing(StepOperator(p.mats, dt)) as op:
-        # sym(BC) vanishes off the dofs of Gamma-/+ (to roundoff), and
-        # slicing it first makes no full-size matrix.
-        gamma = p.dofs.node_dofs[p.mesh.gamma_node_mask()]
-        gamma = np.sort(gamma[gamma >= 0])
-        BC_gamma = op.BC[gamma][:, gamma]
-        flux_mat = 0.5 * (BC_gamma + BC_gamma.T)
-
+    # sym(BC) vanishes off the dofs of Gamma-/+ (to roundoff).
+    gamma = p.dofs.node_dofs[p.mesh.gamma_node_mask()]
+    gamma = np.sort(gamma[gamma >= 0])
+    with closing(StepOperator(p.mats, dt, p.rhs, gamma)) as op:
         xi0, xi1 = p.xi0, p.xi1
         if xi1 is None:
             xi1 = taylor_first_step(op, xi0, p.zeta0, p.rhs(0.0))
         records: list[EnergyRecord] = []
 
-        def observe(step: int, s: SimState) -> float:
-            E, kinetic = energy(s.d, s.Mh_d, s.xi_curr, s.K_prev)
-            flux = boundary_flux(s.d[gamma], flux_mat)
-            records.append(EnergyRecord(step, step * dt, E, kinetic, flux))
-            visit(step, s.xi_curr if step else s.xi_prev)
+        def observe(step: int, x: np.ndarray, E: float, *rest: float) -> float:
+            records.append(EnergyRecord(step, step * dt, E, *rest))
+            visit(step, x)
             return E
 
         d = (xi1 - xi0) / dt
-        state = SimState(xi0, xi1, 1, op.K @ xi0, d, op.Mh @ d)
-        peak_E = max(observe(0, state), observe(1, state))
+        start = op.observe(d, op.Mh @ d, xi1, op.K @ xi0)
+        peak_E = max(observe(0, xi0, *start), observe(1, xi1, *start))
+        state = SimState(xi0, xi1, 1)
         status: Stable | Unstable = Stable(steps=p.n_steps)
         while state.step < p.n_steps:
-            state = leapfrog_step(op, state, p.rhs(state.step * dt))
-            E = observe(state.step, state)
+            state = leapfrog_step(op, state, state.step * dt)
+            E = observe(state.step, state.xi_curr, *state.observed)
             peak_E = max(peak_E, E)
             if not np.isfinite(E) or records[-1].kinetic > INSTABILITY_RATIO * peak_E:
                 records[-1] = replace(records[-1], status="warned")
@@ -466,9 +557,16 @@ def run_simulation(
     Writes snapshots, the energy log, a metadata echo and a short report
     into out_dir when given; otherwise only the returned records and
     final state are kept. Partial outputs are preserved when the march
-    stops Unstable. A mesh with no free dof raises ConfigError.
+    stops Unstable. A mesh with no free dof, or a probe outside the duct
+    [-R, R] x [-h, h], raises ConfigError.
     """
     warnings = cfg.validate()
+    for px, py in probes:
+        if not (abs(px) <= cfg.R and abs(py) <= cfg.h):
+            raise ConfigError(
+                f"probe {px},{py} lies outside the duct "
+                f"[-{cfg.R}, {cfg.R}] x [-{cfg.h}, {cfg.h}]"
+            )
     variant = cfg.abc_variant()
 
     mesh = build_duct_mesh(cfg.geometry(), cfg.nx, cfg.ny)

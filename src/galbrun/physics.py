@@ -331,7 +331,9 @@ def energy(
 
     from d = (xi_curr - xi_prev)/dt, Mh_d = Mh d and K_prev = K xi_prev,
     the stiffness applied to the earlier state: the step that made xi_curr
-    already formed all three.
+    already formed all three. Both parts are sums over rows, and
+    dynamics.StepOperator takes them on each component block's rows and
+    sums the blocks.
 
     With K and BC the scheme's stiffness and damping, as run_simulation
     uses, the leapfrog scheme balances it exactly:
@@ -355,8 +357,9 @@ def boundary_flux(d: np.ndarray, flux_mass: sp.spmatrix) -> float:
     """Outflow rate d^T flux_mass d with the same backward difference
     d = (xi_curr - xi_prev) / dt as energy().
 
-    dynamics.march passes the step's d restricted to the dofs on Gamma and
-    flux_mass = sym(BC) restricted alike: the boundary mass of the outflow
+    dynamics.StepOperator passes each block's rows of the step's d on the
+    dofs of Gamma and flux_mass = sym(BC) restricted alike, and sums the
+    blocks' rates: the boundary mass of the outflow
     int_Gamma |dxi/dt|^2 (assembly's energy identity), or zero for the
     closed box at M = 0. The scheme's velocity is centered,
     (x_{n+1} - x_{n-1}) / (2 dt); this backward difference sits half a step

@@ -53,6 +53,18 @@ def test_run_probe_flag_writes_probes_csv(tmp_path):
     assert len(lines) == len(body)  # one probe row per energy record
 
 
+@pytest.mark.parametrize("probe", ["100,0", "-2.5,0", "0,1.01", "nan,0"])
+def test_probe_outside_the_duct_exits_two(probe, tmp_path, capsys):
+    # The duct is [-2, 2] x [-1, 1]; a probe outside it has no node to log.
+    cfg = write_cfg(tmp_path / "a.cfg")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out), f"--probe={probe}"]) == 2
+    assert "lies outside the duct [-2.0, 2.0] x [-1.0, 1.0]" in capsys.readouterr().err
+    assert not out.exists()
+    # Its edges are inside.
+    assert main(["run", "--config", cfg, "--out", str(out), "--probe=-2,1"]) == 0
+
+
 def test_unknown_config_key_exits_two(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "a.cfg", nz=3)
     assert main(["run", "--config", cfg]) == 2

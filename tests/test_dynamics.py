@@ -116,8 +116,10 @@ def factor_fill(op: StepOperator) -> int:
 
 
 def factor_ranges(op: StepOperator) -> list[slice]:
-    """The dof ranges of op's factors, in solve order."""
-    return [r for r, _ in op._lu] + ([op._y] if op._pid else [])
+    """The dof ranges of op's factors, in this process and then in the
+    workers, in block order."""
+    blocks = [i for i, _ in op._lu] + [w.block for w in op._workers]
+    return [op.components[i] for i in blocks]
 
 
 def test_step_operator_factor_is_fill_reducing():
@@ -157,8 +159,8 @@ def test_step_operator_factors_one_block_per_component(case, monkeypatch):
     # block diagonal: one factor for the free x dofs, the range [0, n_x),
     # and one for the free y dofs, [n_x, n_dofs), or one alone when no y
     # dof is free (ny = 1). Solving block by block must give the bits of
-    # one LU of the whole L, with the y block in this process and, forced
-    # below the crossover here, in a worker.
+    # one LU of the whole L, with both blocks in this process and, forced
+    # below the crossover here, one in each of two workers.
     dofs, mats = split_case(case)
     n_x = np.count_nonzero(dofs.node_dofs[:, 0] >= 0)
     assert 0 < n_x <= dofs.n_dofs
@@ -168,7 +170,9 @@ def test_step_operator_factors_one_block_per_component(case, monkeypatch):
         if worker:
             force_worker(monkeypatch)
         with closing(StepOperator(mats, dt=0.05)) as op:
-            assert bool(op._pid) == (worker and case != "ny1")
+            split = worker and case != "ny1"
+            assert len(op._workers) == (2 if split else 0)
+            assert len(op._lu) == (0 if split else len(want))
             assert [(r.start, r.stop, r.step) for r in factor_ranges(op)] == [
                 (a, b, None) for a, b in want
             ]
@@ -243,9 +247,9 @@ def closed_box_system(nx: int, ny: int) -> tuple[SystemMatrices, float]:
     ids=["exp1", "closed_160x40", "closed_40x10"],
 )
 def test_worker_solve_is_bit_identical(system, above, monkeypatch):
-    # Above the crossover, on two CPUs, a worker process solves the y block;
-    # on one CPU, or below the crossover, no worker starts. Every way, a
-    # solve gives the bits of the in-process block factors.
+    # Above the crossover, on two CPUs, one worker process solves each
+    # block; on one CPU, or below the crossover, no worker starts. Every
+    # way, a solve gives the bits of the in-process block factors.
     if above and not hasattr(os, "fork"):
         pytest.skip("no os.fork on this platform")
     mats, dt = system()
@@ -264,7 +268,7 @@ def test_worker_solve_is_bit_identical(system, above, monkeypatch):
     for cpus, worker in (({0, 1}, above), ({0}, False)):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
         with closing(StepOperator(mats, dt)) as op:
-            assert bool(op._pid) == worker
+            assert len(op._workers) == (2 if worker else 0)
             for b in rhs:
                 assert np.array_equal(op.solve(b), want(b))
     assert no_child_left()
@@ -279,7 +283,7 @@ def worker_pids(monkeypatch) -> list[int]:
 
     def spy(self, *args):
         fork(self, *args)
-        pids.append(self._pid)
+        pids.append(self._workers[-1].pid)
 
     monkeypatch.setattr(StepOperator, "_fork", spy)
     return pids
@@ -287,7 +291,7 @@ def worker_pids(monkeypatch) -> list[int]:
 
 def test_run_reaps_its_worker(worker_pids):
     assert run_simulation(base_config()).stable
-    assert len(worker_pids) == 1
+    assert len(worker_pids) == 2
     assert no_child_left()
 
 
@@ -304,19 +308,19 @@ def test_run_reaps_its_worker_when_a_step_raises(worker_pids, monkeypatch):
         run_simulation(base_config())
     # Checked while the traceback, and with it the run's frame, is alive.
     assert raised.tb is not None
-    assert len(worker_pids) == 1
+    assert len(worker_pids) == 2
     assert no_child_left()
 
 
 def test_stability_contrast_reaps_its_workers(worker_pids, tmp_path):
     cmd_stability_contrast(base_config(), out_dir=str(tmp_path))
-    assert len(worker_pids) == 2
+    assert len(worker_pids) == 4
     assert no_child_left()
 
 
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["first_first", "last_first"])
 def test_two_live_operators_close_in_either_order(order, worker_pids):
-    # The second worker inherits the first one's pipes at its fork and must
+    # A later worker inherits the earlier ones' pipes at its fork and must
     # drop them, or closing the first operator first would wait forever.
     _, mats = split_case("stable")
     ops = [StepOperator(mats, dt) for dt in (0.05, 0.1)]
@@ -326,7 +330,7 @@ def test_two_live_operators_close_in_either_order(order, worker_pids):
     with deadline(30):
         for i in order:
             ops[i].close()
-    assert len(worker_pids) == 2
+    assert len(worker_pids) == 4
     assert no_child_left()
 
 
@@ -335,7 +339,7 @@ def test_killed_worker_makes_the_next_solve_raise(worker_pids):
     b = np.ones(mats.Mh.shape[0])
     with closing(StepOperator(mats, dt=0.05)) as op:
         op.solve(b)
-        os.kill(op._pid, signal.SIGKILL)
+        os.kill(op._workers[0].pid, signal.SIGKILL)
         with deadline(30), pytest.raises((RuntimeError, BrokenPipeError)):
             op.solve(b)
     assert no_child_left()
@@ -359,6 +363,79 @@ def test_failed_fork_leaks_no_pipe(monkeypatch):
         StepOperator(mats, dt=0.05)
     assert len(os.listdir(fd_dir)) == before
     assert dynamics._parent_ends == set()
+
+
+def test_worker_that_dies_before_it_is_ready_is_named(monkeypatch):
+    # A worker that fails to factor its block exits before its handshake:
+    # the operator must say which, and leave no child behind.
+    force_worker(monkeypatch)
+    _, mats = split_case("stable")
+    run, factor = os.getpid(), dynamics.factorize
+
+    def fails_in_a_worker(A):
+        if os.getpid() != run:
+            raise MemoryError
+        return factor(A)
+
+    monkeypatch.setattr(dynamics, "factorize", fails_in_a_worker)
+    with deadline(30), pytest.raises(RuntimeError, match=r"worker \d+ \(dofs 0:"):
+        StepOperator(mats, dt=0.05)
+    assert no_child_left()
+    assert dynamics._parent_ends == set()
+
+
+@pytest.mark.parametrize("ending", ["close", "raising_load", "kill_x", "kill_y"])
+def test_workers_hold_every_factor_and_are_always_reaped(ending, worker_pids):
+    # With workers the run process factors nothing: each block's factor
+    # lives in its own worker. Both workers are reaped when the operator
+    # closes, when a step's load raises, and when either worker dies. A
+    # load that raises while it is built ahead raises in its own step.
+    _, mats = split_case("stable")
+    n = mats.Mh.shape[0]
+
+    def load(t: float) -> np.ndarray:
+        if ending == "raising_load" and t > 0.1:
+            raise ValueError("load failed")
+        return np.full(n, t)
+
+    with deadline(30), closing(StepOperator(mats, dt=0.05, load=load)) as op:
+        assert op._lu == []
+        assert [w.block for w in op._workers] == [0, 1]
+        state = SimState(np.zeros(n), np.zeros(n), 1)
+        state = leapfrog_step(op, state, 0.05)
+        if ending == "raising_load":
+            state = leapfrog_step(op, state, 0.1)  # builds the load of 0.15
+            assert state.step == 3
+            with pytest.raises(ValueError, match="load failed"):
+                leapfrog_step(op, state, 0.15)
+        elif ending.startswith("kill"):
+            os.kill(op._workers[ending == "kill_y"].pid, signal.SIGKILL)
+            with pytest.raises((RuntimeError, BrokenPipeError)):
+                leapfrog_step(op, state, 0.1)
+    assert len(worker_pids) == 2
+    assert no_child_left()
+    assert op._workers == []
+
+
+def test_workers_step_under_each_load_built_once(monkeypatch):
+    # With workers, each step's load is built while the workers solve the
+    # step before, once per step time; the last one is never used.
+    cfg = replace(MARCH_CASES["pulse_out"](), source_kind="rotational")
+    alone = run_simulation(cfg)  # below the crossover: no worker
+    force_worker(monkeypatch)
+    times, load = [], dynamics.RhsAssembler.__call__
+
+    def counted(self, t: float) -> np.ndarray:
+        times.append(t)
+        return load(self, t)
+
+    monkeypatch.setattr(dynamics.RhsAssembler, "__call__", counted)
+    got = run_simulation(cfg)
+    assert no_child_left()
+    assert times == [k * got.dt for k in range(1, got.n_steps + 1)]
+    for name in ("E", "kinetic", "flux"):
+        want = [getattr(r, name) for r in alone.records]
+        assert [getattr(r, name) for r in got.records] == want, name
 
 
 def exp1_config(**over) -> RunConfig:
@@ -388,14 +465,15 @@ MARCH_CASES = {
 
 @pytest.mark.parametrize("case", list(MARCH_CASES))
 def test_worker_march_is_bit_identical(case, worker_pids, monkeypatch):
-    # The worker steps the y range of every step and forms its rows of K x
-    # and Mh d: the records and the final state must be the in-process bits.
+    # Each worker steps one block of every step, forms its rows of K x and
+    # Mh d and its partials of the record, and the run builds each load
+    # ahead: the records and the final state must be the in-process bits.
     cfg = MARCH_CASES[case]()
     worker = run_simulation(cfg)
-    assert len(worker_pids) == 1
+    assert len(worker_pids) == 2
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     alone = run_simulation(cfg)
-    assert len(worker_pids) == 1
+    assert len(worker_pids) == 2
     assert no_child_left()
     assert worker.status == alone.status
     for name in ("E", "kinetic", "flux", "status"):
@@ -414,7 +492,7 @@ def test_worker_march_is_bit_identical(case, worker_pids, monkeypatch):
 
 
 def test_worker_silences_floating_point_warnings(worker_pids, capfd):
-    # The worker shares the run's stderr, so it must silence floating-point
+    # The workers share the run's stderr, so they must silence floating-point
     # warnings as the run does. Made errors here, an unsilenced one stops the
     # run, in the worker through its exit. The 1e150 start of
     # test_nonfinite_run_ends_unstable_on_the_energy_check overflows E; a
@@ -437,20 +515,20 @@ def test_worker_silences_floating_point_warnings(worker_pids, capfd):
             state = leapfrog_step(op, SimState(blown, blown, 1), np.zeros_like(blown))
     assert res.status == Unstable(step=10)
     assert not np.isfinite(state.xi_curr).any()
-    assert len(worker_pids) == 2
+    assert len(worker_pids) == 4
     assert no_child_left()
     assert "Warning" not in capfd.readouterr().err
 
 
 def test_one_command_byte_per_step(monkeypatch):
-    # The run hands the worker one byte per step on its command pipe, and
+    # The run hands each worker one byte per step on its command pipe, and
     # march steps n_steps - 1 times after the starter pair.
     force_worker(monkeypatch)
     writes, fork, write = {}, StepOperator._fork, os.write
 
     def spy_fork(self, *args):
         fork(self, *args)
-        writes[self._cmd] = []
+        writes[self._workers[-1].cmd] = []
 
     def counted(fd, data):
         if fd in writes:
@@ -461,8 +539,9 @@ def test_one_command_byte_per_step(monkeypatch):
     monkeypatch.setattr(os, "write", counted)
     res = run_simulation(base_config())
     assert res.stable and res.n_steps > 2
-    (sent,) = writes.values()
-    assert len(sent) == len(b"".join(sent)) == res.n_steps - 1
+    assert len(writes) == 2
+    for sent in writes.values():
+        assert len(sent) == len(b"".join(sent)) == res.n_steps - 1
     assert no_child_left()
 
 
