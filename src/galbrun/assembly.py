@@ -57,10 +57,13 @@ def _areas(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return area
 
 
-def triangle_gradients(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def triangle_gradients(
+    mesh: Mesh, e: slice = slice(None)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(gx, gy, area): the (n_tri, 3) gradient components of the three
-    nodal basis functions, constant per triangle, and the positive areas."""
-    p = mesh.nodes[mesh.triangles]
+    nodal basis functions, constant per triangle, and the positive areas,
+    of the triangles e."""
+    p = mesh.nodes[mesh.triangles[e]]
     x, y = p[..., 0], p[..., 1]
     area = _areas(x, y)
     nxt, prv = [1, 2, 0], [2, 0, 1]
@@ -87,34 +90,68 @@ def minimum_edge_length(mesh: Mesh) -> float:
     return float(np.min(lengths))
 
 
-# Elements per pass of _Pattern.scatter. At 4,096 a pass's temporaries set
-# build_system's traced peak at 160x40 (562 against 511 B per triangle).
+# Elements per pass of _Pattern.scatter, and row groups per pass of its CSR
+# fill. At 4,096 a pass's temporaries set build_system's traced peak at
+# 160x40 (507 against 415 B per triangle).
 _CHUNK = 2048
 
 
 class _Pattern:
     """Scatter of per-component element blocks over a set of (n_el, k) cells.
 
-    The scalar node pattern of the cells, and the slot of every element entry
-    on it, are found once per set of cells (see _Triangles). Each block is
-    summed onto the pattern with np.add.at, _CHUNK elements at a time in
-    element order: the sums of one bincount over all elements, bit for bit,
-    without an (n_el, k, k) array. Entries lie as (row component, column
-    component, slot), which keeps the columns of every row sorted for
-    component major dofs: the CSR needs no sort.
+    The scalar node pattern of the cells, its (row, column) node pairs in
+    sorted order, and the slot of every element entry on it, are found once
+    per set of cells; build_system's volume forms share the triangles' and
+    take their triangle_gradients a chunk of elements at a time. Each block
+    is summed onto the slots of its row component with np.add.at, _CHUNK
+    elements at a time in element order: the sums of one bincount over all
+    elements, bit for bit, without an (n_el, k, k) array. For
+    component-major dofs the slots are in CSR order, and so are a row
+    component's sums: on the slots of its one column component, or, when it
+    couples to both, on each row node's slots twice, the x columns and then
+    the y columns (_interleave). So the CSR's arrays are the kept sums and
+    their column dofs: no COO, no sort.
     """
 
     def __init__(self, cells: np.ndarray, dofs: DofMap):
         n = dofs.n_nodes
-        key = (cells[:, :, None].astype(np.int64) * n + cells[:, None, :]).ravel()
-        pairs, slot = np.unique(key, return_inverse=True)
-        self.slot = slot.astype(np.int32).reshape(len(cells), -1)
+        # Int32 keys where they fit: the sort and the search take half the
+        # memory. The key array then holds the slots, a chunk at a time.
+        key = cells.astype(np.int32 if n * n < 2**31 else np.int64)
+        key = (key[:, :, None] * n + key[:, None, :]).reshape(len(cells), -1)
+        pairs = np.sort(key, axis=None)
+        new = np.ones(len(pairs), bool)
+        np.not_equal(pairs[1:], pairs[:-1], out=new[1:])
+        pairs = pairs[new]
+        for start in range(0, len(key), _CHUNK):
+            e = slice(start, start + _CHUNK)
+            key[e] = np.searchsorted(pairs, key[e])
+        self.slot = key.astype(np.int32, copy=False)
         rows, cols = np.divmod(pairs, n)
-        # The dofs of the (row component, column component, slot) entries,
-        # broadcast: (2, 1, slots) and (1, 2, slots).
-        node = dofs.node_dofs.astype(np.int32)
-        self.row_dofs, self.col_dofs = node[rows].T[:, None], node[cols].T[None]
+        self.cols = cols.astype(np.int32)
+        # The row groups: each row node's run of slots.
+        self.first = np.flatnonzero(np.diff(rows, prepend=-1))
+        self.lens = np.diff(self.first, append=len(rows))
+        self.row_nodes = rows[self.first]
+        self.node_dofs = dofs.node_dofs.T.astype(np.int32)  # by component
         self.n_dofs = dofs.n_dofs
+
+    def _interleave(self) -> np.ndarray:
+        """(2, slots): where each slot's x and y column entries lie when a
+        row node's slots are laid out twice, x columns first."""
+        at = np.arange(len(self.cols), dtype=np.int32)
+        at += np.repeat(self.first.astype(np.int32), self.lens)
+        return np.stack([at, at + np.repeat(self.lens.astype(np.int32), self.lens)])
+
+    def _columns(self, ccs: list[int], at: np.ndarray | None, s: slice) -> np.ndarray:
+        """The column dofs of a row component's sums on the slots s, whole
+        row groups, for its column components ccs."""
+        if len(ccs) == 1:
+            return self.node_dofs[ccs[0]].take(self.cols[s])
+        col = np.empty(2 * (s.stop - s.start), np.int32)
+        for cc in ccs:
+            col[at[cc, s] - 2 * s.start] = self.node_dofs[cc].take(self.cols[s])
+        return col
 
     def scatter(
         self, blocks: Callable[[slice], dict[tuple[int, int], np.ndarray]]
@@ -122,27 +159,49 @@ class _Pattern:
         """CSR matrix of the element blocks, blocks(e) those of the elements
         e keyed by (row, column) component, without constrained components
         or zero sums."""
-        val = np.zeros((2, 2, self.row_dofs.shape[-1]))
+        n_slots = len(self.cols)
+        sums: dict[int, np.ndarray] = {}  # by row component
+        columns: dict[int, list[int]] = {}
+        at = None
         for start in range(0, len(self.slot), _CHUNK):
             e = slice(start, start + _CHUNK)
             slot = self.slot[e].ravel()
-            for (cr, cc), block in blocks(e).items():
-                np.add.at(val[cr, cc], slot, block.ravel())
-        keep = (val != 0.0) & (self.row_dofs >= 0) & (self.col_dofs >= 0)
-        data = val[keep]
-        del val  # before the entries' dofs and the CSR's own arrays
-        rows, cols = (
-            np.broadcast_to(x, keep.shape)[keep] for x in (self.row_dofs, self.col_dofs)
-        )
-        return sp.csr_matrix((data, (rows, cols)), shape=(self.n_dofs,) * 2)
-
-
-class _Triangles(_Pattern):
-    """Triangle pattern and triangle_gradients, shared by the volume forms."""
-
-    def __init__(self, mesh: Mesh, dofs: DofMap):
-        super().__init__(mesh.triangles, dofs)
-        self.gx, self.gy, self.area = triangle_gradients(mesh)
+            chunk = blocks(e)
+            if not sums:
+                for cr, cc in sorted(chunk):
+                    columns.setdefault(cr, []).append(cc)
+                for cr, ccs in columns.items():
+                    sums[cr] = np.zeros(len(ccs) * n_slots)
+                if any(len(ccs) == 2 for ccs in columns.values()):
+                    at = self._interleave()
+            if at is not None:
+                both = at[:, slot]
+            for (cr, cc), block in chunk.items():
+                target = both[cc] if len(columns[cr]) == 2 else slot
+                np.add.at(sums[cr], target, block.ravel())
+        # Which sums are kept, and how many in each row.
+        keep, n_kept = {}, np.zeros(self.n_dofs + 1, np.int64)
+        for cr, ccs in columns.items():
+            w, row = len(ccs), self.node_dofs[cr].take(self.row_nodes)
+            keep[cr] = k = sums[cr] != 0.0
+            k &= self._columns(ccs, at, slice(0, n_slots)) >= 0
+            k &= np.repeat(row >= 0, w * self.lens)
+            n = np.add.reduceat(k, w * self.first, dtype=np.int64)
+            n_kept[1 + row[row >= 0]] = n[row >= 0]
+        indptr = np.cumsum(n_kept)
+        data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], np.int32)
+        # The CSR's arrays, x rows then y rows, a run of row groups at a time.
+        runs = np.append(self.first[::_CHUNK], n_slots)
+        a = 0
+        for cr, ccs in sorted(columns.items()):
+            w, k, val = len(ccs), keep.pop(cr), sums.pop(cr)
+            for s in map(slice, runs[:-1], runs[1:]):
+                kept = k[w * s.start : w * s.stop]
+                b = a + np.count_nonzero(kept)
+                np.compress(kept, val[w * s.start : w * s.stop], out=data[a:b])
+                np.compress(kept, self._columns(ccs, at, s), out=indices[a:b])
+                a = b
+        return sp.csr_matrix((data, indices, indptr), shape=(self.n_dofs,) * 2)
 
 
 def _diagonal(block: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
@@ -151,17 +210,17 @@ def _diagonal(block: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
 
 
 def assemble_mass(
-    mesh: Mesh, dofs: DofMap, tri: _Triangles | None = None
+    mesh: Mesh, dofs: DofMap, tri: _Pattern | None = None
 ) -> sp.csr_matrix:
     """Vector P1 mass matrix, one exact block (area/12)*[[2,1,1],[1,2,1],[1,1,2]]
     per component."""
-    tri = tri or _Triangles(mesh, dofs)
+    tri = tri or _Pattern(mesh.triangles, dofs)
     block = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-    return tri.scatter(lambda e: _diagonal(tri.area[e, None, None] * block))
+    return tri.scatter(lambda e: _diagonal(triangle_gradients(mesh, e)[2][:, None, None] * block))
 
 
 def assemble_a(
-    mesh: Mesh, dofs: DofMap, M: float, s: float, tri: _Triangles | None = None
+    mesh: Mesh, dofs: DofMap, M: float, s: float, tri: _Pattern | None = None
 ) -> sp.csr_matrix:
     """Volume stiffness of the regularized operator.
 
@@ -173,10 +232,11 @@ def assemble_a(
     (gx, gy) and curl coefficients (-gy, gx) per component, the x-y block
     is gx gy^T - s gy gx^T and the y-x block its transpose.
     """
-    tri = tri or _Triangles(mesh, dofs)
+    tri = tri or _Pattern(mesh.triangles, dofs)
 
     def blocks(e: slice) -> dict[tuple[int, int], np.ndarray]:
-        gx, gy, a = tri.gx[e], tri.gy[e], tri.area[e, None, None]
+        gx, gy, a = triangle_gradients(mesh, e)
+        a = a[:, None, None]
         gxx = gx[:, :, None] * gx[:, None, :]
         gyy = gy[:, :, None] * gy[:, None, :]
         gxy = gx[:, :, None] * gy[:, None, :]
@@ -193,7 +253,7 @@ def assemble_a(
 
 
 def assemble_b(
-    mesh: Mesh, dofs: DofMap, M: float, tri: _Triangles | None = None
+    mesh: Mesh, dofs: DofMap, M: float, tri: _Pattern | None = None
 ) -> sp.csr_matrix:
     """Mean-flow convection operator: (Bh x)_i = 2M int (dxi_h/dx) . phi_i.
 
@@ -202,10 +262,11 @@ def assemble_b(
     x^T Bh x = M int_Gamma n_x |xi_h|^2, and vanishes for fields supported
     away from Gamma- u Gamma+.
     """
-    tri = tri or _Triangles(mesh, dofs)
+    tri = tri or _Pattern(mesh.triangles, dofs)
 
     def blocks(e: slice) -> dict[tuple[int, int], np.ndarray]:
-        row = 2.0 * M * (tri.area[e, None] / 3.0) * tri.gx[e]  # same for every i
+        gx, _, a = triangle_gradients(mesh, e)
+        row = 2.0 * M * (a[:, None] / 3.0) * gx  # same for every i
         return _diagonal(np.broadcast_to(row[:, None, :], (row.shape[0], 3, 3)))
 
     return tri.scatter(blocks)
@@ -268,23 +329,23 @@ def assemble_d(mesh: Mesh, dofs: DofMap) -> sp.csr_matrix:
 
 def assemble_gradient_stiffness(mesh: Mesh, dofs: DofMap) -> sp.csr_matrix:
     """Componentwise int grad xi : grad eta (full H1 seminorm matrix)."""
-    tri = _Triangles(mesh, dofs)
+    tri = _Pattern(mesh.triangles, dofs)
 
     def blocks(e: slice) -> dict[tuple[int, int], np.ndarray]:
-        gx, gy = tri.gx[e], tri.gy[e]
+        gx, gy, a = triangle_gradients(mesh, e)
         gg = gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :]
-        return _diagonal(tri.area[e, None, None] * gg)
+        return _diagonal(a[:, None, None] * gg)
 
     return tri.scatter(blocks)
 
 
 def assemble_dx_stiffness(mesh: Mesh, dofs: DofMap) -> sp.csr_matrix:
     """Componentwise int (dxi/dx) . (deta/dx)."""
-    tri = _Triangles(mesh, dofs)
+    tri = _Pattern(mesh.triangles, dofs)
 
     def blocks(e: slice) -> dict[tuple[int, int], np.ndarray]:
-        gx = tri.gx[e]
-        return _diagonal(tri.area[e, None, None] * gx[:, :, None] * gx[:, None, :])
+        gx, _, a = triangle_gradients(mesh, e)
+        return _diagonal(a[:, None, None] * gx[:, :, None] * gx[:, None, :])
 
     return tri.scatter(blocks)
 
@@ -303,12 +364,14 @@ def build_system(
         raise ValueError("mean flow must be subsonic, |M| < 1")
     if abc not in ("stable", "naive", "none"):
         raise ValueError(f"unknown abc variant: {abc!r}")
-    tri = _Triangles(mesh, dofs)
-    Mh = assemble_mass(mesh, dofs, tri)
+    tri = _Pattern(mesh.triangles, dofs)
+    # K, which couples the components, first: its scatter needs the most
+    # memory, and the last one's sits on the other two matrices.
     K = assemble_a(mesh, dofs, M, s, tri)
+    Mh = assemble_mass(mesh, dofs, tri)
     BC = assemble_b(mesh, dofs, M, tri)
-    # Freed before the sums allocate K and BC, the pattern's 8 MB (320x80)
-    # is reused; freed after, it stays resident under the LU's peak.
+    # Freed before the sums allocate K and BC, the pattern's 3.4 MB (320x80)
+    # is reused.
     del tri
     if abc != "none":
         BC = BC + assemble_c(mesh, dofs, M)

@@ -40,6 +40,7 @@ manufactured-solution study (galbrun.studies) from its own loads.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import mmap
 import os
@@ -137,6 +138,15 @@ def _row_block(A: sp.csr_matrix, r: slice) -> sp.csr_matrix:
     )
 
 
+def _diagonal_block(A: sp.csr_matrix, r: slice) -> sp.csr_matrix:
+    """A[r, r] of an A whose rows r reach only the columns r, on A's own
+    data: only the shifted indices and indptr are new."""
+    rows = _row_block(A, r)
+    return sp.csr_matrix(
+        (rows.data, rows.indices - r.start, rows.indptr), shape=(r.stop - r.start,) * 2
+    )
+
+
 # Both blocks need this many dofs for the workers (the set-up's break-even).
 WORKER_MIN_BLOCK = 3000
 _parent_ends: set[int] = set()  # this process's pipe ends to live workers
@@ -151,6 +161,18 @@ class _Worker:
     block: int  # the index of its dof range in StepOperator.components
     cmd: int
     done: int
+
+
+def _trim_heap() -> None:
+    """Return the heap's free pages to the system (glibc's malloc_trim), so
+    that a forked worker does not start with them resident; elsewhere
+    nothing. At 320x80 the set-up leaves about 10 MB of them."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError):
+        return
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    trim(0)
 
 
 def _reap(workers: list[_Worker]) -> None:
@@ -179,8 +201,11 @@ class StepOperator:
     large meshes, factor and step one block each, while this process
     builds the next step's load (advance); otherwise this process steps
     every block. load, when given, is the load F(t) a step at time t
-    takes, and gamma the dofs whose outflow flux is logged. close() reaps
-    the workers.
+    takes, and gamma the dofs whose outflow flux is logged. start, when
+    given, is the load of the Taylor start's mass system Mh a = start
+    (taylor_first_step): whichever process factors a block first solves
+    that block of it, and a is then start_accel. close() reaps the
+    workers.
     """
 
     def __init__(
@@ -189,6 +214,7 @@ class StepOperator:
         dt: float,
         load: Callable[[float], np.ndarray] | None = None,
         gamma: np.ndarray = np.empty(0, dtype=np.int64),
+        start: np.ndarray | None = None,
     ):
         self._workers: list[_Worker] = []
         if dt <= 0:
@@ -222,11 +248,15 @@ class StepOperator:
         self._ahead: float | None = None  # the time of the next slot's load
         self._lu: list[tuple[int, SuperLU]] | None = []
         self.worker_fill = 0
+        self._start = start is not None
+        if self._start:
+            self._d[:] = start  # solved in place by block (_own)
         self._reap = weakref.finalize(self, _reap, self._workers)
         cpus = getattr(os, "sched_getaffinity", lambda pid: ())(0)
         large = min(r.stop - r.start for r in blocks) >= WORKER_MIN_BLOCK
         try:
             if len(blocks) == 2 <= len(cpus) and large and hasattr(os, "fork"):
+                _trim_heap()
                 for i in range(len(blocks)):
                     self._fork(i)
                 for w in self._workers:  # both factor at once
@@ -243,20 +273,29 @@ class StepOperator:
         except BaseException:
             self.close()
             raise
+        self.start_accel = self._d.copy() if self._start else None
 
     def _block(self, r: slice) -> sp.spmatrix:
         """L's diagonal block L[r, r]."""
-        # Slice both, then sum: slicing within the sum cost 3 MB more peak RSS.
-        Mh, BC = self.Mh[r, r], self.BC[r, r]
+        Mh, BC = (_diagonal_block(A, r) for A in (self.Mh, self.BC))
         return Mh / self.dt**2 + BC / (2.0 * self.dt)
 
     def _own(self, blocks: range) -> None:
-        """Factor the blocks, by index, and take their dof range r and its
-        rows of K, BC and Mh (_row_block): what this process steps."""
+        """Solve the blocks, by index, of the start's mass system, if any,
+        in d; factor them; and take their dof range r and its rows of K, BC
+        and Mh (_row_block): what this process steps."""
+        for i in blocks if self._start else ():  # Mh is block diagonal, like L
+            q = self.components[i]
+            mass = factorize(_diagonal_block(self.Mh, q))
+            self._d[q] = mass.solve(self._d[q], trans="T")
+            # Kept until L's factor was built, this factor raised a bump
+            # start's worker peak at 320x80 from 92 to 111 MB.
+            del mass
         # One block at a time, each freed before the next is built, and no
         # full-size L: at 320x80 the peak RSS stayed about 4 MB lower. The
-        # fill (568,350 entries at 160x40, 3,164,002 at 320x80) and the
-        # solution bits are those of one LU of L, also with the workers.
+        # fill (594,326 entries at 160x40, 3,246,828 at 320x80, as
+        # SuperLU.nnz counts them) and the solution bits are those of one
+        # LU of L, also with the workers.
         self._lu = [(i, factorize(self._block(self.components[i]))) for i in blocks]
         first, last = self.components[blocks[0]], self.components[blocks[-1]]
         self._r = r = slice(first.start, last.stop)
@@ -265,9 +304,11 @@ class StepOperator:
         self._rows = [_row_block(A, r) for A in (self.K, self.BC, self.Mh)]
 
     def _fork(self, i: int) -> None:
-        """Fork the worker that factors block i (_own), sends its fill, then,
-        on each command, the phase k in one byte on a pipe, steps the block
-        in the shared buffers under the load in slot k (_advance) and answers
+        """Fork the worker that factors block i (_own) and reports its fill,
+        SuperLU's own count of the factor's entries: reading lu.L or lu.U
+        would copy the factor (about 10 MB a block at 320x80). Then, on each
+        command, the phase k in one byte on a pipe, it steps the block in
+        the shared buffers under the load in slot k (_advance) and answers
         with one byte, until its pipe's EOF or any error ends it through
         os._exit."""
         (cmd, w_cmd), (w_done, done) = os.pipe(), os.pipe()
@@ -285,7 +326,7 @@ class StepOperator:
                     os.close(fd)
                 self._own(range(i, i + 1))
                 [(_, lu)] = self._lu
-                os.write(done, (lu.L.nnz + lu.U.nnz).to_bytes(8, "little"))
+                os.write(done, lu.nnz.to_bytes(8, "little"))
                 while k := os.read(cmd, 1):
                     self._advance(k[0], self._F[k[0]])
                     os.write(done, b"\1")
@@ -428,16 +469,16 @@ def leapfrog_step(
 
 
 def taylor_first_step(
-    op: StepOperator, xi0: np.ndarray, zeta0: np.ndarray, F0: np.ndarray
+    op: StepOperator, xi0: np.ndarray, zeta0: np.ndarray
 ) -> np.ndarray:
     """Second-order accurate start from displacement and velocity data:
 
-    xi1 = xi0 + dt zeta0 + dt^2/2 Mh^{-1} (F0 - K xi0 - BC zeta0)
+    xi1 = xi0 + dt zeta0 + dt^2/2 Mh^{-1} (F0 - K xi0 - BC zeta0),
+
+    with the mass solve op's start_accel: op was built with start =
+    F0 - K xi0 - BC zeta0, so the processes that factor L solve it.
     """
-    accel = F0 - op.K @ xi0 - op.BC @ zeta0
-    for r in op.components:  # Mh is block diagonal, like L
-        accel[r] = factorize(op.Mh[r, r]).solve(accel[r], trans="T")
-    return xi0 + op.dt * zeta0 + 0.5 * op.dt * op.dt * accel
+    return xi0 + op.dt * zeta0 + 0.5 * op.dt * op.dt * op.start_accel
 
 
 @dataclass
@@ -490,10 +531,13 @@ def march(
     # sym(BC) vanishes off the dofs of Gamma-/+ (to roundoff).
     gamma = p.dofs.node_dofs[p.mesh.gamma_node_mask()]
     gamma = np.sort(gamma[gamma >= 0])
-    with closing(StepOperator(p.mats, dt, p.rhs, gamma)) as op:
-        xi0, xi1 = p.xi0, p.xi1
+    xi0, xi1 = p.xi0, p.xi1
+    mass_load = None  # the Taylor start's, solved as the operator is built
+    if xi1 is None:
+        mass_load = p.rhs(0.0) - p.mats.K @ xi0 - p.mats.BC @ p.zeta0
+    with closing(StepOperator(p.mats, dt, p.rhs, gamma, mass_load)) as op:
         if xi1 is None:
-            xi1 = taylor_first_step(op, xi0, p.zeta0, p.rhs(0.0))
+            xi1 = taylor_first_step(op, xi0, p.zeta0)
         records: list[EnergyRecord] = []
 
         def observe(step: int, x: np.ndarray, E: float, *rest: float) -> float:

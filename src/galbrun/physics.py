@@ -232,12 +232,11 @@ class RhsAssembler:
         self.vorticity = vorticity
         qp, self.qw = triangle_quadrature(mesh)
         self.n_dofs = dofs.n_dofs
-        node_dofs = dofs.node_dofs[mesh.triangles]  # (m, 3, 2)
         self._loads = [(self._scatter(mesh, dofs, f(qp)), p) for f, p in loads]
         self._vorticity_x = self._vorticity_map = None
         if vorticity is not None and self.s != 0.0:
             self._vorticity_x, self._vorticity_map = self._vorticity_load_map(
-                qp, node_dofs
+                qp, dofs.node_dofs[mesh.triangles]  # (m, 3, 2)
             )
 
     def _scatter(self, mesh: Mesh, dofs: DofMap, f: np.ndarray) -> np.ndarray:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import errno
 import os
 import signal
+import subprocess
+import sys
 import warnings
 from contextlib import closing, contextmanager
 from dataclasses import replace
@@ -111,8 +113,9 @@ def force_worker(monkeypatch) -> None:
 
 
 def factor_fill(op: StepOperator) -> int:
-    """Entries of op's LU factors, over both blocks wherever they live."""
-    return sum(lu.L.nnz + lu.U.nnz for _, lu in op._lu) + op.worker_fill
+    """Entries of op's LU factors as SuperLU.nnz counts them, over both
+    blocks wherever they live."""
+    return sum(lu.nnz for _, lu in op._lu) + op.worker_fill
 
 
 def factor_ranges(op: StepOperator) -> list[slice]:
@@ -124,16 +127,16 @@ def factor_ranges(op: StepOperator) -> list[slice]:
 
 def test_step_operator_factor_is_fill_reducing():
     # On exp1's 160x40 operator the minimum-degree ordering on L^T + L
-    # fills the factors of its two blocks to 568,350 entries, SuperLU's
-    # default COLAMD on the whole L to 835,072; the per-step solve time
-    # follows the fill.
+    # fills the factors of its two blocks to 594,326 entries (SuperLU.nnz),
+    # SuperLU's default COLAMD on the whole L to 884,210; the per-step solve
+    # time follows the fill.
     cfg = load_config(os.path.join(CONFIG_DIR, "exp1_rotational.cfg"))
     mesh = build_duct_mesh(cfg.geometry(), cfg.nx, cfg.ny)
     dofs = build_dof_map(mesh)
     mats = build_system(mesh, dofs, cfg.M, cfg.s, abc=cfg.abc)
     dt, _ = snap_time_step(plan_time_step(mesh, cfg.M, cfg.cfl_safety), cfg.t_end)
     with closing(StepOperator(mats, dt)) as op:
-        assert factor_fill(op) <= 600_000
+        assert factor_fill(op) <= 628_000
         b = np.random.default_rng(5).standard_normal(dofs.n_dofs)
         want = spsolve(step_matrix(op).tocsc(), b)
         assert np.linalg.norm(op.solve(b) - want) <= 1e-13 * np.linalg.norm(want)
@@ -180,7 +183,7 @@ def test_step_operator_factors_one_block_per_component(case, monkeypatch):
                 free = np.sort(dofs.node_dofs[:, comp])
                 assert np.array_equal(free[free >= 0], np.arange(r.start, r.stop))
             whole = splu(step_matrix(op).T.tocsc(), permc_spec="MMD_AT_PLUS_A")
-            assert factor_fill(op) == whole.L.nnz + whole.U.nnz
+            assert factor_fill(op) == whole.nnz
             assert np.array_equal(op.solve(rhs), whole.solve(rhs, trans="T"))
 
 
@@ -365,6 +368,76 @@ def test_failed_fork_leaks_no_pipe(monkeypatch):
     assert dynamics._parent_ends == set()
 
 
+class FactorWithoutCopies:
+    """A factor whose L and U raise: scipy builds each as a fresh CSC copy
+    of the factor, about 10 MB a block at 320x80."""
+
+    def __init__(self, lu):
+        self._lu = lu
+
+    def __getattr__(self, name: str):
+        if name in ("L", "U"):
+            raise AssertionError(f"lu.{name} copies the factor")
+        return getattr(self._lu, name)
+
+
+def test_worker_handshake_copies_no_factor(monkeypatch):
+    # A worker reports its fill as SuperLU counts it: a handshake that read
+    # lu.L or lu.U would kill the worker here before it is ready.
+    force_worker(monkeypatch)
+    _, mats = split_case("stable")
+    factor = dynamics.factorize
+    monkeypatch.setattr(dynamics, "factorize", lambda A: FactorWithoutCopies(factor(A)))
+    rhs = np.random.default_rng(8).standard_normal(mats.Mh.shape[0])
+    with deadline(30), closing(StepOperator(mats, dt=0.05)) as op:
+        assert len(op._workers) == 2
+        whole = factor(step_matrix(op))
+        assert op.worker_fill == whole.nnz
+        assert np.array_equal(op.solve(rhs), whole.solve(rhs, trans="T"))
+    assert no_child_left()
+
+
+WORKER_PEAK = """
+import os, resource
+from galbrun import dynamics
+from galbrun.assembly import build_system
+from galbrun.mesh import DuctGeometry, build_dof_map, build_duct_mesh
+
+dynamics.WORKER_MIN_BLOCK = 0
+os.sched_getaffinity = lambda pid: {0, 1}
+mesh = build_duct_mesh(DuctGeometry(4.0, 1.0), 320, 80)
+mats = build_system(mesh, build_dof_map(mesh), M=0.5, s=1.0)
+dynamics._trim_heap()  # as the operator does before it forks
+with open("/proc/self/status") as f:
+    rss = next(int(line.split()[1]) for line in f if line.startswith("VmRSS:"))
+op = dynamics.StepOperator(mats, dt=0.01)
+op.close()
+peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+print(peak - rss, op.worker_fill)
+"""
+
+
+def test_workers_peak_rss_stays_near_their_factors():
+    # In a fresh interpreter, each worker starts from its resident memory at
+    # the fork and adds its block's factor. At 320x80 the workers' peak rose
+    # 11.4-14.4 MB above it, 0.46-0.58 of 8 bytes per factor entry; with a
+    # handshake that read lu.L and lu.U, 21.5-22.6 MB (0.89-0.94).
+    if not hasattr(os, "fork") or not os.path.exists("/proc/self/status"):
+        pytest.skip("needs os.fork and /proc/self/status")
+    src = os.path.dirname(os.path.dirname(dynamics.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run(
+        [sys.executable, "-c", WORKER_PEAK],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    ).stdout
+    above_kib, fill = map(int, out.split())
+    assert above_kib * 1024 <= 0.75 * 8 * fill
+
+
 def test_worker_that_dies_before_it_is_ready_is_named(monkeypatch):
     # A worker that fails to factor its block exits before its handshake:
     # the operator must say which, and leave no child behind.
@@ -415,6 +488,32 @@ def test_workers_hold_every_factor_and_are_always_reaped(ending, worker_pids):
     assert len(worker_pids) == 2
     assert no_child_left()
     assert op._workers == []
+
+
+def test_taylor_start_is_solved_where_l_is_factored(monkeypatch):
+    # A bump start solves Mh a = F0 - K xi0 - BC zeta0 block by block in the
+    # processes that factor L: with workers the run factors nothing, and
+    # every record and the final state keep their bits.
+    cfg = base_config(init_kind="bump", init_amplitude=0.5)
+    alone = run_simulation(cfg)  # below the crossover: no worker
+    force_worker(monkeypatch)
+    run, factor = os.getpid(), dynamics.factorize
+    in_run = []
+
+    def spy(A):
+        if os.getpid() == run:
+            in_run.append(A.shape)
+        return factor(A)
+
+    monkeypatch.setattr(dynamics, "factorize", spy)
+    got = run_simulation(cfg)
+    assert no_child_left()
+    assert in_run == []
+    for name in ("E", "kinetic", "flux", "status"):
+        want = [getattr(r, name) for r in alone.records]
+        assert [getattr(r, name) for r in got.records] == want, name
+    assert np.array_equal(got.final_state.xi_prev, alone.final_state.xi_prev)
+    assert np.array_equal(got.final_state.xi_curr, alone.final_state.xi_curr)
 
 
 def test_workers_step_under_each_load_built_once(monkeypatch):
@@ -637,13 +736,15 @@ def test_taylor_start_exact_for_quadratic(small_duct):
     mats = build_system(mesh, dofs, M=0.5, s=1.0)
     w = linear_dof_vector(mesh, dofs)
     dt = 0.05
-    op = StepOperator(mats, dt)
     zero = np.zeros_like(w)
-    xi1 = taylor_first_step(op, zero, zero, 2 * (mats.Mh @ w))
+    # From rest the start's mass load is F0 itself.
+    op = StepOperator(mats, dt, start=2 * (mats.Mh @ w))
+    xi1 = taylor_first_step(op, zero, zero)
     assert np.abs(xi1 - dt * dt * w).max() < 1e-12 * np.abs(w).max()
     # From rest, xi1 = dt^2/2 Mh^{-1} F0: the start's factor solves Mh.
     F0 = np.random.default_rng(6).standard_normal(dofs.n_dofs)
-    accel = taylor_first_step(op, zero, zero, F0) / (0.5 * dt * dt)
+    op = StepOperator(mats, dt, start=F0)
+    accel = taylor_first_step(op, zero, zero) / (0.5 * dt * dt)
     assert np.abs(mats.Mh @ accel - F0).max() < 1e-12 * np.abs(F0).max()
 
 
