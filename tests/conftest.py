@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import tracemalloc
+from collections.abc import Callable
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,21 @@ from galbrun.mesh import DofMap, DuctGeometry, Mesh, build_dof_map, build_duct_m
 def duct_area(geom: DuctGeometry) -> float:
     """Area 4 R h of the duct ]-R, R[ x ]-h, h[."""
     return 4.0 * geom.R * geom.h
+
+
+def traced_peak(build: Callable[[], object]) -> int:
+    """Bytes that a second call of build allocates at its peak, over what
+    was allocated before it; the first call does the imports and lazy
+    set-up. Only Python's allocations are traced, not RSS."""
+    build()
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - base
 
 
 def make_free_dofmap(n_nodes: int) -> DofMap:

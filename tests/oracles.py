@@ -4,7 +4,8 @@ readers for the run artifacts.
 None of these is on a run path: the operators are summed from
 per-component blocks on one scalar pattern (galbrun.assembly), the load
 vector uses the separable source load of RhsAssembler, the vorticity
-load comes from CausalVorticity's moments and snapshots are written by
+load comes from CausalVorticity's moments through a map summed on its own
+pattern, not through sparse products, snapshots are written by
 galbrun.output.write_snapshot, and the outflow flux of a run is
 d^T sym(BC) d, not a separate boundary mass. They are kept here, written
 the straightforward way, as independent oracles.
@@ -19,7 +20,13 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import quad
 
-from galbrun.assembly import _edge_mass, _gamma_edges, triangle_gradients
+from galbrun.assembly import (
+    TRI_QP_BARY,
+    _edge_mass,
+    _gamma_edges,
+    triangle_gradients,
+    triangle_quadrature,
+)
 from galbrun.mesh import DofMap, Mesh
 from galbrun.output import ENERGY_HEADER, EnergyRecord
 from galbrun.physics import CausalVorticity, SourceKind, SourceSpec, source_spatial
@@ -246,6 +253,57 @@ def assemble_boundary_mass(mesh: Mesh, dofs: DofMap) -> sp.csr_matrix:
     flux int_Gamma |dxi/dt|^2 that sym(Bh) + Ch reproduces."""
     edges, _ = _gamma_edges(mesh)
     return _edge_mass(mesh, dofs, np.ones(edges.shape[0]), edges)
+
+
+# ---------------------------------------------------------------------------
+# the vorticity load map, as sparse products
+
+
+def _quadrature_scatter(
+    qw: np.ndarray, node_dofs: np.ndarray, n_dofs: int
+) -> list[sp.csr_matrix]:
+    """Per load component, the matrix S with S[i, p] = qw_p phi_i(p) over
+    the flattened quadrature points, the zero basis values dropped."""
+    q, k = np.nonzero(TRI_QP_BARY)
+    point = np.arange(qw.size).reshape(-1, 3)[:, q]
+    weight = qw[:, q] * TRI_QP_BARY[q, k]
+    scatter = []
+    for comp in range(2):
+        dof = node_dofs[:, k, comp]
+        keep = dof >= 0
+        scatter.append(
+            sp.csr_matrix(
+                (weight[keep], (dof[keep], point[keep])), shape=(n_dofs, qw.size)
+            )
+        )
+    return scatter
+
+
+def vorticity_load_map(
+    mesh: Mesh, dofs: DofMap, s: float, vorticity
+) -> tuple[np.ndarray, sp.csr_matrix]:
+    """(x, P) of RhsAssembler's vorticity load map, as the sum over the two
+    load components of the quadrature scatter times a sparse selection of
+    each point's x weighted by the moment's gradient coefficient, one
+    column block per moment, stacked."""
+    qp, qw = triangle_quadrature(mesh)
+    n_dofs = dofs.n_dofs
+    x, inv = np.unique(qp[..., 0].ravel(), return_inverse=True)
+    scatter = _quadrature_scatter(qw, dofs.node_dofs[mesh.triangles], n_dofs)
+    grad = vorticity.gradient_coefficients(qp).reshape(inv.size, 2, 4)
+    rows = np.arange(inv.size + 1)
+    blocks = []
+    for m in range(4):
+        block = sp.csr_matrix((n_dofs, x.size))
+        # s curl psi = (s dpsi/dy, -s dpsi/dx): load component c takes the
+        # derivative along axis 1 - c, selected at each point's x.
+        for comp, sign in enumerate((s, -s)):
+            select = sp.csr_matrix(
+                (sign * grad[:, 1 - comp, m], inv, rows), shape=(inv.size, x.size)
+            )
+            block = block + scatter[comp] @ select
+        blocks.append(block)
+    return x, sp.hstack(blocks, format="csr")
 
 
 # ---------------------------------------------------------------------------

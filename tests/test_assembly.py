@@ -14,7 +14,6 @@ precision, not just to discretization accuracy:
 from __future__ import annotations
 
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +35,7 @@ from galbrun.assembly import (
 )
 from galbrun.mesh import DofMap, DuctGeometry, Mesh, build_dof_map, build_duct_mesh
 
-from conftest import duct_area, make_free_dofmap, make_single_triangle
+from conftest import duct_area, make_free_dofmap, make_single_triangle, traced_peak
 from oracles import assemble_boundary_mass, padded_system
 
 
@@ -448,15 +447,8 @@ def test_build_system_traced_peak_per_triangle():
     # filled in place from int32 slots, with K scattered first, at 415.
     mesh = build_duct_mesh(DuctGeometry(4.0, 1.0), 160, 40)
     dofs = build_dof_map(mesh)
-    build_system(mesh, dofs, M=0.5, s=1.0)  # imports and lazy set-up
-    tracemalloc.start()
-    try:
-        base, _ = tracemalloc.get_traced_memory()
-        build_system(mesh, dofs, M=0.5, s=1.0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert (peak - base) / mesh.n_triangles <= 455
+    peak = traced_peak(lambda: build_system(mesh, dofs, M=0.5, s=1.0))
+    assert peak / mesh.n_triangles <= 455
 
 
 @pytest.mark.parametrize("nx, ny, nnz", [(160, 40, 89_064), (320, 80, 355_968)])

@@ -24,7 +24,7 @@ from galbrun.assembly import (
     triangle_quadrature,
 )
 from galbrun.config import RunConfig
-from galbrun.mesh import build_dof_map, build_duct_mesh
+from galbrun.mesh import DuctGeometry, build_dof_map, build_duct_mesh
 from galbrun.physics import (
     CausalVorticity,
     ProfileKind,
@@ -39,7 +39,7 @@ from galbrun.physics import (
     well_posedness_margin,
 )
 
-from conftest import duct_area
+from conftest import duct_area, traced_peak
 from oracles import (
     AnalyticVorticity,
     assemble_boundary_mass,
@@ -48,6 +48,7 @@ from oracles import (
     source_curl,
     source_curl_spatial,
     source_curl_spatial_gradient,
+    vorticity_load_map,
 )
 
 
@@ -448,6 +449,73 @@ class UnitYVorticity:
         out = np.zeros(pts.shape[:-1] + (2, 4))
         out[..., 1, 0] = 1.0
         return out
+
+
+def csr_entries(P) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, columns, value bits) of P's stored entries, sorted by row and
+    column, summing no duplicates."""
+    coo = P.tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    return coo.row[order], coo.col[order], coo.data[order].view(np.int64)
+
+
+def is_canonical(P) -> bool:
+    """Each row's column indices strictly increase, so no duplicates."""
+    rows = np.repeat(np.arange(P.shape[0]), np.diff(P.indptr))
+    return bool(np.all((np.diff(rows) > 0) | (np.diff(P.indices) > 0)))
+
+
+@pytest.mark.parametrize(
+    "cells, closed_box, s, M, vorticity",
+    [
+        *[
+            ((16, 8), c, s, M, "causal")
+            for c in (False, True)
+            for s in (0.5, 1.0)
+            for M in (0.0, 0.5)
+        ],
+        ((16, 8), False, 0.8, 0.5, "causal"),  # s * coefficient rounds
+        ((16, 8), False, 0.8, 0.0, "unit_y"),
+        ((16, 8), True, 0.8, 0.0, "unit_y"),
+        ((160, 40), False, 1.0, 0.5, "causal"),  # 12,800 triangles, 7 chunks
+    ],
+)
+def test_vorticity_load_map_is_the_sparse_products_bit_for_bit(
+    cells, closed_box, s, M, vorticity
+):
+    # The map summed on its own pattern stores the same entries, with the
+    # same bits, as the quadrature scatter times the per-point selection of
+    # x, stacked over the moments; its rows are in canonical order.
+    R = 2.0 if cells == (16, 8) else 4.0  # medium_duct, or exp1's duct
+    mesh = build_duct_mesh(DuctGeometry(R, 1.0), *cells)
+    dofs = build_dof_map(mesh, closed_box=closed_box)
+    if vorticity == "causal":
+        spec = SourceSpec(SourceKind.ROTATIONAL, center=(0.1, -0.05), width=0.3)
+        psi = CausalVorticity(spec, M)
+    else:
+        psi = UnitYVorticity()
+    asm = RhsAssembler(mesh, dofs, (), s=s, vorticity=psi)
+    x, P = vorticity_load_map(mesh, dofs, s, psi)
+    assert np.array_equal(asm._vorticity_x, x)
+    assert asm._vorticity_map.shape == P.shape
+    got, want = csr_entries(asm._vorticity_map), csr_entries(P)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert is_canonical(asm._vorticity_map)
+
+
+@pytest.mark.parametrize("vorticity, bound", [(True, 365), (False, 237)])
+def test_rhs_assembler_traced_peak_per_triangle(vorticity, bound):
+    # exp1 at 160x40. The map built from the sparse products peaked at about
+    # 820 B per triangle; summed on its own pattern a chunk of triangles at
+    # a time, at about 333. Without vorticity the source load alone, 216.
+    mesh = build_duct_mesh(DuctGeometry(4.0, 1.0), 160, 40)
+    dofs = build_dof_map(mesh)
+    source = SourceSpec(SourceKind.ROTATIONAL)
+    psi = CausalVorticity(source, 0.5) if vorticity else None
+    peak = traced_peak(
+        lambda: RhsAssembler(mesh, dofs, source_loads(source), 1.0, vorticity=psi)
+    )
+    assert peak / mesh.n_triangles <= bound
 
 
 def test_rhs_of_constant_regularization_force(small_duct):
