@@ -90,35 +90,55 @@ def minimum_edge_length(mesh: Mesh) -> float:
     return float(np.min(lengths))
 
 
-# Elements per pass of _Pattern.scatter, and row groups per pass of its CSR
-# fill. At 4,096 a pass's temporaries set build_system's traced peak at
-# 160x40 (507 against 415 B per triangle).
+# Elements per pass of _Pattern.scatter: at 4,096 a pass's temporaries set
+# build_system's traced peak at 160x40 (507 against 415 B per triangle).
 _CHUNK = 2048
+# Row groups per pass of _Pattern.scatter's CSR fill: at 2,048 a pass's
+# temporaries set build_system's traced peak at 160x40 (416 against 407 B
+# per triangle), and at 512 its time at 320x80 rose by 6%.
+_RUN = 1024
 
 
 class _Pattern:
-    """Scatter of per-component element blocks over a set of (n_el, k) cells.
+    """The one sparse scatter: element blocks summed on a pattern of
+    (row node, column) pairs.
 
-    The scalar node pattern of the cells, its (row, column) node pairs in
-    sorted order, and the slot of every element entry on it, are found once
-    per set of cells; build_system's volume forms share the triangles' and
-    take their triangle_gradients a chunk of elements at a time. Each block
-    is summed onto the slots of its row component with np.add.at, _CHUNK
-    elements at a time in element order: the sums of one bincount over all
-    elements, bit for bit, without an (n_el, k, k) array. For
-    component-major dofs the slots are in CSR order, and so are a row
-    component's sums: on the slots of its one column component, or, when it
-    couples to both, on each row node's slots twice, the x columns and then
-    the y columns (_interleave). So the CSR's arrays are the kept sums and
-    their column dofs: no COO, no sort.
+    Each element gives its pairs as two arrays that broadcast, rows and
+    cols: cells[:, :, None] and cells[:, None, :] for a form on (n_el, k)
+    cells (_cell_pattern). Column j of column group g is matrix column
+    col_dofs[g, j], by default the nodes' dofs by component; the matrix's
+    columns run up to the largest entry of that table. The pairs in sorted
+    order, and the slot of every element entry on them, are found once per
+    pattern; build_system's volume forms share the triangles' and take their
+    triangle_gradients a chunk of elements at a time.
+
+    A block keyed by (row component, column group) is summed onto its slots
+    with np.add.at, _CHUNK elements at a time in element order: the sums of
+    one bincount over all elements, bit for bit, without an (n_el, k, k)
+    array. Its sums are created when the key first gets a term, so a key
+    that no chunk gives is zero. For component-major dofs the slots are in
+    CSR order, row group (a row node's slots) by row group. A row
+    component's row groups are laid out once per column group, in group
+    order, only while the CSR is filled, _RUN row groups at a time. So the
+    CSR's arrays are the kept sums and their columns: no COO, no sort.
     """
 
-    def __init__(self, cells: np.ndarray, dofs: DofMap):
-        n = dofs.n_nodes
+    def __init__(
+        self,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        dofs: DofMap,
+        col_dofs: np.ndarray | None = None,
+    ):
+        if col_dofs is None:
+            col_dofs = dofs.node_dofs.T  # by component
+        self.col_dofs = col_dofs.astype(np.int32)
+        n = self.col_dofs.shape[1]
         # Int32 keys where they fit: the sort and the search take half the
         # memory. The key array then holds the slots, a chunk at a time.
-        key = cells.astype(np.int32 if n * n < 2**31 else np.int64)
-        key = (key[:, :, None] * n + key[:, None, :]).reshape(len(cells), -1)
+        itype = np.int32 if dofs.n_nodes * n < 2**31 else np.int64
+        key = rows.astype(itype) * n + cols.astype(itype, copy=False)
+        key = key.reshape(len(key), -1)
         pairs = np.sort(key, axis=None)
         new = np.ones(len(pairs), bool)
         np.not_equal(pairs[1:], pairs[:-1], out=new[1:])
@@ -130,78 +150,77 @@ class _Pattern:
         rows, cols = np.divmod(pairs, n)
         self.cols = cols.astype(np.int32)
         # The row groups: each row node's run of slots.
-        self.first = np.flatnonzero(np.diff(rows, prepend=-1))
-        self.lens = np.diff(self.first, append=len(rows))
+        self.first = np.flatnonzero(np.diff(rows, prepend=-1)).astype(np.int32)
+        self.lens = np.diff(self.first, append=np.int32(len(rows)))
         self.row_nodes = rows[self.first]
         self.node_dofs = dofs.node_dofs.T.astype(np.int32)  # by component
-        self.n_dofs = dofs.n_dofs
-
-    def _interleave(self) -> np.ndarray:
-        """(2, slots): where each slot's x and y column entries lie when a
-        row node's slots are laid out twice, x columns first."""
-        at = np.arange(len(self.cols), dtype=np.int32)
-        at += np.repeat(self.first.astype(np.int32), self.lens)
-        return np.stack([at, at + np.repeat(self.lens.astype(np.int32), self.lens)])
-
-    def _columns(self, ccs: list[int], at: np.ndarray | None, s: slice) -> np.ndarray:
-        """The column dofs of a row component's sums on the slots s, whole
-        row groups, for its column components ccs."""
-        if len(ccs) == 1:
-            return self.node_dofs[ccs[0]].take(self.cols[s])
-        col = np.empty(2 * (s.stop - s.start), np.int32)
-        for cc in ccs:
-            col[at[cc, s] - 2 * s.start] = self.node_dofs[cc].take(self.cols[s])
-        return col
+        self.shape = (dofs.n_dofs, int(self.col_dofs.max()) + 1)
 
     def scatter(
         self, blocks: Callable[[slice], dict[tuple[int, int], np.ndarray]]
     ) -> sp.csr_matrix:
         """CSR matrix of the element blocks, blocks(e) those of the elements
-        e keyed by (row, column) component, without constrained components
-        or zero sums."""
-        n_slots = len(self.cols)
-        sums: dict[int, np.ndarray] = {}  # by row component
-        columns: dict[int, list[int]] = {}
-        at = None
+        e keyed by (row component, column group), without constrained
+        components or zero sums."""
+        sums: dict[tuple[int, int], np.ndarray] = {}
         for start in range(0, len(self.slot), _CHUNK):
             e = slice(start, start + _CHUNK)
             slot = self.slot[e].ravel()
-            chunk = blocks(e)
-            if not sums:
-                for cr, cc in sorted(chunk):
-                    columns.setdefault(cr, []).append(cc)
-                for cr, ccs in columns.items():
-                    sums[cr] = np.zeros(len(ccs) * n_slots)
-                if any(len(ccs) == 2 for ccs in columns.values()):
-                    at = self._interleave()
-            if at is not None:
-                both = at[:, slot]
-            for (cr, cc), block in chunk.items():
-                target = both[cc] if len(columns[cr]) == 2 else slot
-                np.add.at(sums[cr], target, block.ravel())
-        # Which sums are kept, and how many in each row.
-        keep, n_kept = {}, np.zeros(self.n_dofs + 1, np.int64)
-        for cr, ccs in columns.items():
-            w, row = len(ccs), self.node_dofs[cr].take(self.row_nodes)
-            keep[cr] = k = sums[cr] != 0.0
-            k &= self._columns(ccs, at, slice(0, n_slots)) >= 0
-            k &= np.repeat(row >= 0, w * self.lens)
-            n = np.add.reduceat(k, w * self.first, dtype=np.int64)
+            for key, block in blocks(e).items():
+                if key not in sums:
+                    sums[key] = np.zeros(len(self.cols))
+                np.add.at(sums[key], slot, block.ravel())
+        # Constrained rows and columns zeroed; then each row's nonzero sums
+        # are its entries.
+        groups: dict[int, list[int]] = {}  # row component: its column groups
+        for cr, g in sorted(sums):
+            groups.setdefault(cr, []).append(g)
+        n_kept = np.zeros(self.shape[0] + 1, np.int64)
+        for cr, gs in groups.items():
+            row = self.node_dofs[cr].take(self.row_nodes)
+            dropped = np.repeat(row < 0, self.lens)
+            n = 0
+            for g in gs:
+                val = sums[cr, g]
+                val[dropped | (self.col_dofs[g].take(self.cols) < 0)] = 0.0
+                n = n + np.add.reduceat(val != 0.0, self.first, dtype=np.int64)
             n_kept[1 + row[row >= 0]] = n[row >= 0]
         indptr = np.cumsum(n_kept)
         data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], np.int32)
         # The CSR's arrays, x rows then y rows, a run of row groups at a time.
-        runs = np.append(self.first[::_CHUNK], n_slots)
         a = 0
-        for cr, ccs in sorted(columns.items()):
-            w, k, val = len(ccs), keep.pop(cr), sums.pop(cr)
-            for s in map(slice, runs[:-1], runs[1:]):
-                kept = k[w * s.start : w * s.stop]
+        for cr, gs in groups.items():
+            for r in range(0, len(self.first), _RUN):
+                first, lens = self.first[r : r + _RUN], self.lens[r : r + _RUN]
+                s = slice(first[0], first[-1] + lens[-1])
+                if len(gs) == 1:  # the sums as they lie
+                    val = sums[cr, gs[0]][s]
+                    col = self.col_dofs[gs[0]].take(self.cols[s])
+                else:
+                    # Slot i of a row group that starts at slot f and holds
+                    # l slots lies at i + (w - 1) f + j l for the j-th of w
+                    # column groups, all counted from the run's start.
+                    at = np.repeat((len(gs) - 1) * (first - s.start), lens)
+                    at += np.arange(s.stop - s.start, dtype=np.int32)
+                    stride = np.repeat(lens, lens)
+                    val = np.empty(len(gs) * len(at))
+                    col = np.empty(len(val), np.int32)
+                    for j, g in enumerate(gs):
+                        val[at + j * stride] = sums[cr, g][s]
+                        col[at + j * stride] = self.col_dofs[g].take(self.cols[s])
+                kept = val != 0.0
                 b = a + np.count_nonzero(kept)
-                np.compress(kept, val[w * s.start : w * s.stop], out=data[a:b])
-                np.compress(kept, self._columns(ccs, at, s), out=indices[a:b])
+                np.compress(kept, val, out=data[a:b])
+                np.compress(kept, col, out=indices[a:b])
                 a = b
-        return sp.csr_matrix((data, indices, indptr), shape=(self.n_dofs,) * 2)
+            for g in gs:
+                del sums[cr, g]
+        return sp.csr_matrix((data, indices, indptr), shape=self.shape)
+
+
+def _cell_pattern(cells: np.ndarray, dofs: DofMap) -> _Pattern:
+    """The pattern of a form on (n_el, k) cells: each cell's k x k node pairs."""
+    return _Pattern(cells[:, :, None], cells[:, None, :], dofs)
 
 
 def _diagonal(block: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
@@ -214,7 +233,7 @@ def assemble_mass(
 ) -> sp.csr_matrix:
     """Vector P1 mass matrix, one exact block (area/12)*[[2,1,1],[1,2,1],[1,1,2]]
     per component."""
-    tri = tri or _Pattern(mesh.triangles, dofs)
+    tri = tri or _cell_pattern(mesh.triangles, dofs)
     block = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
     return tri.scatter(lambda e: _diagonal(triangle_gradients(mesh, e)[2][:, None, None] * block))
 
@@ -232,7 +251,7 @@ def assemble_a(
     (gx, gy) and curl coefficients (-gy, gx) per component, the x-y block
     is gx gy^T - s gy gx^T and the y-x block its transpose.
     """
-    tri = tri or _Pattern(mesh.triangles, dofs)
+    tri = tri or _cell_pattern(mesh.triangles, dofs)
 
     def blocks(e: slice) -> dict[tuple[int, int], np.ndarray]:
         gx, gy, a = triangle_gradients(mesh, e)
@@ -262,7 +281,7 @@ def assemble_b(
     x^T Bh x = M int_Gamma n_x |xi_h|^2, and vanishes for fields supported
     away from Gamma- u Gamma+.
     """
-    tri = tri or _Pattern(mesh.triangles, dofs)
+    tri = tri or _cell_pattern(mesh.triangles, dofs)
 
     def blocks(e: slice) -> dict[tuple[int, int], np.ndarray]:
         gx, _, a = triangle_gradients(mesh, e)
@@ -292,7 +311,7 @@ def _edge_mass(
     ell = np.linalg.norm(mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]], axis=1)
     block = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
     scaled = (edge_weights * ell)[:, None, None] * block
-    return _Pattern(edges, dofs).scatter(lambda e: _diagonal(scaled[e]))
+    return _cell_pattern(edges, dofs).scatter(lambda e: _diagonal(scaled[e]))
 
 
 def assemble_c(mesh: Mesh, dofs: DofMap, M: float) -> sp.csr_matrix:
@@ -324,12 +343,12 @@ def assemble_d(mesh: Mesh, dofs: DofMap) -> sp.csr_matrix:
     # R dxi/dtau . eta = -(dv/dtau) eta_x + (du/dtau) eta_y: the x row of a
     # test node holds (+1/2, -1/2) at (a_y, b_y), its y row the negatives.
     xy = np.broadcast_to([[0.5, -0.5], [0.5, -0.5]], (edges.shape[0], 2, 2))
-    return _Pattern(edges, dofs).scatter(lambda e: {(0, 1): xy[e], (1, 0): -xy[e]})
+    return _cell_pattern(edges, dofs).scatter(lambda e: {(0, 1): xy[e], (1, 0): -xy[e]})
 
 
 def assemble_gradient_stiffness(mesh: Mesh, dofs: DofMap) -> sp.csr_matrix:
     """Componentwise int grad xi : grad eta (full H1 seminorm matrix)."""
-    tri = _Pattern(mesh.triangles, dofs)
+    tri = _cell_pattern(mesh.triangles, dofs)
 
     def blocks(e: slice) -> dict[tuple[int, int], np.ndarray]:
         gx, gy, a = triangle_gradients(mesh, e)
@@ -341,7 +360,7 @@ def assemble_gradient_stiffness(mesh: Mesh, dofs: DofMap) -> sp.csr_matrix:
 
 def assemble_dx_stiffness(mesh: Mesh, dofs: DofMap) -> sp.csr_matrix:
     """Componentwise int (dxi/dx) . (deta/dx)."""
-    tri = _Pattern(mesh.triangles, dofs)
+    tri = _cell_pattern(mesh.triangles, dofs)
 
     def blocks(e: slice) -> dict[tuple[int, int], np.ndarray]:
         gx, _, a = triangle_gradients(mesh, e)
@@ -364,7 +383,7 @@ def build_system(
         raise ValueError("mean flow must be subsonic, |M| < 1")
     if abc not in ("stable", "naive", "none"):
         raise ValueError(f"unknown abc variant: {abc!r}")
-    tri = _Pattern(mesh.triangles, dofs)
+    tri = _cell_pattern(mesh.triangles, dofs)
     # K, which couples the components, first: its scatter needs the most
     # memory, and the last one's sits on the other two matrices.
     K = assemble_a(mesh, dofs, M, s, tri)

@@ -17,8 +17,8 @@ import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 
 from galbrun.assembly import (
-    _CHUNK,
     TRI_QP_BARY,
+    _Pattern,
     assemble_dx_stiffness,
     assemble_gradient_stiffness,
     triangle_quadrature,
@@ -202,14 +202,6 @@ class CausalVorticity:
         )
 
 
-def _distinct(a: np.ndarray) -> np.ndarray:
-    """The sorted distinct values of a, as np.unique gives them, by a sort:
-    on a chunk's 24k int32 keys, NumPy 2.4's np.unique takes 30 times as
-    long."""
-    a = np.sort(a, axis=None)
-    return a[np.append(True, a[1:] != a[:-1])]
-
-
 # A separable load f(x, t) = f_j(x) p_j(t): the spatial field at (..., 2)
 # points and the scalar time profile.
 Load = tuple[Callable[[np.ndarray], np.ndarray], Callable[[float], float]]
@@ -239,28 +231,29 @@ class RhsAssembler:
     ):
         self.s = float(s)
         self.vorticity = vorticity
-        qp, self.qw = triangle_quadrature(mesh)
+        qp, qw = triangle_quadrature(mesh)
         self.n_dofs = dofs.n_dofs
-        self._loads = [(self._scatter(mesh, dofs, f(qp)), p) for f, p in loads]
+        self._loads = [(self._scatter(mesh, dofs, f(qp), qw), p) for f, p in loads]
         self._vorticity_x = self._vorticity_map = None
         if vorticity is not None and self.s != 0.0:
             self._vorticity_x, self._vorticity_map = self._vorticity_load_map(
-                mesh, dofs, qp
+                mesh, dofs, qp, qw
             )
 
-    def _scatter(self, mesh: Mesh, dofs: DofMap, f: np.ndarray) -> np.ndarray:
-        """Load vector int f . phi_i of a force given at the quadrature points,
-        summed at the nodes and restricted to the dofs."""
+    @staticmethod
+    def _scatter(mesh: Mesh, dofs: DofMap, f: np.ndarray, qw: np.ndarray) -> np.ndarray:
+        """Load vector int f . phi_i of a force given at the quadrature points
+        with weights qw, summed at the nodes and restricted to the dofs."""
         nodal = np.zeros((mesh.n_nodes, 2))
         for comp in range(2):
-            vals = (self.qw * f[..., comp]) @ TRI_QP_BARY
+            vals = (qw * f[..., comp]) @ TRI_QP_BARY
             nodal[:, comp] = np.bincount(
                 mesh.triangles.ravel(), weights=vals.ravel(), minlength=mesh.n_nodes
             )
         return dofs.restrict(nodal)
 
     def _vorticity_load_map(
-        self, mesh: Mesh, dofs: DofMap, qp: np.ndarray
+        self, mesh: Mesh, dofs: DofMap, qp: np.ndarray, qw: np.ndarray
     ) -> tuple[np.ndarray, sp.csr_matrix]:
         """(x, P): the distinct x of the quadrature points qp, and the sparse
         map P taking the moments [I0; I1; I2; I3] at x to the load of
@@ -268,92 +261,31 @@ class RhsAssembler:
         every other moment is 0: the sum, over the points p whose x is x_j,
         of qw_p phi_i(p) times the moment's gradient coefficient at p.
 
-        The (dof, x column) pairs of the points are found once, as int32
-        keys, and sorted into slots, row by row. Each point's terms are
-        summed onto its slots with np.add.at, one moment at a time, _CHUNK
-        triangles at a time in point order and with one chunk's gradient
-        coefficients at a time: bit for bit the sums of the quadrature
+        P is summed on the pattern of the (node, x) pairs of the points, with
+        one column group per moment: bit for bit the sums of the quadrature
         scatter times a per-point selection of x, without either matrix.
-        A row of P is its slots' sums once per moment, less the zero sums,
-        so its columns are sorted.
         """
         x, inv = np.unique(qp[..., 0].ravel(), return_inverse=True)
-        n_x, n_tri = len(x), len(qp)
-        itype = np.int32 if self.n_dofs * n_x < 2**31 else np.int64
-        inv = inv.astype(itype).reshape(qp.shape[:-1])
+        inv = inv.astype(np.int32).reshape(qp.shape[:-1])
         q, k = np.nonzero(TRI_QP_BARY)  # the point and node of each phi != 0
-        node_dofs = dofs.node_dofs.T.astype(itype)  # by component
-        chunks = [slice(a, a + _CHUNK) for a in range(0, n_tri, _CHUNK)]
+        col_dofs = np.arange(4 * len(x)).reshape(4, len(x))  # m n_x + j
+        pattern = _Pattern(mesh.triangles[:, k], inv[:, q], dofs, col_dofs)
+        del inv
 
-        def pairs(e: slice) -> tuple[np.ndarray, np.ndarray]:
-            """The (point, node) pairs of the triangles e in point order: the
-            node's dof per component, and the point's x column."""
-            nodes = mesh.triangles[e][:, k].ravel()
-            return np.take(node_dofs, nodes, axis=1), inv[e][:, q].ravel()
-
-        # The keys dof n_x + column of the free pairs, distinct and sorted;
-        # a constrained dof makes a negative key.
-        key = np.concatenate([_distinct(d * n_x + c) for d, c in map(pairs, chunks)])
-        key = _distinct(key)
-        rows, cols = np.divmod(key[np.searchsorted(key, 0) :], n_x)
-        n = len(rows)
-        first = np.flatnonzero(np.diff(rows, prepend=-1)).astype(itype)
-        lens = np.diff(first, append=itype(n))
-        row_dofs = rows[first]
-        del key, rows
-        # Slot -1 takes the terms of the constrained pairs (CONSTRAINED is
-        # -1), and its sums are dropped: start[-1], cols[-1] and the last
-        # column of sums are its own.
-        start = np.full(self.n_dofs + 1, -1, itype)
-        start[row_dofs] = first
-        cols = np.append(cols, itype(n_x))
-        sums = np.zeros((4, n + 1))  # by moment and slot
-
-        def add(e: slice) -> None:
-            dof, col = pairs(e)
-            slot = start.take(dof)
-            for _ in range(lens.max(initial=1) - 1):  # along the row to col
-                slot += cols.take(slot) < col
-            weight = (self.qw[e][:, q] * TRI_QP_BARY[q, k]).ravel()
+        def blocks(e: slice) -> dict[tuple[int, int], np.ndarray]:
+            weight = qw[e][:, q] * TRI_QP_BARY[q, k]
             grad = self.vorticity.gradient_coefficients(qp[e])
+            out = {}
             # s curl psi = (s dpsi/dy, -s dpsi/dx): load component c takes
             # the derivative along axis 1 - c.
-            for comp, sign in enumerate((self.s, -self.s)):
+            for c, sign in enumerate((self.s, -self.s)):
                 for m in range(4):
-                    coef = sign * grad[:, q, 1 - comp, m].ravel()
+                    coef = sign * grad[:, q, 1 - c, m]
                     if coef.any():  # a zero term changes no kept sum
-                        np.add.at(sums[m], slot[comp], weight * coef)
+                        out[c, m] = weight * coef
+            return out
 
-        for e in chunks:
-            add(e)
-        del inv, node_dofs, start  # before P's arrays, which set the peak
-        # P's rows, _CHUNK at a time: each row's sums once per moment, of
-        # which the nonzero ones, and their columns.
-        data = np.empty(np.count_nonzero(sums[:, :-1]))
-        indices = np.empty(len(data), np.int32)
-        indptr = np.zeros(self.n_dofs + 1, np.int64)
-        a = 0
-        for r in range(0, len(first), _CHUNK):
-            f, size = first[r : r + _CHUNK], lens[r : r + _CHUNK]
-            run = slice(f[0], f[-1] + size[-1])
-            f = f - run.start
-            # Slot i of a row that starts at slot f and holds l slots lies
-            # at i + 3 f + m l for moment m.
-            at = np.arange(run.stop - run.start) + np.repeat(3 * f, size)
-            stride = np.repeat(size, size)
-            val, col = np.empty(4 * len(at)), np.empty(4 * len(at), np.int32)
-            for m in range(4):
-                val[at + m * stride] = sums[m, run]
-                col[at + m * stride] = m * n_x + cols[run]
-            kept = val != 0.0
-            b = a + np.count_nonzero(kept)
-            np.compress(kept, val, out=data[a:b])
-            np.compress(kept, col, out=indices[a:b])
-            n_kept = np.add.reduceat(kept, 4 * f, dtype=np.int64)
-            indptr[1 + row_dofs[r : r + _CHUNK]] = n_kept
-            a = b
-        shape = (self.n_dofs, 4 * n_x)
-        return x, sp.csr_matrix((data, indices, np.cumsum(indptr)), shape=shape)
+        return x, pattern.scatter(blocks)
 
     def __call__(self, t: float) -> np.ndarray:
         # Summed onto the first term, not onto zeros: a fresh zero vector

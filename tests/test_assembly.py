@@ -443,8 +443,9 @@ def test_system_operators_are_the_sums_of_the_forms(abc):
 def test_build_system_traced_peak_per_triangle():
     # The padded 6x6 scatter peaked at about 2,530 B per triangle at 160x40,
     # per-component blocks summed on one scalar pattern at about 880, those
-    # blocks formed a chunk of elements at a time at about 510, and the CSR
-    # filled in place from int32 slots, with K scattered first, at 415.
+    # blocks formed a chunk of elements at a time at about 510, the CSR
+    # filled in place from int32 slots, with K scattered first, at 415, and
+    # the column groups laid out only in the fill at 407 (401 at 320x80).
     mesh = build_duct_mesh(DuctGeometry(4.0, 1.0), 160, 40)
     dofs = build_dof_map(mesh)
     peak = traced_peak(lambda: build_system(mesh, dofs, M=0.5, s=1.0))

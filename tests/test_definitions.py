@@ -176,3 +176,19 @@ def test_one_time_loop(name):
     # Every command steps through dynamics.march: one starter call and one
     # step call in the package.
     assert len(call_sites(name)) == 1, call_sites(name)
+
+
+def test_one_sparse_scatter():
+    # The operators and the vorticity load map are all summed by
+    # _Pattern.scatter: np.add.at has one call site in the package, there.
+    sites = call_sites("at")
+    assert len(sites) == 1, sites
+    path, line = sites[0].split(":")
+    [scatter] = [
+        method
+        for node in parse(path).body
+        if isinstance(node, ast.ClassDef) and node.name == "_Pattern"
+        for method in node.body
+        if isinstance(method, FUNCTION) and method.name == "scatter"
+    ]
+    assert scatter.lineno <= int(line) <= scatter.end_lineno

@@ -451,6 +451,19 @@ class UnitYVorticity:
         return out
 
 
+class SeededVorticity:
+    """Stand-in vorticity whose gradient coefficients are seeded affine
+    functions of the point, nonzero for all four moments on both
+    derivatives: each load component's rows then span four column groups."""
+
+    def __init__(self, seed: int):
+        self.coef = np.random.default_rng(seed).standard_normal((3, 2, 4))
+
+    def gradient_coefficients(self, pts):
+        a, b, c = self.coef
+        return a + b * pts[..., 0, None, None] + c * pts[..., 1, None, None]
+
+
 def csr_entries(P) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rows, columns, value bits) of P's stored entries, sorted by row and
     column, summing no duplicates."""
@@ -478,12 +491,13 @@ def is_canonical(P) -> bool:
         ((16, 8), False, 0.8, 0.0, "unit_y"),
         ((16, 8), True, 0.8, 0.0, "unit_y"),
         ((160, 40), False, 1.0, 0.5, "causal"),  # 12,800 triangles, 7 chunks
+        ((16, 8), True, 0.8, 0.0, "seeded"),  # four moments per component
     ],
 )
 def test_vorticity_load_map_is_the_sparse_products_bit_for_bit(
     cells, closed_box, s, M, vorticity
 ):
-    # The map summed on its own pattern stores the same entries, with the
+    # The map summed by _Pattern.scatter stores the same entries, with the
     # same bits, as the quadrature scatter times the per-point selection of
     # x, stacked over the moments; its rows are in canonical order.
     R = 2.0 if cells == (16, 8) else 4.0  # medium_duct, or exp1's duct
@@ -492,8 +506,10 @@ def test_vorticity_load_map_is_the_sparse_products_bit_for_bit(
     if vorticity == "causal":
         spec = SourceSpec(SourceKind.ROTATIONAL, center=(0.1, -0.05), width=0.3)
         psi = CausalVorticity(spec, M)
-    else:
+    elif vorticity == "unit_y":
         psi = UnitYVorticity()
+    else:
+        psi = SeededVorticity(7)
     asm = RhsAssembler(mesh, dofs, (), s=s, vorticity=psi)
     x, P = vorticity_load_map(mesh, dofs, s, psi)
     assert np.array_equal(asm._vorticity_x, x)
@@ -507,7 +523,8 @@ def test_vorticity_load_map_is_the_sparse_products_bit_for_bit(
 def test_rhs_assembler_traced_peak_per_triangle(vorticity, bound):
     # exp1 at 160x40. The map built from the sparse products peaked at about
     # 820 B per triangle; summed on its own pattern a chunk of triangles at
-    # a time, at about 333. Without vorticity the source load alone, 216.
+    # a time, at about 333; by _Pattern.scatter, at about 287 (272 at
+    # 320x80). Without vorticity the source load alone, 216.
     mesh = build_duct_mesh(DuctGeometry(4.0, 1.0), 160, 40)
     dofs = build_dof_map(mesh)
     source = SourceSpec(SourceKind.ROTATIONAL)
