@@ -346,29 +346,6 @@ def assemble_d(mesh: Mesh, dofs: DofMap) -> sp.csr_matrix:
     return _cell_pattern(edges, dofs).scatter(lambda e: {(0, 1): xy[e], (1, 0): -xy[e]})
 
 
-def assemble_gradient_stiffness(mesh: Mesh, dofs: DofMap) -> sp.csr_matrix:
-    """Componentwise int grad xi : grad eta (full H1 seminorm matrix)."""
-    tri = _cell_pattern(mesh.triangles, dofs)
-
-    def blocks(e: slice) -> dict[tuple[int, int], np.ndarray]:
-        gx, gy, a = triangle_gradients(mesh, e)
-        gg = gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :]
-        return _diagonal(a[:, None, None] * gg)
-
-    return tri.scatter(blocks)
-
-
-def assemble_dx_stiffness(mesh: Mesh, dofs: DofMap) -> sp.csr_matrix:
-    """Componentwise int (dxi/dx) . (deta/dx)."""
-    tri = _cell_pattern(mesh.triangles, dofs)
-
-    def blocks(e: slice) -> dict[tuple[int, int], np.ndarray]:
-        gx, _, a = triangle_gradients(mesh, e)
-        return _diagonal(a[:, None, None] * gx[:, :, None] * gx[:, None, :])
-
-    return tri.scatter(blocks)
-
-
 def build_system(
     mesh: Mesh, dofs: DofMap, M: float, s: float, abc: str = "stable"
 ) -> SystemMatrices:

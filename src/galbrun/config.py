@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 from galbrun.mesh import DuctGeometry
 from galbrun.physics import (
@@ -26,11 +27,10 @@ class ConfigError(ValueError):
     """Malformed or physically inadmissible configuration."""
 
 
-class InitKind:
+class InitKind(str, Enum):
     NONE = "none"
     BUMP = "bump"
     PLANE_PULSE = "plane_pulse"
-    ALL = (NONE, BUMP, PLANE_PULSE)
 
 
 @dataclass
@@ -91,9 +91,6 @@ class RunConfig:
     def geometry(self) -> DuctGeometry:
         return DuctGeometry(R=self.R, h=self.h)
 
-    def abc_variant(self) -> AbcVariant:
-        return AbcVariant(self.abc)
-
     def source_spec(self) -> SourceSpec | None:
         if self.source_kind == SourceKind.NONE.value:
             return None
@@ -131,24 +128,19 @@ class RunConfig:
             )
         if self.s < 0:
             raise ConfigError("regularization weight s must be nonnegative")
-        try:
-            AbcVariant(self.abc)
-        except ValueError:
-            raise ConfigError(f"abc must be one of stable, naive, none; got {self.abc!r}")
+        for key, kind in (
+            ("abc", AbcVariant),
+            ("source_kind", SourceKind),
+            ("time_profile", ProfileKind),
+            ("init_kind", InitKind),
+        ):
+            value, values = getattr(self, key), [k.value for k in kind]
+            if value not in values:
+                raise ConfigError(f"unknown {key} {value!r}; one of {', '.join(values)}")
         if self.abc == AbcVariant.NONE.value and self.M != 0.0:
             # With flow the closed box's end walls feed energy in: sym(Bh) is
             # indefinite there and no boundary term cancels it.
             raise ConfigError(f"abc = none (closed box) needs M = 0; got M = {self.M}")
-        try:
-            SourceKind(self.source_kind)
-        except ValueError:
-            raise ConfigError(f"unknown source_kind {self.source_kind!r}")
-        try:
-            ProfileKind(self.time_profile)
-        except ValueError:
-            raise ConfigError(f"unknown time_profile {self.time_profile!r}")
-        if self.init_kind not in InitKind.ALL:
-            raise ConfigError(f"unknown init_kind {self.init_kind!r}")
         if self.source_width <= 0 or self.init_width <= 0 or self.time_sigma <= 0:
             raise ConfigError("source_width, init_width and time_sigma must be positive")
         for ts in self.snapshot_times:

@@ -200,12 +200,12 @@ class StepOperator:
     share one anonymous mmap with the worker processes (_fork) that, on
     large meshes, factor and step one block each, while this process
     builds the next step's load (advance); otherwise this process steps
-    every block. load, when given, is the load F(t) a step at time t
-    takes, and gamma the dofs whose outflow flux is logged. start, when
-    given, is the load of the Taylor start's mass system Mh a = start
-    (taylor_first_step): whichever process factors a block first solves
-    that block of it, and a is then start_accel. close() reaps the
-    workers.
+    every block, then builds that load. load, when given, is the load F(t)
+    a step at time t takes, and gamma the dofs whose outflow flux is
+    logged. start, when given, is the load of the Taylor start's mass
+    system Mh a = start (taylor_first_step): whichever process factors a
+    block first solves that block of it, and a is then start_accel.
+    close() reaps the workers.
     """
 
     def __init__(
@@ -328,7 +328,7 @@ class StepOperator:
                 [(_, lu)] = self._lu
                 os.write(done, lu.nnz.to_bytes(8, "little"))
                 while k := os.read(cmd, 1):
-                    self._advance(k[0], self._F[k[0]])
+                    self._advance(k[0])
                     os.write(done, b"\1")
             finally:
                 os._exit(0)
@@ -340,10 +340,11 @@ class StepOperator:
         """The state one step after state, in the pair, with its record:
         under the load vector F, or under the operator's load at time F.
 
-        A state other than the pair's own is copied in first. With workers,
-        this process puts the load in the phase's slot, sends each worker
-        the phase and, given a time, builds the next step's load, at
-        (step + 1) dt, in the other slot before it waits for them.
+        A state other than the pair's own is copied in first. This process
+        puts the load in the phase's slot, unless it built it ahead, sends
+        each worker the phase, or else steps every block itself, and, given
+        a time, builds the next step's load, at (step + 1) dt, in the other
+        slot before it waits for the workers.
         """
         k = self._phase
         prev, curr = self._pair[k], self._pair[1 - k]
@@ -351,32 +352,31 @@ class StepOperator:
             # Copied first: the state may hold the pair's buffers swapped.
             prev[:], curr[:] = state.xi_prev.copy(), state.xi_curr.copy()
         at_time = not isinstance(F, np.ndarray)
+        if not at_time or F != self._ahead:
+            self._F[k][:] = self.load(F) if at_time else F
+        self._ahead = None
+        for w in self._workers:
+            os.write(w.cmd, bytes([k]))
         if not self._workers:
-            self._advance(k, self.load(F) if at_time else F)
-        else:
-            if not at_time or F != self._ahead:
-                self._F[k][:] = self.load(F) if at_time else F
-            self._ahead = None
-            for w in self._workers:
-                os.write(w.cmd, bytes([k]))
-            if at_time:
-                t = (state.step + 1) * self.dt
-                try:
-                    self._F[1 - k][:] = self.load(t)
-                    self._ahead = t
-                except Exception:  # raised again by the step at t, not by this one
-                    pass
-            for w in self._workers:
-                if not os.read(w.done, 1):
-                    raise RuntimeError(f"step worker {w.pid} exited")
+            self._advance(k)
+        if at_time:
+            t = (state.step + 1) * self.dt
+            try:
+                self._F[1 - k][:] = self.load(t)
+                self._ahead = t
+            except Exception:  # raised again by the step at t, not by this one
+                pass
+        for w in self._workers:
+            if not os.read(w.done, 1):
+                raise RuntimeError(f"step worker {w.pid} exited")
         self._phase = 1 - k
         return SimState(curr, prev, state.step + 1, self._total(self._parts))
 
-    def _advance(self, k: int, F: np.ndarray) -> None:
+    def _advance(self, k: int) -> None:
         """Step this process's rows r from (x_{n-1}, x_n) in the pair's slots
-        (k, 1 - k) to x_{n+1} in slot k, leaving (K x_n)[r], d_{n+1}[r] =
-        (x_{n+1} - x_n)[r] / dt, (Mh d_{n+1})[r] and its blocks' partials of
-        the new pair's record. The block solves run in place, so d[r] holds
+        (k, 1 - k), under the load in slot k, to x_{n+1} in slot k, leaving
+        (K x_n)[r], d_{n+1}[r] = (x_{n+1} - x_n)[r] / dt, (Mh d_{n+1})[r]
+        and its blocks' partials of the new pair's record. The block solves run in place, so d[r] holds
         the increment x_{n+1} - 2 x_n + x_{n-1} before the update. Every
         product is taken row by row, so the bits are those of the full-size
         products.
@@ -388,7 +388,7 @@ class StepOperator:
         prev, curr = self._pair[k], self._pair[1 - k]
         with np.errstate(invalid="ignore", over="ignore"):
             # d[r] holds d_n, the right-hand side, the increment, then d_{n+1}.
-            d[r], self._Kx[r] = self.scheme_rhs(prev, curr, F)
+            d[r], self._Kx[r] = self.scheme_rhs(prev, curr, self._F[k])
             for i, lu in self._lu:
                 q = self.components[i]
                 d[q] = lu.solve(d[q], trans="T")
@@ -611,13 +611,11 @@ def run_simulation(
                 f"probe {px},{py} lies outside the duct "
                 f"[-{cfg.R}, {cfg.R}] x [-{cfg.h}, {cfg.h}]"
             )
-    variant = cfg.abc_variant()
-
     mesh = build_duct_mesh(cfg.geometry(), cfg.nx, cfg.ny)
-    dofs = build_dof_map(mesh, closed_box=(variant == AbcVariant.NONE))
+    dofs = build_dof_map(mesh, closed_box=(cfg.abc == AbcVariant.NONE))
     if dofs.n_dofs == 0:
         raise ConfigError(f"no free dof on a {cfg.nx}x{cfg.ny} mesh, abc = {cfg.abc}")
-    mats = build_system(mesh, dofs, cfg.M, cfg.s, abc=variant.value)
+    mats = build_system(mesh, dofs, cfg.M, cfg.s, abc=cfg.abc)
 
     dt, n_steps = snap_time_step(
         plan_time_step(mesh, cfg.M, cfg.cfl_safety), cfg.t_end

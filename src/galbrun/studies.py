@@ -290,9 +290,11 @@ def cmd_abc_reflection(
     rho = (peak probe |xi| after the pulse has left through the downstream
     boundary) / (peak during passage). The probe sits one unit inside the
     downstream boundary on the axis; the observation windows derive from
-    the two characteristic speeds.
+    the two characteristic speeds. The pulse is the study's only
+    excitation: a configured source is dropped, and a configured start
+    other than a plane pulse gives way to one launched from x = -R/2.
     """
-    base = config if config is not None else reflection_base_config()
+    base = dataclasses.replace(config or reflection_base_config(), source_kind="none")
     if base.init_kind != "plane_pulse":
         base = dataclasses.replace(
             base,

@@ -71,6 +71,23 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
     assert "unknown config keys: nz" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, allowed",
+    [
+        ("abc", "stable, naive, none"),
+        ("source_kind", "rotational, irrotational, none"),
+        ("time_profile", "gaussian_pulse, ricker"),
+        ("init_kind", "none, bump, plane_pulse"),
+    ],
+)
+def test_unknown_named_value_exits_two_naming_the_values(key, allowed, tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "a.cfg", **{key: "bogus"})
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert f"unknown {key} 'bogus'; one of {allowed}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_two(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
     assert "error:" in capsys.readouterr().err

@@ -517,21 +517,34 @@ def test_taylor_start_is_solved_where_l_is_factored(monkeypatch):
 
 
 def test_workers_step_under_each_load_built_once(monkeypatch):
-    # With workers, each step's load is built while the workers solve the
-    # step before, once per step time; the last one is never used.
+    # In process and with workers alike, each step's load is built once per
+    # step time, by the step before it (with workers, while they solve that
+    # step); the last one is never used.
     cfg = replace(MARCH_CASES["pulse_out"](), source_kind="rotational")
-    alone = run_simulation(cfg)  # below the crossover: no worker
-    force_worker(monkeypatch)
-    times, load = [], dynamics.RhsAssembler.__call__
+    events, load = [], dynamics.RhsAssembler.__call__
+    advance = dynamics.StepOperator.advance
 
     def counted(self, t: float) -> np.ndarray:
-        times.append(t)
+        events.append(("load", t))
         return load(self, t)
 
+    def stepped(self, state: SimState, F: float) -> SimState:
+        events.append(("step", F))
+        return advance(self, state, F)
+
     monkeypatch.setattr(dynamics.RhsAssembler, "__call__", counted)
+    monkeypatch.setattr(dynamics.StepOperator, "advance", stepped)
+    alone = run_simulation(cfg)  # below the crossover: no worker
+    in_process = events[:]
+    events.clear()
+    force_worker(monkeypatch)
     got = run_simulation(cfg)
     assert no_child_left()
-    assert times == [k * got.dt for k in range(1, got.n_steps + 1)]
+    dt = got.dt
+    order = [("step", dt), ("load", dt)]
+    for k in range(2, got.n_steps):
+        order += [("load", k * dt), ("step", k * dt)]
+    assert in_process == events == order + [("load", got.n_steps * dt)]
     for name in ("E", "kinetic", "flux"):
         want = [getattr(r, name) for r in alone.records]
         assert [getattr(r, name) for r in got.records] == want, name

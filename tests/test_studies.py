@@ -5,12 +5,13 @@ the levels are trimmed so the whole module stays in the seconds range.
 """
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 
 from galbrun import studies
-from galbrun.config import ConfigError, RunConfig
+from galbrun.config import ConfigError, RunConfig, load_config
 from galbrun.dynamics import EnergyRecord, Stable, Unstable
 from galbrun.studies import (
     ContrastReport,
@@ -26,6 +27,8 @@ from galbrun.studies import (
     spatial_convergence,
     temporal_convergence,
 )
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +209,16 @@ def test_reflection_closed_box_reflects_everything():
     cfg = dataclasses.replace(reflection_base_config(), abc="none", M=0.0, t_end=9.0)
     rep = cmd_abc_reflection(cfg, levels=((80, 10),))
     assert rep.levels[0].rho > 0.5
+
+
+def test_reflection_drops_a_configured_source_and_start():
+    # exp1 runs a rotational source from rest; the study keeps neither, so
+    # the source's wake is not read as reflection.
+    exp1 = load_config(os.path.join(CONFIG_DIR, "exp1_rotational.cfg"))
+    got = cmd_abc_reflection(dataclasses.replace(exp1, t_end=8.0), levels=((80, 10),))
+    plain = dataclasses.replace(exp1, t_end=8.0, source_kind="none")
+    want = cmd_abc_reflection(plain, levels=((80, 10),))
+    assert got.levels[0].rho == want.levels[0].rho < 0.01
 
 
 def test_reflection_errors_when_pulse_cannot_return():
