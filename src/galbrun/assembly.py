@@ -16,7 +16,8 @@ Sign conventions are fixed by the energy identity: with
 boundary whose outward normal has x component n_x, the symmetric part of
 Bh + Ch is exactly the plain boundary mass on Gamma- u Gamma+, so the
 semi-discrete energy obeys dE/dt = -int_Gamma |xi_t|^2 for F = 0. A run
-logs that outflow as d^T sym(BC) d; no boundary mass is assembled.
+logs that outflow as d^T sym(BC) d on the dofs of Gamma-/+, which the
+system carries (SystemMatrices.gamma); no boundary mass is assembled.
 """
 
 from __future__ import annotations
@@ -38,12 +39,14 @@ TRI_QP_WEIGHTS = np.array([1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0])
 @dataclass
 class SystemMatrices:
     """Mh xi'' + BC xi' + K xi = F: the mass, damping and stiffness of one
-    absorbing-condition variant, all CSR, and DofMap.components."""
+    absorbing-condition variant, all CSR, DofMap.components, and gamma, the
+    sorted free dofs on Gamma-/+, off which sym(BC) vanishes."""
 
     Mh: sp.csr_matrix
     K: sp.csr_matrix
     BC: sp.csr_matrix
     components: tuple[slice, ...]
+    gamma: np.ndarray
 
 
 def _areas(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -373,4 +376,6 @@ def build_system(
         BC = BC + assemble_c(mesh, dofs, M)
     if abc == "stable":
         K = K + assemble_d(mesh, dofs)
-    return SystemMatrices(Mh=Mh, K=K, BC=BC, components=dofs.components)
+    gamma = dofs.node_dofs[mesh.gamma_node_mask()]
+    gamma = np.sort(gamma[gamma >= 0])
+    return SystemMatrices(Mh, K, BC, dofs.components, gamma)

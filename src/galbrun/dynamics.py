@@ -166,7 +166,7 @@ class _Worker:
 def _trim_heap() -> None:
     """Return the heap's free pages to the system (glibc's malloc_trim), so
     that a forked worker does not start with them resident; elsewhere
-    nothing. At 320x80 the set-up leaves about 10 MB of them."""
+    nothing: 3.1-4.0 MB at 320x80, about 1 MB off the workers' peak."""
     try:
         trim = ctypes.CDLL(None).malloc_trim
     except (AttributeError, OSError):
@@ -201,11 +201,10 @@ class StepOperator:
     large meshes, factor and step one block each, while this process
     builds the next step's load (advance); otherwise this process steps
     every block, then builds that load. load, when given, is the load F(t)
-    a step at time t takes, and gamma the dofs whose outflow flux is
-    logged. start, when given, is the load of the Taylor start's mass
-    system Mh a = start (taylor_first_step): whichever process factors a
-    block first solves that block of it, and a is then start_accel.
-    close() reaps the workers.
+    a step at time t takes. start, when given, is the Taylor start's state
+    (xi0, zeta0) (taylor_first_step): whichever process factors a block
+    first solves that block of Mh a = F(0) - K xi0 - BC zeta0, and a is
+    then start_accel. close() reaps the workers.
     """
 
     def __init__(
@@ -213,15 +212,14 @@ class StepOperator:
         mats: SystemMatrices,
         dt: float,
         load: Callable[[float], np.ndarray] | None = None,
-        gamma: np.ndarray = np.empty(0, dtype=np.int64),
-        start: np.ndarray | None = None,
+        start: tuple[np.ndarray, np.ndarray] | None = None,
     ):
         self._workers: list[_Worker] = []
         if dt <= 0:
             raise ValueError("dt must be positive")
         self.Mh, self.K, self.BC = mats.Mh, mats.K, mats.BC
         self.components = blocks = mats.components
-        self.dt, self.load = dt, load
+        self.dt, self.load, self.start = dt, load, start
         # A process's rows of BC and Mh may reach only its own rows of d.
         for r in blocks:
             for A in (mats.BC, mats.Mh):
@@ -232,11 +230,9 @@ class StepOperator:
                     )
         # Each block's dofs on Gamma and sym(BC) on them, sliced first so as
         # to make no full-size matrix: the block's outflow flux.
-        self._gamma = [gamma[(r.start <= gamma) & (gamma < r.stop)] for r in blocks]
-        self._flux = []
-        for g in self._gamma:
-            A = self.BC[g][:, g]
-            self._flux.append(0.5 * (A + A.T))
+        g = mats.gamma
+        self._gamma = [g[(r.start <= g) & (g < r.stop)] for r in blocks]
+        self._flux = [0.5 * (A + A.T) for A in (self.BC[g][:, g] for g in self._gamma)]
         n = mats.K.shape[0]
         shared = np.frombuffer(mmap.mmap(-1, 8 * (7 * n + 3 * len(blocks))))
         vectors = shared[: 7 * n].reshape(7, n)
@@ -248,9 +244,8 @@ class StepOperator:
         self._ahead: float | None = None  # the time of the next slot's load
         self._lu: list[tuple[int, SuperLU]] | None = []
         self.worker_fill = 0
-        self._start = start is not None
-        if self._start:
-            self._d[:] = start  # solved in place by block (_own)
+        if start is not None:  # solved in place by block (_own)
+            self._d[:] = load(0.0) - self.K @ start[0] - self.BC @ start[1]
         self._reap = weakref.finalize(self, _reap, self._workers)
         cpus = getattr(os, "sched_getaffinity", lambda pid: ())(0)
         large = min(r.stop - r.start for r in blocks) >= WORKER_MIN_BLOCK
@@ -273,7 +268,7 @@ class StepOperator:
         except BaseException:
             self.close()
             raise
-        self.start_accel = self._d.copy() if self._start else None
+        self.start_accel = None if start is None else self._d.copy()
 
     def _block(self, r: slice) -> sp.spmatrix:
         """L's diagonal block L[r, r]."""
@@ -284,7 +279,7 @@ class StepOperator:
         """Solve the blocks, by index, of the start's mass system, if any,
         in d; factor them; and take their dof range r and its rows of K, BC
         and Mh (_row_block): what this process steps."""
-        for i in blocks if self._start else ():  # Mh is block diagonal, like L
+        for i in blocks if self.start else ():  # Mh is block diagonal, like L
             q = self.components[i]
             mass = factorize(_diagonal_block(self.Mh, q))
             self._d[q] = mass.solve(self._d[q], trans="T")
@@ -406,15 +401,14 @@ class StepOperator:
         E, kinetic = energy(d[q], Mh_d[q], x[q], Kx[q])
         return E, kinetic, boundary_flux(d[g], self._flux[i])
 
-    def observe(
-        self, d: np.ndarray, Mh_d: np.ndarray, x: np.ndarray, Kx: np.ndarray
-    ) -> tuple[float, float, float]:
-        """(E, kinetic, flux) of a pair whose later state is x, from d, its
-        difference quotient, Mh_d = Mh d and Kx = K times its earlier state:
-        physics.energy on each block's rows plus physics.boundary_flux on its
-        dofs of gamma, summed in block order, as a step sums them."""
-        n = len(self.components)
-        return self._total(np.array([self._observe(i, d, Mh_d, x, Kx) for i in range(n)]))
+    def observe(self, prev: np.ndarray, curr: np.ndarray) -> tuple[float, float, float]:
+        """(E, kinetic, flux) of the pair (prev, curr): physics.energy on each
+        block's rows plus physics.boundary_flux on its dofs of gamma, summed
+        in block order, as a step sums them."""
+        d = (curr - prev) / self.dt
+        Mh_d, Kx, n = self.Mh @ d, self.K @ prev, len(self.components)
+        parts = [self._observe(i, d, Mh_d, curr, Kx) for i in range(n)]
+        return self._total(np.array(parts))
 
     @staticmethod
     def _total(parts: np.ndarray) -> tuple[float, float, float]:
@@ -468,16 +462,14 @@ def leapfrog_step(
     return op.advance(state, F)
 
 
-def taylor_first_step(
-    op: StepOperator, xi0: np.ndarray, zeta0: np.ndarray
-) -> np.ndarray:
-    """Second-order accurate start from displacement and velocity data:
+def taylor_first_step(op: StepOperator) -> np.ndarray:
+    """Second-order accurate start from op's start, the displacement and
+    velocity data (xi0, zeta0):
 
     xi1 = xi0 + dt zeta0 + dt^2/2 Mh^{-1} (F0 - K xi0 - BC zeta0),
 
-    with the mass solve op's start_accel: op was built with start =
-    F0 - K xi0 - BC zeta0, so the processes that factor L solve it.
-    """
+    with the mass solve op's start_accel."""
+    xi0, zeta0 = op.start
     return xi0 + op.dt * zeta0 + 0.5 * op.dt * op.dt * op.start_accel
 
 
@@ -501,11 +493,9 @@ class RunResult:
 
 @dataclass
 class Problem:
-    """What march steps: the system on a mesh's dofs, n_steps of dt, the load
-    F(t) and the start (xi0, xi1), or xi0 and velocity zeta0 if xi1 is None."""
+    """What march steps: the system, n_steps of dt, the load F(t) and the
+    start (xi0, xi1), or xi0 and velocity zeta0 if xi1 is None."""
 
-    mesh: Mesh
-    dofs: DofMap
     mats: SystemMatrices
     dt: float
     n_steps: int
@@ -527,17 +517,11 @@ def march(
     non-finite or the kinetic part exceeds INSTABILITY_RATIO times the
     largest E logged so far.
     """
-    dt = p.dt
-    # sym(BC) vanishes off the dofs of Gamma-/+ (to roundoff).
-    gamma = p.dofs.node_dofs[p.mesh.gamma_node_mask()]
-    gamma = np.sort(gamma[gamma >= 0])
-    xi0, xi1 = p.xi0, p.xi1
-    mass_load = None  # the Taylor start's, solved as the operator is built
-    if xi1 is None:
-        mass_load = p.rhs(0.0) - p.mats.K @ xi0 - p.mats.BC @ p.zeta0
-    with closing(StepOperator(p.mats, dt, p.rhs, gamma, mass_load)) as op:
+    dt, xi0, xi1 = p.dt, p.xi0, p.xi1
+    start = None if xi1 is not None else (xi0, p.zeta0)
+    with closing(StepOperator(p.mats, dt, p.rhs, start)) as op:
         if xi1 is None:
-            xi1 = taylor_first_step(op, xi0, p.zeta0)
+            xi1 = taylor_first_step(op)
         records: list[EnergyRecord] = []
 
         def observe(step: int, x: np.ndarray, E: float, *rest: float) -> float:
@@ -545,9 +529,8 @@ def march(
             visit(step, x)
             return E
 
-        d = (xi1 - xi0) / dt
-        start = op.observe(d, op.Mh @ d, xi1, op.K @ xi0)
-        peak_E = max(observe(0, xi0, *start), observe(1, xi1, *start))
+        first = op.observe(xi0, xi1)
+        peak_E = max(observe(0, xi0, *first), observe(1, xi1, *first))
         state = SimState(xi0, xi1, 1)
         status: Stable | Unstable = Stable(steps=p.n_steps)
         while state.step < p.n_steps:
@@ -628,7 +611,7 @@ def run_simulation(
             vorticity = CausalVorticity(source, cfg.M)
     rhs = RhsAssembler(mesh, dofs, loads, cfg.s, vorticity=vorticity)
     start = _initial_levels(cfg, mesh, dofs, dt)
-    problem = Problem(mesh, dofs, mats, dt, n_steps, rhs, *start)
+    problem = Problem(mats, dt, n_steps, rhs, *start)
 
     snapshot_steps: dict[int, float] = {}
     for ts in cfg.snapshot_times:

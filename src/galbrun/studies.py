@@ -41,7 +41,7 @@ from galbrun.dynamics import (
     snap_time_step,
     status_text,
 )
-from galbrun.mesh import DuctGeometry, Mesh, build_dof_map, build_duct_mesh
+from galbrun.mesh import DofMap, DuctGeometry, Mesh, build_dof_map, build_duct_mesh
 from galbrun.physics import Load, RhsAssembler
 
 
@@ -109,16 +109,16 @@ def manufactured_case(M: float, s: float, omega: float = 2.0) -> MmsCase:
 
 def _mms_solve(
     case: MmsCase, mesh: Mesh, n_steps: int, t_end: float
-) -> tuple[np.ndarray, Stable | Unstable, Problem]:
-    """(x at t_end, verdict, problem) of n_steps steps on the closed box."""
+) -> tuple[np.ndarray, Stable | Unstable, Problem, DofMap]:
+    """(x at t_end, verdict, problem, dofs) of n_steps steps on the closed box."""
     dofs = build_dof_map(mesh, closed_box=True)
     mats = build_system(mesh, dofs, case.M, case.s, abc="none")
     rhs = RhsAssembler(mesh, dofs, case.loads, case.s)
     xi0 = dofs.restrict(case.xi(mesh.nodes, 0.0))
     zeta0 = dofs.restrict(case.xi_t(mesh.nodes, 0.0))
-    p = Problem(mesh, dofs, mats, t_end / n_steps, n_steps, rhs, xi0, None, zeta0)
+    p = Problem(mats, t_end / n_steps, n_steps, rhs, xi0, None, zeta0)
     status, _, state = march(p)
-    return state.xi_curr, status, p
+    return state.xi_curr, status, p, dofs
 
 
 def _warning(status: Stable | Unstable) -> str:
@@ -174,8 +174,8 @@ def spatial_convergence(
     for n in levels:
         mesh = build_duct_mesh(DuctGeometry(1.0, 1.0), n, n)
         _, n_steps = snap_time_step(plan_time_step(mesh, M, cfl), t_end)
-        xi, status, p = _mms_solve(case, mesh, n_steps, t_end)
-        exact = p.dofs.restrict(case.xi(mesh.nodes, t_end))
+        xi, status, p, dofs = _mms_solve(case, mesh, n_steps, t_end)
+        exact = dofs.restrict(case.xi(mesh.nodes, t_end))
         err, Mh = xi - exact, p.mats.Mh
         error = math.sqrt((err @ (Mh @ err)) / (exact @ (Mh @ exact)))
         rows.append((f"n = {n:3d} (dt = {p.dt:.6g})", 2.0 / n, error, status))
@@ -198,12 +198,12 @@ def temporal_convergence(
     case = manufactured_case(M, s)
     mesh = build_duct_mesh(DuctGeometry(1.0, 1.0), n, n)
     _, n0 = snap_time_step(plan_time_step(mesh, M, cfl), t_end)
-    ref, ref_status, p = _mms_solve(case, mesh, n0 * ref_factor, t_end)
+    ref, ref_status, p, _ = _mms_solve(case, mesh, n0 * ref_factor, t_end)
     scale = math.sqrt(ref @ (p.mats.Mh @ ref))
 
     rows = []
     for k in range(halvings):
-        xi, status, p = _mms_solve(case, mesh, n0 * 2**k, t_end)
+        xi, status, p, _ = _mms_solve(case, mesh, n0 * 2**k, t_end)
         diff = xi - ref
         error = math.sqrt(diff @ (p.mats.Mh @ diff)) / scale
         rows.append((f"n = {n:3d} (dt = {p.dt:.6g})", p.dt, error, status))
@@ -305,6 +305,10 @@ def cmd_abc_reflection(
     c_out = 1.0 + base.M  # downstream speed of the launched pulse
     c_back = 1.0 - base.M  # speed of anything reflected back upstream
     probe = (base.R - 1.0, 0.0)
+    if base.init_center_x >= probe[0]:
+        raise ConfigError(
+            f"init_center_x must lie upstream of the probe at x = {probe[0]}"
+        )
     spread = 4.0 * base.init_width / c_out
     t_peak = (probe[0] - base.init_center_x) / c_out
     t_exit = (base.R - base.init_center_x) / c_out

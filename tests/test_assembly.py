@@ -327,8 +327,19 @@ def test_build_system_variants(small_duct):
         "K",
         "BC",
         "components",
+        "gamma",
     ]
     assert stable.components == dofs.components
+    # gamma: the free dofs of the nodes on x = +-R, sorted, in every variant.
+    on_gamma = np.isclose(np.abs(mesh.nodes[:, 0]), 2.0)
+    want = np.sort(dofs.node_dofs[on_gamma].ravel())
+    for mats in (stable, naive, closed):
+        assert np.array_equal(mats.gamma, want[want >= 0])
+    # The closed box keeps only the y dofs there, off the walls' corners.
+    box = build_dof_map(mesh, closed_box=True)
+    on_wall = np.isclose(np.abs(mesh.nodes[:, 1]), 1.0)
+    want = box.node_dofs[on_gamma & ~on_wall, 1]
+    assert np.array_equal(build_system(mesh, box, M=0.0, s=1.0, abc="none").gamma, want)
     # naive drops Dh from K, none drops Ch from BC as well.
     assert rel_diff(naive.BC, stable.BC) == 0.0
     assert rel_diff(naive.K, closed.K) == 0.0

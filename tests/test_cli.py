@@ -201,6 +201,58 @@ def test_unstable_run_still_exits_zero(tmp_path, capsys):
     assert (out / "energy.csv").exists()
 
 
+def test_run_prints_the_warnings_and_exits_zero(tmp_path, capsys):
+    # s = 0 is outside both the well-posedness regime and the absorbing
+    # boundary analysis: a warning each, and the run still completes.
+    cfg = write_cfg(tmp_path / "a.cfg", s=0.0, snapshot_times="")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert err[0].startswith("warning: min(1, s) = 0.0 does not exceed M^2")
+    assert err[1] == (
+        "warning: absorbing boundary analysis assumes s = 1; this run is experimental"
+    )
+
+
+def test_stability_contrast_writes_both_runs_and_its_report(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "a.cfg", nx=32, ny=8, t_end=0.4)
+    out = tmp_path / "out"
+    assert main(["stability-contrast", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "s1" / "energy.csv").exists()
+    assert (out / "s0" / "energy.csv").exists()
+    printed = capsys.readouterr().out
+    assert printed.startswith("stability contrast: M = 0.5, nx = 32, ny = 8")
+    assert (out / "contrast_report.txt").read_text() == printed
+
+
+def test_abc_reflection_writes_its_report(tmp_path, capsys):
+    cfg = write_cfg(
+        tmp_path / "a.cfg", R=8.0, t_end=5.0, init_kind="plane_pulse", init_center_x=5.0
+    )
+    out = tmp_path / "out"
+    assert main(["abc-reflection", "--config", cfg, "--out", str(out)]) == 0
+    path = out / "reflection_report.txt"
+    *report, wrote = capsys.readouterr().out.splitlines(keepends=True)
+    assert wrote == f"wrote {path}\n"
+    assert report[0].startswith("absorbing-boundary reflection study (probe at (7.0,")
+    assert path.read_text() == "".join(report)
+
+
+def test_abc_reflection_pulse_past_its_probe_exits_two(tmp_path, capsys):
+    # Launched at x = 10, downstream of the probe at x = R - 1 = 3, the pulse
+    # never passes the probe: no record would fall in the passage window.
+    cfg = write_cfg(
+        tmp_path / "a.cfg",
+        R=4.0,
+        t_end=8.0,
+        source_kind="none",
+        init_kind="plane_pulse",
+        init_center_x=10.0,
+    )
+    assert main(["abc-reflection", "--config", cfg]) == 2
+    assert "upstream of the probe at x = 3.0" in capsys.readouterr().err
+
+
 def test_metadata_echo_rerun_reproduces_energy_log(tmp_path):
     cfg = write_cfg(tmp_path / "a.cfg")
     out_a = tmp_path / "a_out"

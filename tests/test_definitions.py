@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import ast
 import glob
+import inspect
 import os
 import re
 
 import pytest
 
 import galbrun
+from galbrun import dynamics
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 SRC_MODULES = sorted(
@@ -176,6 +178,28 @@ def test_one_time_loop(name):
     # Every command steps through dynamics.march: one starter call and one
     # step call in the package.
     assert len(call_sites(name)) == 1, call_sites(name)
+
+
+def test_the_time_loop_steps_an_algebraic_system():
+    # The system carries its dofs of Gamma-/+ (SystemMatrices.gamma), so
+    # march reads no mesh and no dof map, and StepOperator takes no gamma.
+    [march] = [
+        node
+        for node in parse("src/galbrun/dynamics.py").body
+        if isinstance(node, FUNCTION) and node.name == "march"
+    ]
+    names = {n.id for n in ast.walk(march) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(march) if isinstance(n, ast.Attribute)}
+    assert [n for n in names if "mesh" in n or "dof" in n] == []
+    def params(f) -> list[str]:
+        return list(inspect.signature(f).parameters)
+
+    assert params(dynamics.StepOperator) == ["mats", "dt", "load", "start"]
+    assert params(dynamics.StepOperator.observe) == ["self", "prev", "curr"]
+    assert params(dynamics.taylor_first_step) == ["op"]
+    assert params(dynamics.Problem) == [
+        "mats", "dt", "n_steps", "rhs", "xi0", "xi1", "zeta0"
+    ]
 
 
 def test_one_sparse_scatter():

@@ -197,7 +197,9 @@ def test_step_operator_rejects_damping_across_components(case):
     coupling = sp.csr_matrix(([1.0], ([x], [y])), shape=(n, n))
     with pytest.raises(ValueError):
         StepOperator(
-            SystemMatrices(mats.Mh, mats.K, mats.BC + coupling, mats.components),
+            SystemMatrices(
+                mats.Mh, mats.K, mats.BC + coupling, mats.components, mats.gamma
+            ),
             dt=0.05,
         )
 
@@ -751,14 +753,26 @@ def test_taylor_start_exact_for_quadratic(small_duct):
     dt = 0.05
     zero = np.zeros_like(w)
     # From rest the start's mass load is F0 itself.
-    op = StepOperator(mats, dt, start=2 * (mats.Mh @ w))
-    xi1 = taylor_first_step(op, zero, zero)
+    Fw = 2 * (mats.Mh @ w)
+    op = StepOperator(mats, dt, load=lambda t: Fw, start=(zero, zero))
+    xi1 = taylor_first_step(op)
     assert np.abs(xi1 - dt * dt * w).max() < 1e-12 * np.abs(w).max()
     # From rest, xi1 = dt^2/2 Mh^{-1} F0: the start's factor solves Mh.
     F0 = np.random.default_rng(6).standard_normal(dofs.n_dofs)
-    op = StepOperator(mats, dt, start=F0)
-    accel = taylor_first_step(op, zero, zero) / (0.5 * dt * dt)
+    op = StepOperator(mats, dt, load=lambda t: F0, start=(zero, zero))
+    accel = taylor_first_step(op) / (0.5 * dt * dt)
     assert np.abs(mats.Mh @ accel - F0).max() < 1e-12 * np.abs(F0).max()
+    # x(t) = u + v t + w t^2 under its own load: the operator forms the mass
+    # load F(0) - K u - BC v, and the start is exact.
+    u, v = np.random.default_rng(7).standard_normal((2, dofs.n_dofs))
+
+    def F(t: float) -> np.ndarray:
+        return Fw + mats.BC @ (v + 2 * t * w) + mats.K @ (u + t * v + t * t * w)
+
+    op = StepOperator(mats, dt, load=F, start=(u, v))
+    xi1 = taylor_first_step(op)
+    exact = u + dt * v + dt * dt * w
+    assert np.abs(xi1 - exact).max() < 1e-12 * np.abs(exact).max()
 
 
 def test_nonfinite_run_ends_unstable_on_the_energy_check():

@@ -175,9 +175,9 @@ def test_temporal_report_flags_unstable_reference(monkeypatch):
     solve, calls = studies._mms_solve, []
 
     def reference_unstable(case, mesh, n_steps, t_end):
-        x, status, p = solve(case, mesh, n_steps, t_end)
+        x, status, p, dofs = solve(case, mesh, n_steps, t_end)
         calls.append(n_steps)
-        return x, Unstable(9) if len(calls) == 1 else status, p
+        return x, Unstable(9) if len(calls) == 1 else status, p, dofs
 
     monkeypatch.setattr(studies, "_mms_solve", reference_unstable)
     rep = temporal_convergence(n=6)
