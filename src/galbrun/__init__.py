@@ -14,8 +14,8 @@ from galbrun.mesh import (
     build_dof_map,
     build_duct_mesh,
 )
-from galbrun.assembly import SystemMatrices, build_system
-from galbrun.physics import AbcVariant, SourceSpec, TimeProfile
+from galbrun.assembly import AbcVariant, SystemMatrices, build_system
+from galbrun.physics import SourceSpec, TimeProfile
 from galbrun.dynamics import RunResult, SimState, Stable, StepOperator, Unstable, run_simulation
 from galbrun.config import ConfigError, RunConfig, load_config
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,6 +35,14 @@ from galbrun.mesh import BoundaryTag, DofMap, Mesh
 # volume integrands here are constant or quadratic, so this rule is exact.
 TRI_QP_BARY = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 TRI_QP_WEIGHTS = np.array([1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0])
+
+
+class AbcVariant(str, Enum):
+    """Treatment of the artificial boundaries x = +-R."""
+
+    STABLE = "stable"  # damping form plus tangential coupling form
+    NAIVE = "naive"    # damping form only; exact for plane waves, unstable for M != 0
+    NONE = "none"      # closed box, rigid walls everywhere
 
 
 @dataclass
@@ -350,7 +359,7 @@ def assemble_d(mesh: Mesh, dofs: DofMap) -> sp.csr_matrix:
 
 
 def build_system(
-    mesh: Mesh, dofs: DofMap, M: float, s: float, abc: str = "stable"
+    mesh: Mesh, dofs: DofMap, M: float, s: float, abc: str = AbcVariant.STABLE
 ) -> SystemMatrices:
     """Assemble Mh, K and BC for one absorbing-condition variant.
 
@@ -361,8 +370,7 @@ def build_system(
     """
     if abs(M) >= 1.0:
         raise ValueError("mean flow must be subsonic, |M| < 1")
-    if abc not in ("stable", "naive", "none"):
-        raise ValueError(f"unknown abc variant: {abc!r}")
+    abc = AbcVariant(abc)
     tri = _cell_pattern(mesh.triangles, dofs)
     # K, which couples the components, first: its scatter needs the most
     # memory, and the last one's sits on the other two matrices.
@@ -372,9 +380,9 @@ def build_system(
     # Freed before the sums allocate K and BC, the pattern's 3.4 MB (320x80)
     # is reused.
     del tri
-    if abc != "none":
+    if abc != AbcVariant.NONE:
         BC = BC + assemble_c(mesh, dofs, M)
-    if abc == "stable":
+    if abc == AbcVariant.STABLE:
         K = K + assemble_d(mesh, dofs)
     gamma = dofs.node_dofs[mesh.gamma_node_mask()]
     gamma = np.sort(gamma[gamma >= 0])

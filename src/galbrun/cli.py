@@ -16,7 +16,6 @@ import sys
 
 from galbrun.config import ConfigError, RunConfig, load_config
 from galbrun.dynamics import run_simulation, status_text
-from galbrun.output import write_probe_log
 from galbrun.studies import (
     cmd_abc_reflection,
     cmd_convergence,
@@ -112,10 +111,6 @@ def main(argv=None) -> int:
             result = run_simulation(cfg, out_dir=out, probes=tuple(args.probe))
             for w in result.warnings:
                 print(f"warning: {w}", file=sys.stderr)
-            if args.probe:
-                path = os.path.join(out, "probes.csv")
-                write_probe_log(result.records, args.probe, result.probe_norms, path)
-                print(f"wrote {path}")
             print(f"status: {status_text(result.status, result.n_steps)}")
             print(f"dt = {result.dt:.6g}, artifacts in {out}")
             return 0
@@ -135,6 +130,7 @@ def main(argv=None) -> int:
         if args.command == "stability-contrast":
             report = cmd_stability_contrast(_load_config(args), out_dir=args.out)
             print(report.text(), end="")
+            _write_report(args.out, "contrast_report.txt", report.text())
             return 0
 
         raise AssertionError(f"unhandled command {args.command}")

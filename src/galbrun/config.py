@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from galbrun.assembly import AbcVariant
 from galbrun.mesh import DuctGeometry
 from galbrun.physics import (
-    AbcVariant,
     ProfileKind,
     SourceKind,
     SourceSpec,
@@ -137,7 +137,7 @@ class RunConfig:
             value, values = getattr(self, key), [k.value for k in kind]
             if value not in values:
                 raise ConfigError(f"unknown {key} {value!r}; one of {', '.join(values)}")
-        if self.abc == AbcVariant.NONE.value and self.M != 0.0:
+        if self.abc == AbcVariant.NONE and self.M != 0.0:
             # With flow the closed box's end walls feed energy in: sym(Bh) is
             # indefinite there and no boundary term cancels it.
             raise ConfigError(f"abc = none (closed box) needs M = 0; got M = {self.M}")

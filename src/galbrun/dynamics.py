@@ -54,17 +54,17 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import SuperLU, splu
 
-from galbrun.assembly import SystemMatrices, build_system, minimum_edge_length
-from galbrun.config import ConfigError, InitKind, RunConfig
+from galbrun.assembly import AbcVariant, SystemMatrices, build_system, minimum_edge_length
+from galbrun.config import ConfigError, InitKind, RunConfig, config_to_text
 from galbrun.mesh import DofMap, Mesh, build_dof_map, build_duct_mesh
 from galbrun.output import (
     EnergyRecord,
     vtk_geometry,
     write_energy_log,
+    write_probe_log,
     write_snapshot,
 )
 from galbrun.physics import (
-    AbcVariant,
     CausalVorticity,
     RhsAssembler,
     SourceKind,
@@ -147,7 +147,8 @@ def _diagonal_block(A: sp.csr_matrix, r: slice) -> sp.csr_matrix:
     )
 
 
-# Both blocks need this many dofs for the workers (the set-up's break-even).
+# Both blocks need this many dofs for the workers: the break-even when one worker
+# served one block. Now in process wins at 160x40 (6.3k a block), workers at 240x60 (14.2k).
 WORKER_MIN_BLOCK = 3000
 _parent_ends: set[int] = set()  # this process's pipe ends to live workers
 
@@ -581,11 +582,11 @@ def run_simulation(
 ) -> RunResult:
     """Execute one configured run: build its Problem and march it.
 
-    Writes snapshots, the energy log, a metadata echo and a short report
-    into out_dir when given; otherwise only the returned records and
-    final state are kept. Partial outputs are preserved when the march
-    stops Unstable. A mesh with no free dof, or a probe outside the duct
-    [-R, R] x [-h, h], raises ConfigError.
+    Writes snapshots, the energy log, probes.csv (given probes), a metadata
+    echo and a short report into out_dir when given; otherwise only the
+    returned records and final state are kept. Partial outputs are kept
+    when the march stops Unstable. A mesh with no free dof, or a probe
+    outside the duct [-R, R] x [-h, h], raises ConfigError.
     """
     warnings = cfg.validate()
     for px, py in probes:
@@ -613,9 +614,7 @@ def run_simulation(
     start = _initial_levels(cfg, mesh, dofs, dt)
     problem = Problem(mats, dt, n_steps, rhs, *start)
 
-    snapshot_steps: dict[int, float] = {}
-    for ts in cfg.snapshot_times:
-        snapshot_steps.setdefault(min(n_steps, max(0, round(ts / dt))), ts)
+    snapshot_steps = {min(n_steps, max(0, round(ts / dt))) for ts in cfg.snapshot_times}
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -650,8 +649,11 @@ def run_simulation(
 
     status, records, state = march(problem, visit)
 
+    probe_norms = np.array(probe_rows) if probe_nodes.size else None
     if out_dir is not None:
         write_energy_log(records, os.path.join(out_dir, "energy.csv"))
+        if probe_norms is not None:
+            write_probe_log(records, probes, probe_norms, os.path.join(out_dir, "probes.csv"))
         with open(os.path.join(out_dir, "report.txt"), "w", newline="\n") as f:
             f.write(_report_text(status, records, dt, n_steps, warnings))
 
@@ -664,7 +666,7 @@ def run_simulation(
         dofs=dofs,
         config=cfg,
         warnings=warnings,
-        probe_norms=np.array(probe_rows) if probe_nodes.size else None,
+        probe_norms=probe_norms,
         final_state=state,
     )
 
@@ -677,8 +679,6 @@ def _metadata_text(
     n_steps: int,
     warnings: list[str],
 ) -> str:
-    from galbrun.config import config_to_text
-
     comments = [
         "run metadata echo; loadable as a config file",
         f"derived: dt = {dt!r}, n_steps = {n_steps}, n_dofs = {dofs.n_dofs}, "

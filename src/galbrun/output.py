@@ -94,7 +94,7 @@ def write_energy_log(records: list[EnergyRecord], path: str) -> None:
 
 def write_probe_log(
     records: list[EnergyRecord],
-    probes: list[tuple[float, float]],
+    probes: tuple[tuple[float, float], ...],
     norms: np.ndarray,
     path: str,
 ) -> None:

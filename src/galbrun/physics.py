@@ -27,14 +27,6 @@ from galbrun.assembly import (
 from galbrun.mesh import DofMap, Mesh
 
 
-class AbcVariant(str, Enum):
-    """Treatment of the artificial boundaries x = +-R."""
-
-    STABLE = "stable"  # damping form plus tangential coupling form
-    NAIVE = "naive"    # damping form only; exact for plane waves, unstable for M != 0
-    NONE = "none"      # closed box, rigid walls everywhere
-
-
 class ProfileKind(str, Enum):
     GAUSSIAN_PULSE = "gaussian_pulse"
     RICKER = "ricker"

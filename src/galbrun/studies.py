@@ -305,9 +305,10 @@ def cmd_abc_reflection(
     c_out = 1.0 + base.M  # downstream speed of the launched pulse
     c_back = 1.0 - base.M  # speed of anything reflected back upstream
     probe = (base.R - 1.0, 0.0)
-    if base.init_center_x >= probe[0]:
+    if not -base.R < base.init_center_x < probe[0]:
         raise ConfigError(
-            f"init_center_x must lie upstream of the probe at x = {probe[0]}"
+            f"init_center_x must lie downstream of the duct's upstream end "
+            f"x = {-base.R} and upstream of the probe at x = {probe[0]}"
         )
     spread = 4.0 * base.init_width / c_out
     t_peak = (probe[0] - base.init_center_x) / c_out
@@ -415,9 +416,9 @@ def cmd_stability_contrast(
 ) -> ContrastReport:
     """Run the same configuration with s = 1 and s = 0.
 
-    With out_dir given, artifacts land in out_dir/s1 and out_dir/s0 and the
-    report text is written alongside them. The default configuration is
-    the default run with snapshots near its end.
+    With out_dir given, the two runs' artifacts land in out_dir/s1 and
+    out_dir/s0. The default configuration is the default run with
+    snapshots near its end.
     """
     if config_base is None:
         config_base = RunConfig(snapshot_times=(1.5, 1.75, 2.0))
@@ -432,7 +433,4 @@ def cmd_stability_contrast(
         growth_regularized=growth_over_final_decade(results[1.0].records),
         growth_unregularized=growth_over_final_decade(results[0.0].records),
     )
-    if out_dir is not None:
-        with open(os.path.join(out_dir, "contrast_report.txt"), "w", newline="\n") as f:
-            f.write(report.text())
     return report

@@ -220,9 +220,11 @@ def test_stability_contrast_writes_both_runs_and_its_report(tmp_path, capsys):
     assert main(["stability-contrast", "--config", cfg, "--out", str(out)]) == 0
     assert (out / "s1" / "energy.csv").exists()
     assert (out / "s0" / "energy.csv").exists()
-    printed = capsys.readouterr().out
-    assert printed.startswith("stability contrast: M = 0.5, nx = 32, ny = 8")
-    assert (out / "contrast_report.txt").read_text() == printed
+    path = out / "contrast_report.txt"
+    *report, wrote = capsys.readouterr().out.splitlines(keepends=True)
+    assert wrote == f"wrote {path}\n"
+    assert report[0].startswith("stability contrast: M = 0.5, nx = 32, ny = 8")
+    assert path.read_text() == "".join(report)
 
 
 def test_abc_reflection_writes_its_report(tmp_path, capsys):
@@ -251,6 +253,21 @@ def test_abc_reflection_pulse_past_its_probe_exits_two(tmp_path, capsys):
     )
     assert main(["abc-reflection", "--config", cfg]) == 2
     assert "upstream of the probe at x = 3.0" in capsys.readouterr().err
+
+
+def test_abc_reflection_pulse_upstream_of_the_duct_exits_two(tmp_path, capsys):
+    # Launched at x = -30, far upstream of the duct's end x = -R = -4, the
+    # pulse restricts to zero on every node: its passage peak would be 0.
+    cfg = write_cfg(
+        tmp_path / "a.cfg",
+        R=4.0,
+        t_end=26.0,
+        source_kind="none",
+        init_kind="plane_pulse",
+        init_center_x=-30.0,
+    )
+    assert main(["abc-reflection", "--config", cfg]) == 2
+    assert "the duct's upstream end x = -4.0" in capsys.readouterr().err
 
 
 def test_metadata_echo_rerun_reproduces_energy_log(tmp_path):

@@ -216,3 +216,36 @@ def test_one_sparse_scatter():
         if isinstance(method, FUNCTION) and method.name == "scatter"
     ]
     assert scatter.lineno <= int(line) <= scatter.end_lineno
+
+
+def test_one_writer_per_output_file():
+    # run_simulation writes every file of a run, probes.csv included; the
+    # CLI writes every study report through _write_report.
+    sites = call_sites("write_probe_log")
+    assert [s.split(":")[0] for s in sites] == ["src/galbrun/dynamics.py"], sites
+    studies = parse("src/galbrun/studies.py")
+    assert not [
+        n for n in ast.walk(studies)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "open"
+    ]
+    assert len([s for s in call_sites("_write_report") if "cli.py" in s]) == 3
+
+
+def test_abc_variants_are_named_once():
+    # AbcVariant lives in assembly, whose build_system branches on its
+    # members and spells no variant as a string.
+    defined = [
+        path
+        for path in SRC_MODULES
+        if any(
+            isinstance(n, ast.ClassDef) and n.name == "AbcVariant" for n in parse(path).body
+        )
+    ]
+    assert defined == ["src/galbrun/assembly.py"]
+    [build] = [
+        node
+        for node in parse("src/galbrun/assembly.py").body
+        if isinstance(node, FUNCTION) and node.name == "build_system"
+    ]
+    literals = {n.value for n in ast.walk(build) if isinstance(n, ast.Constant)}
+    assert literals.isdisjoint({"stable", "naive", "none"})

@@ -288,3 +288,13 @@ def test_energy_log_round_trip(tmp_path):
     # deterministic bytes on rewrite
     write_energy_log(records, str(path))
     assert path.read_text() == text
+
+
+def test_run_writes_its_probe_log(tmp_path):
+    # probes.csv is a run artifact: run_simulation writes it whenever it has
+    # an output directory and probes, without the CLI.
+    cfg = RunConfig(nx=20, ny=5, t_end=0.2, snapshot_times=())
+    res = run_simulation(cfg, out_dir=str(tmp_path), probes=((0.0, 0.0), (1.0, 0.5)))
+    lines = (tmp_path / "probes.csv").read_text().splitlines()
+    assert lines[0] == "step,t,xi_norm_at_0.0_0.0,xi_norm_at_1.0_0.5"
+    assert [int(line.split(",")[0]) for line in lines[1:]] == [r.step for r in res.records]

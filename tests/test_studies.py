@@ -281,7 +281,6 @@ def test_contrast_without_flow_reports_no_contrast(tmp_path):
     assert "CONTRAST NOT REPRODUCED" in rep.text()
     assert (tmp_path / "s1" / "energy.csv").exists()
     assert (tmp_path / "s0" / "energy.csv").exists()
-    assert (tmp_path / "contrast_report.txt").exists()
 
 
 def test_contrast_report_text_shape():
