@@ -142,9 +142,8 @@ class _Pattern:
         dofs: DofMap,
         col_dofs: np.ndarray | None = None,
     ):
-        if col_dofs is None:
-            col_dofs = dofs.node_dofs.T  # by component
-        self.col_dofs = col_dofs.astype(np.int32)
+        self.node_dofs = dofs.node_dofs.T.astype(np.int32)  # by component
+        self.col_dofs = self.node_dofs if col_dofs is None else col_dofs.astype(np.int32)
         n = self.col_dofs.shape[1]
         # Int32 keys where they fit: the sort and the search take half the
         # memory. The key array then holds the slots, a chunk at a time.
@@ -165,7 +164,6 @@ class _Pattern:
         self.first = np.flatnonzero(np.diff(rows, prepend=-1)).astype(np.int32)
         self.lens = np.diff(self.first, append=np.int32(len(rows)))
         self.row_nodes = rows[self.first]
-        self.node_dofs = dofs.node_dofs.T.astype(np.int32)  # by component
         self.shape = (dofs.n_dofs, int(self.col_dofs.max()) + 1)
 
     def scatter(

@@ -608,13 +608,14 @@ def run_simulation(
     loads, vorticity = (), None
     if source is not None:
         loads = ((partial(source_spatial, source), source.time_profile),)
-        if source.kind == SourceKind.ROTATIONAL and cfg.s != 0.0:
+        if source.kind == SourceKind.ROTATIONAL:
             vorticity = CausalVorticity(source, cfg.M)
     rhs = RhsAssembler(mesh, dofs, loads, cfg.s, vorticity=vorticity)
     start = _initial_levels(cfg, mesh, dofs, dt)
     problem = Problem(mats, dt, n_steps, rhs, *start)
 
-    snapshot_steps = {min(n_steps, max(0, round(ts / dt))) for ts in cfg.snapshot_times}
+    steps = sorted({min(n_steps, max(0, round(ts / dt))) for ts in cfg.snapshot_times})
+    snapshot_rank = {step: k for k, step in enumerate(steps)}  # the NNN of snap_NNN
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -622,34 +623,27 @@ def run_simulation(
         with open(os.path.join(out_dir, "run_metadata.cfg"), "w", newline="\n") as f:
             f.write(meta)
 
-    probe_nodes = np.array(
-        [
-            np.argmin(np.hypot(mesh.nodes[:, 0] - px, mesh.nodes[:, 1] - py))
-            for px, py in probes
-        ],
-        dtype=np.int64,
-    )
+    nearest = [np.argmin(np.hypot(*(mesh.nodes - p).T)) for p in probes]
+    probe_dofs = dofs.node_dofs[nearest]  # CONSTRAINED where eliminated
     probe_rows: list[np.ndarray] = []
-    n_written = 0
     geometry = ""  # the mesh's VTK text, formatted on the first snapshot
 
     def visit(step: int, x: np.ndarray) -> None:
-        nonlocal n_written, geometry
-        if probe_nodes.size:
-            nodal = dofs.expand(x)[probe_nodes]
+        nonlocal geometry
+        if probes:
+            nodal = np.where(probe_dofs >= 0, x[probe_dofs], 0.0)
             probe_rows.append(np.hypot(nodal[:, 0], nodal[:, 1]))
-        if out_dir is None or step not in snapshot_steps:
+        if out_dir is None or step not in snapshot_rank:
             return
-        if n_written == 0:
+        if not geometry:
             geometry = vtk_geometry(mesh)
         t = step * dt
-        name = f"snap_{n_written:03d}_t{t:.6f}.vtk"
+        name = f"snap_{snapshot_rank[step]:03d}_t{t:.6f}.vtk"
         write_snapshot(geometry, dofs.expand(x), t, os.path.join(out_dir, name))
-        n_written += 1
 
     status, records, state = march(problem, visit)
 
-    probe_norms = np.array(probe_rows) if probe_nodes.size else None
+    probe_norms = np.array(probe_rows) if probes else None
     if out_dir is not None:
         write_energy_log(records, os.path.join(out_dir, "energy.csv"))
         if probe_norms is not None:

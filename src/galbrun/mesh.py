@@ -150,27 +150,19 @@ def build_duct_mesh(geom: DuctGeometry, nx: int, ny: int) -> Mesh:
     upper = np.column_stack([n00, n11, n01])
     triangles = np.vstack([lower, upper]).astype(np.int64)
 
-    edges = []
-    tags = []
-    for i in range(nx):  # bottom, left to right
-        edges.append((nid(i, 0), nid(i + 1, 0)))
-        tags.append(BoundaryTag.WALL_BOTTOM)
-    for j in range(ny):  # right side, upward
-        edges.append((nid(nx, j), nid(nx, j + 1)))
-        tags.append(BoundaryTag.GAMMA_PLUS)
-    for i in range(nx, 0, -1):  # top, right to left
-        edges.append((nid(i, ny), nid(i - 1, ny)))
-        tags.append(BoundaryTag.WALL_TOP)
-    for j in range(ny, 0, -1):  # left side, downward
-        edges.append((nid(0, j), nid(0, j - 1)))
-        tags.append(BoundaryTag.GAMMA_MINUS)
+    # The boundary as one counterclockwise ring of nodes: edge k joins ring[k]
+    # to ring[k + 1] along the bottom, Gamma+, the top and Gamma-.
+    i, j = np.arange(nx), np.arange(ny)
+    ring = np.concatenate([nid(i, 0), nid(nx, j), nid(nx - i, ny), nid(0, ny - j)])
+    T = BoundaryTag
+    sides = np.array([T.WALL_BOTTOM, T.GAMMA_PLUS, T.WALL_TOP, T.GAMMA_MINUS], np.int64)
 
     return Mesh(
         geometry=geom,
         nodes=nodes,
         triangles=triangles,
-        boundary_edges=np.asarray(edges, dtype=np.int64),
-        boundary_tags=np.asarray([int(t) for t in tags], dtype=np.int64),
+        boundary_edges=np.column_stack([ring, np.roll(ring, -1)]),
+        boundary_tags=np.repeat(sides, (nx, ny, nx, ny)),
     )
 
 

@@ -100,8 +100,7 @@ def write_probe_log(
 ) -> None:
     """|xi| at each probe, one row per energy record; norms is (n_records, n_probes)."""
     with open(path, "w", newline="\n") as f:
-        cols = ",".join(f"xi_norm_at_{px}_{py}" for px, py in probes)
-        f.write(f"step,t,{cols}\n")
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(["step", "t", *(f"xi_norm_at_{px}_{py}" for px, py in probes)])
         for rec, row in zip(records, norms):
-            vals = ",".join(repr(float(v)) for v in row)
-            f.write(f"{rec.step},{rec.t!r},{vals}\n")
+            writer.writerow([rec.step, repr(rec.t), *(repr(float(v)) for v in row)])

@@ -6,8 +6,9 @@ per-component blocks on one scalar pattern (galbrun.assembly), the load
 vector uses the separable source load of RhsAssembler, the vorticity
 load comes from CausalVorticity's moments through a map summed on its own
 pattern, not through sparse products, snapshots are written by
-galbrun.output.write_snapshot, and the outflow flux of a run is
-d^T sym(BC) d, not a separate boundary mass. They are kept here, written
+galbrun.output.write_snapshot, the outflow flux of a run is
+d^T sym(BC) d, not a separate boundary mass, and the mesh's boundary is
+one ring of node ids, not a walk side by side. They are kept here, written
 the straightforward way, as independent oracles.
 """
 from __future__ import annotations
@@ -27,7 +28,7 @@ from galbrun.assembly import (
     triangle_gradients,
     triangle_quadrature,
 )
-from galbrun.mesh import DofMap, Mesh
+from galbrun.mesh import BoundaryTag, DofMap, Mesh
 from galbrun.output import ENERGY_HEADER, EnergyRecord
 from galbrun.physics import CausalVorticity, SourceKind, SourceSpec, source_spatial
 
@@ -246,6 +247,34 @@ def read_energy_log(path: str) -> list[EnergyRecord]:
         for row in reader:
             records.append(EnergyRecord(int(row[0]), *map(float, row[1:5]), row[5]))
     return records
+
+
+def boundary_walk(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary edges and tags of the nx-by-ny duct mesh, walked one side at
+    a time: bottom left to right, right side upward, top right to left,
+    left side downward."""
+
+    def nid(i: int, j: int) -> int:
+        return j * (nx + 1) + i
+
+    edges = []
+    tags = []
+    for i in range(nx):
+        edges.append((nid(i, 0), nid(i + 1, 0)))
+        tags.append(BoundaryTag.WALL_BOTTOM)
+    for j in range(ny):
+        edges.append((nid(nx, j), nid(nx, j + 1)))
+        tags.append(BoundaryTag.GAMMA_PLUS)
+    for i in range(nx, 0, -1):
+        edges.append((nid(i, ny), nid(i - 1, ny)))
+        tags.append(BoundaryTag.WALL_TOP)
+    for j in range(ny, 0, -1):
+        edges.append((nid(0, j), nid(0, j - 1)))
+        tags.append(BoundaryTag.GAMMA_MINUS)
+    return (
+        np.asarray(edges, dtype=np.int64),
+        np.asarray([int(t) for t in tags], dtype=np.int64),
+    )
 
 
 def assemble_boundary_mass(mesh: Mesh, dofs: DofMap) -> sp.csr_matrix:

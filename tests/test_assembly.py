@@ -21,6 +21,7 @@ import scipy.sparse as sp
 
 from galbrun.assembly import (
     SystemMatrices,
+    _cell_pattern,
     assemble_a,
     assemble_b,
     assemble_c,
@@ -467,3 +468,12 @@ def test_stiffness_stores_no_more_entries(nx, ny, nnz):
     mesh = build_duct_mesh(DuctGeometry(4.0, 1.0), nx, ny)
     mats = build_system(mesh, build_dof_map(mesh), M=0.5, s=1.0)
     assert abs(mats.K.nnz - nnz) <= 0.01 * nnz
+
+
+def test_cell_pattern_holds_one_dof_table(small_duct):
+    # The rows' dof table is the default column table: one int32 array.
+    _, mesh, dofs = small_duct
+    pattern = _cell_pattern(mesh.triangles, dofs)
+    assert pattern.col_dofs is pattern.node_dofs
+    assert pattern.node_dofs.dtype == np.int32
+    assert np.array_equal(pattern.node_dofs, dofs.node_dofs.T)

@@ -157,12 +157,11 @@ def test_definition_used_only_by_tests_is_caught():
     assert serving_only_tests(src, real, {"exported"}) == ["tested", "C.probe", "LIMIT"]
 
 
-def call_sites(name: str) -> list[str]:
-    """path:line of every call of name in src/galbrun, as f() or m.f()."""
+def calls(tree: ast.AST, name: str) -> list[ast.Call]:
+    """Every call of name in tree, as f() or m.f()."""
     return [
-        f"{path}:{node.lineno}"
-        for path in SRC_MODULES
-        for node in ast.walk(parse(path))
+        node
+        for node in ast.walk(tree)
         if isinstance(node, ast.Call)
         and (
             isinstance(node.func, ast.Name)
@@ -171,6 +170,23 @@ def call_sites(name: str) -> list[str]:
             and node.func.attr == name
         )
     ]
+
+
+def call_sites(name: str) -> list[str]:
+    """path:line of every call of name in src/galbrun, as f() or m.f()."""
+    return [
+        f"{path}:{node.lineno}" for path in SRC_MODULES for node in calls(parse(path), name)
+    ]
+
+
+def top_level_function(path: str, name: str) -> ast.FunctionDef:
+    """The one module-level function of that name in path."""
+    [function] = [
+        node
+        for node in parse(path).body
+        if isinstance(node, FUNCTION) and node.name == name
+    ]
+    return function
 
 
 @pytest.mark.parametrize("name", ["leapfrog_step", "taylor_first_step"])
@@ -183,11 +199,7 @@ def test_one_time_loop(name):
 def test_the_time_loop_steps_an_algebraic_system():
     # The system carries its dofs of Gamma-/+ (SystemMatrices.gamma), so
     # march reads no mesh and no dof map, and StepOperator takes no gamma.
-    [march] = [
-        node
-        for node in parse("src/galbrun/dynamics.py").body
-        if isinstance(node, FUNCTION) and node.name == "march"
-    ]
+    march = top_level_function("src/galbrun/dynamics.py", "march")
     names = {n.id for n in ast.walk(march) if isinstance(n, ast.Name)}
     names |= {n.attr for n in ast.walk(march) if isinstance(n, ast.Attribute)}
     assert [n for n in names if "mesh" in n or "dof" in n] == []
@@ -242,10 +254,41 @@ def test_abc_variants_are_named_once():
         )
     ]
     assert defined == ["src/galbrun/assembly.py"]
-    [build] = [
-        node
-        for node in parse("src/galbrun/assembly.py").body
-        if isinstance(node, FUNCTION) and node.name == "build_system"
-    ]
+    build = top_level_function("src/galbrun/assembly.py", "build_system")
     literals = {n.value for n in ast.walk(build) if isinstance(n, ast.Constant)}
     assert literals.isdisjoint({"stable", "naive", "none"})
+
+
+def test_the_boundary_is_one_ring():
+    # build_duct_mesh numbers the boundary as one ring of node ids, with no
+    # Python loop over its sides.
+    build = top_level_function("src/galbrun/mesh.py", "build_duct_mesh")
+    loops = (ast.For, ast.While, ast.comprehension)
+    assert [type(n).__name__ for n in ast.walk(build) if isinstance(n, loops)] == []
+
+
+def test_a_run_expands_its_state_only_for_a_snapshot():
+    # Probes read their own dofs: DofMap.expand has one call site in the
+    # package, the field that write_snapshot writes.
+    in_writes = [
+        f"{path}:{node.lineno}"
+        for path in SRC_MODULES
+        for write in calls(parse(path), "write_snapshot")
+        for node in calls(write, "expand")
+    ]
+    assert call_sites("expand") == in_writes
+    assert len(in_writes) == 1, in_writes
+
+
+def test_run_simulation_leaves_the_vorticity_decision_to_the_load():
+    # RhsAssembler builds no vorticity map at s = 0, so run_simulation does
+    # not test s itself.
+    run = top_level_function("src/galbrun/dynamics.py", "run_simulation")
+    conditions = [n for n in ast.walk(run) if isinstance(n, ast.Compare)]
+    conditions += [n.test for n in ast.walk(run) if isinstance(n, (ast.If, ast.IfExp))]
+    tests_s = [
+        c.lineno
+        for c in conditions
+        if any(isinstance(a, ast.Attribute) and a.attr == "s" for a in ast.walk(c))
+    ]
+    assert tests_s == []

@@ -45,6 +45,7 @@ from galbrun.dynamics import (
     plan_time_step,
     run_simulation,
     snap_time_step,
+    status_text,
     taylor_first_step,
 )
 from galbrun.mesh import DofMap, DuctGeometry, build_dof_map, build_duct_mesh
@@ -893,6 +894,48 @@ def test_run_simulation_deterministic():
     assert [r.E for r in a.records] == [r.E for r in b.records]
     assert [r.flux for r in a.records] == [r.flux for r in b.records]
     assert np.array_equal(a.final_state.xi_curr, b.final_state.xi_curr)
+
+
+def test_probes_read_their_own_dofs():
+    # A wall node (y eliminated), a Gamma+ node of the closed box (x
+    # eliminated) and an interior node: each probe reads |xi| of the nodal
+    # field, 0 for an eliminated component, bit for bit.
+    cfg = base_config(M=0.0, abc="none", t_end=1.0, source_center_x=1.0)
+    probes = ((0.5, 1.0), (2.0, 0.25), (0.5, 0.25))
+    res = run_simulation(cfg, probes=probes)
+    nodes = [
+        int(np.flatnonzero(np.all(res.mesh.nodes == p, axis=1))[0]) for p in probes
+    ]
+    free = [tuple(res.dofs.node_dofs[n] >= 0) for n in nodes]
+    assert free == [(True, False), (False, True), (True, True)]
+    field = res.dofs.expand(res.final_state.xi_curr)[nodes]
+    assert np.all(field[np.array(free)] != 0.0)
+    want = np.hypot(field[:, 0], field[:, 1])
+    assert res.probe_norms[-1].tolist() == want.tolist()
+
+
+@pytest.mark.parametrize(
+    "over, status, names",
+    [
+        # Requested times on one step give one file.
+        (
+            dict(nx=8, ny=2, t_end=0.3, snapshot_times=(0.3, 0.3, 0.0)),
+            "Stable after 2 steps",
+            ["snap_000_t0.000000.vtk", "snap_001_t0.300000.vtk"],
+        ),
+        # exp1 at s = 0 blows up before t = 11: the files it wrote are
+        # numbered from 0 without a gap.
+        (
+            dict(nx=40, ny=10, s=0.0, t_end=12.0, snapshot_times=(0.0, 1.0, 11.0, 12.0)),
+            "Unstable at step 66 of 258",
+            ["snap_000_t0.000000.vtk", "snap_001_t1.023256.vtk"],
+        ),
+    ],
+)
+def test_snapshots_are_numbered_by_the_steps_reached(tmp_path, over, status, names):
+    res = run_simulation(RunConfig(**over), out_dir=str(tmp_path))
+    assert status_text(res.status, res.n_steps) == status
+    assert sorted(p.name for p in tmp_path.glob("snap_*.vtk")) == names
 
 
 def test_plane_pulse_initial_level():

@@ -19,6 +19,7 @@ from galbrun.mesh import (
 )
 
 from conftest import duct_area
+from oracles import boundary_walk
 
 
 def test_geometry_validation():
@@ -75,6 +76,19 @@ def test_boundary_edges_lie_on_perimeter():
         elif tag == BoundaryTag.GAMMA_MINUS:
             assert pa[0] == pytest.approx(-geom.R) and pb[0] == pytest.approx(-geom.R)
             assert pb[1] < pa[1]
+
+
+def test_boundary_ring_matches_the_side_walk():
+    # The ring gives the walk's edges and tags, values and dtype, on every
+    # small grid and at 160x40, 320x80 and 640x160.
+    geom = DuctGeometry(R=4.0, h=1.0)
+    grids = [(nx, ny) for nx in range(1, 30) for ny in range(1, 12)]
+    for nx, ny in grids + [(160, 40), (320, 80), (640, 160)]:
+        mesh = build_duct_mesh(geom, nx, ny)
+        edges, tags = boundary_walk(nx, ny)
+        for got, want in ((mesh.boundary_edges, edges), (mesh.boundary_tags, tags)):
+            assert got.dtype == want.dtype, (nx, ny)
+            assert np.array_equal(got, want), (nx, ny)
 
 
 def test_node_masks(small_duct):
