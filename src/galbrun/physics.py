@@ -18,6 +18,7 @@ from numpy.polynomial.legendre import leggauss
 
 from galbrun.assembly import (
     TRI_QP_BARY,
+    _CHUNK,
     _cell_pattern,
     _diagonal,
     _Pattern,
@@ -196,7 +197,8 @@ class CausalVorticity:
 
 
 # A separable load f(x, t) = f_j(x) p_j(t): the spatial field at (..., 2)
-# points and the scalar time profile.
+# points, pointwise (its value at a point depends on that point alone), and
+# the scalar time profile.
 Load = tuple[Callable[[np.ndarray], np.ndarray], Callable[[float], float]]
 
 
@@ -226,7 +228,7 @@ class RhsAssembler:
         self.vorticity = vorticity
         qp, qw = triangle_quadrature(mesh)
         self.n_dofs = dofs.n_dofs
-        self._loads = [(self._scatter(mesh, dofs, f(qp), qw), p) for f, p in loads]
+        self._loads = [(self._scatter(mesh, dofs, f, qp, qw), p) for f, p in loads]
         self._vorticity_x = self._vorticity_map = None
         if vorticity is not None and self.s != 0.0:
             self._vorticity_x, self._vorticity_map = self._vorticity_load_map(
@@ -234,14 +236,29 @@ class RhsAssembler:
             )
 
     @staticmethod
-    def _scatter(mesh: Mesh, dofs: DofMap, f: np.ndarray, qw: np.ndarray) -> np.ndarray:
-        """Load vector int f . phi_i of a force given at the quadrature points
-        with weights qw, summed at the nodes and restricted to the dofs."""
+    def _scatter(
+        mesh: Mesh,
+        dofs: DofMap,
+        f: Callable[[np.ndarray], np.ndarray],
+        qp: np.ndarray,
+        qw: np.ndarray,
+    ) -> np.ndarray:
+        """Load vector int f . phi_i of the pointwise force f at the
+        quadrature points qp with weights qw, summed at the nodes and
+        restricted to the dofs. f is evaluated _CHUNK triangles at a time,
+        with the same bits: evaluated at every point at once, it set the
+        traced peak (216 B per triangle against 155 at 160x40 and 139 at
+        320x80) and, at 320x80, the run's peak RSS."""
+        vals = np.empty((2,) + qw.shape)  # by component, each triangle's nodes
+        for start in range(0, len(qw), _CHUNK):
+            e = slice(start, start + _CHUNK)
+            fe = f(qp[e])
+            for comp in range(2):
+                vals[comp, e] = (qw[e] * fe[..., comp]) @ TRI_QP_BARY
         nodal = np.zeros((mesh.n_nodes, 2))
-        for comp in range(2):
-            vals = (qw * f[..., comp]) @ TRI_QP_BARY
+        for comp, v in enumerate(vals):
             nodal[:, comp] = np.bincount(
-                mesh.triangles.ravel(), weights=vals.ravel(), minlength=mesh.n_nodes
+                mesh.triangles.ravel(), weights=v.ravel(), minlength=mesh.n_nodes
             )
         return dofs.restrict(nodal)
 

@@ -20,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu, spsolve
+from scipy.sparse.linalg import spsolve
 
 from galbrun import dynamics
 from galbrun.assembly import (
@@ -183,7 +183,7 @@ def test_step_operator_factors_one_block_per_component(case, monkeypatch):
             for comp, r in enumerate(factor_ranges(op)):
                 free = np.sort(dofs.node_dofs[:, comp])
                 assert np.array_equal(free[free >= 0], np.arange(r.start, r.stop))
-            whole = splu(step_matrix(op).T.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            whole = factorize(step_matrix(op))
             assert factor_fill(op) == whole.nnz
             assert np.array_equal(op.solve(rhs), whole.solve(rhs, trans="T"))
 
@@ -422,9 +422,11 @@ print(peak - rss, op.worker_fill)
 
 def test_workers_peak_rss_stays_near_their_factors():
     # In a fresh interpreter, each worker starts from its resident memory at
-    # the fork and adds its block's factor. At 320x80 the workers' peak rose
-    # 11.4-14.4 MB above it, 0.46-0.58 of 8 bytes per factor entry; with a
-    # handshake that read lu.L and lu.U, 21.5-22.6 MB (0.89-0.94).
+    # the fork and adds its block's factor and SuperLU's workspace. At
+    # 320x80 the workers' peak rose 6.9-7.6 MB above it, 0.28-0.31 of 8
+    # bytes per factor entry, with one-column panels (factorize); with
+    # SuperLU's default 20-column panels, 14.2-14.6 MB (0.57-0.59); with a
+    # handshake that read lu.L and lu.U as well, 21.5-22.6 MB (0.89-0.94).
     if not hasattr(os, "fork") or not os.path.exists("/proc/self/status"):
         pytest.skip("needs os.fork and /proc/self/status")
     src = os.path.dirname(os.path.dirname(dynamics.__file__))
@@ -438,7 +440,7 @@ def test_workers_peak_rss_stays_near_their_factors():
         timeout=120,
     ).stdout
     above_kib, fill = map(int, out.split())
-    assert above_kib * 1024 <= 0.75 * 8 * fill
+    assert above_kib * 1024 <= 0.45 * 8 * fill
 
 
 def test_worker_that_dies_before_it_is_ready_is_named(monkeypatch):
@@ -689,6 +691,35 @@ def test_leapfrog_satisfies_three_level_relation(small_duct):
     )
     assert np.abs(residual).max() < 1e-9 * np.abs(F).max()
     assert state.step == 2
+
+
+def test_step_reuses_the_buffers_of_the_state_it_made(small_duct):
+    # A state the operator made lives in its pair of buffers: the next step
+    # knows them, copies nothing in and writes x_{n+1} over x_{n-1}. A state
+    # from elsewhere, or the pair swapped, is copied in first. Every way,
+    # the bits are those of a fresh operator stepping copies.
+    _, mesh, dofs = small_duct
+    mats = build_system(mesh, dofs, M=0.5, s=1.0)
+    rng = np.random.default_rng(21)
+    prev, curr, F = rng.standard_normal((3, dofs.n_dofs))
+
+    def fresh_step(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        with closing(StepOperator(mats, 0.05)) as fresh:
+            return leapfrog_step(fresh, SimState(a.copy(), b.copy(), 1), F).xi_curr
+
+    with closing(StepOperator(mats, 0.05)) as op:
+        first = leapfrog_step(op, SimState(prev, curr, 1), F)
+        assert np.array_equal(first.xi_curr, fresh_step(prev, curr))
+        state = first
+        for _ in range(3):
+            want = fresh_step(state.xi_prev, state.xi_curr)
+            new = leapfrog_step(op, state, F)
+            assert new.xi_curr is state.xi_prev and new.xi_prev is state.xi_curr
+            assert np.array_equal(new.xi_curr, want)
+            state = new
+        want = fresh_step(state.xi_curr, state.xi_prev)
+        swapped = leapfrog_step(op, SimState(state.xi_curr, state.xi_prev, 1), F)
+        assert np.array_equal(swapped.xi_curr, want)
 
 
 def test_scheme_rhs_matches_three_term_form(small_duct):

@@ -16,6 +16,7 @@ from scipy.integrate import quad
 
 from galbrun.assembly import (
     TRI_QP_BARY,
+    _CHUNK,
     assemble_a,
     assemble_b,
     assemble_c,
@@ -395,15 +396,29 @@ def add_at_load(mesh, dofs, f: np.ndarray) -> np.ndarray:
     return F
 
 
+def random_pointwise_field(seed: int):
+    """A pointwise field (physics.Load) of 8 random plane waves: (..., 2)
+    points to (..., 2) values."""
+    rng = np.random.default_rng(seed)
+    k, amp = 3.0 * rng.standard_normal((2, 8)), rng.standard_normal((8, 2))
+    phase = rng.uniform(0.0, 2.0 * np.pi, 8)
+    return lambda pts: np.cos(pts @ k + phase) @ amp
+
+
 @pytest.mark.parametrize("closed_box", [False, True])
 def test_rhs_scatter_matches_add_at_bit_for_bit(small_duct, closed_box):
-    # The closed box constrains dofs on the walls and on both ends.
-    _, mesh, _ = small_duct
-    dofs = build_dof_map(mesh, closed_box=closed_box)
-    qp, _ = triangle_quadrature(mesh)
-    f = np.random.default_rng(14).standard_normal(qp.shape)
-    F = RhsAssembler(mesh, dofs, ((lambda q: f, lambda t: 1.0),), s=0.0)(0.3)
-    assert np.array_equal(F, add_at_load(mesh, dofs, f))
+    # The closed box constrains dofs on the walls and on both ends. The
+    # field is evaluated _CHUNK triangles at a time: the 48x24 duct has
+    # more triangles than one chunk, and not a whole number of chunks.
+    _, small, _ = small_duct
+    large = build_duct_mesh(DuctGeometry(2.0, 1.0), 48, 24)
+    assert large.n_triangles > _CHUNK and large.n_triangles % _CHUNK
+    f = random_pointwise_field(14)
+    for mesh in (small, large):
+        dofs = build_dof_map(mesh, closed_box=closed_box)
+        qp, _ = triangle_quadrature(mesh)
+        F = RhsAssembler(mesh, dofs, ((f, lambda t: 1.0),), s=0.0)(0.3)
+        assert np.array_equal(F, add_at_load(mesh, dofs, f(qp)))
 
 
 @pytest.mark.parametrize("closed_box", [False, True])
@@ -524,7 +539,8 @@ def test_rhs_assembler_traced_peak_per_triangle(vorticity, bound):
     # exp1 at 160x40. The map built from the sparse products peaked at about
     # 820 B per triangle; summed on its own pattern a chunk of triangles at
     # a time, at about 333; by _Pattern.scatter, at about 287 (272 at
-    # 320x80). Without vorticity the source load alone, 216.
+    # 320x80). Without vorticity the source load alone, 216 (155 since it is
+    # built a chunk of triangles at a time).
     mesh = build_duct_mesh(DuctGeometry(4.0, 1.0), 160, 40)
     dofs = build_dof_map(mesh)
     source = SourceSpec(SourceKind.ROTATIONAL)
@@ -533,6 +549,17 @@ def test_rhs_assembler_traced_peak_per_triangle(vorticity, bound):
         lambda: RhsAssembler(mesh, dofs, source_loads(source), 1.0, vorticity=psi)
     )
     assert peak / mesh.n_triangles <= bound
+
+
+def test_source_load_traced_peak_per_triangle():
+    # exp2's irrotational source at 160x40, no vorticity. Its field evaluated
+    # at every quadrature point at once peaked at 216 B per triangle; a
+    # chunk of triangles at a time, at 155 (139 at 320x80).
+    mesh = build_duct_mesh(DuctGeometry(4.0, 1.0), 160, 40)
+    dofs = build_dof_map(mesh)
+    source = SourceSpec(SourceKind.IRROTATIONAL)
+    peak = traced_peak(lambda: RhsAssembler(mesh, dofs, source_loads(source), 1.0))
+    assert peak / mesh.n_triangles <= 160
 
 
 def test_rhs_of_constant_regularization_force(small_duct):
