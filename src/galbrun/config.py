@@ -153,7 +153,7 @@ class RunConfig:
                 f"min(1, s) = {min(1.0, self.s)} does not exceed M^2 = {self.M ** 2}: "
                 "outside the sufficient well-posedness regime, expect instability"
             )
-        if self.s != 1.0 and self.abc != "none":
+        if self.s != 1.0 and self.abc != AbcVariant.NONE:
             warnings.append(
                 "absorbing boundary analysis assumes s = 1; this run is experimental"
             )

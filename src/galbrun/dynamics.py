@@ -22,9 +22,11 @@ other, so L is block diagonal on two dof ranges, and each diagonal block
 of dofs at a time: its rows of K x0 and BC (x0 - x-), of the right-hand
 side, its block solves, in place, of the update and of Mh d, and each
 block's partials of the record (StepOperator._advance), which the step
-sums in block order. As SuperLU holds the GIL, on large meshes one forked
-worker steps each block while the run builds the next step's load, and
-otherwise the run steps both: same bits, more CPU time.
+sums in block order. A step from x_n takes its time t_n = n dt from the
+state and its load F(t_n) from the operator. As SuperLU holds the GIL, on
+large meshes one forked worker steps each block while the run builds the
+next step's load, and otherwise the run steps both: same bits, more CPU
+time.
 
 The logged energy (physics.energy) is the scheme's own: it pairs the
 staggered states through K, so the scheme balances it exactly
@@ -208,8 +210,8 @@ class StepOperator:
     share one anonymous mmap with the worker processes (_fork) that, on
     large meshes, factor and step one block each, while this process
     builds the next step's load (advance); otherwise this process steps
-    every block, then builds that load. load, when given, is the load F(t)
-    a step at time t takes. start, when given, is the Taylor start's state
+    every block, then builds that load. load is the load F(t): the step
+    from x_n takes F(n dt). start, when given, is the Taylor start's state
     (xi0, zeta0) (taylor_first_step): whichever process factors a block
     first solves that block of Mh a = F(0) - K xi0 - BC zeta0, and a is
     then start_accel. close() reaps the workers.
@@ -219,7 +221,7 @@ class StepOperator:
         self,
         mats: SystemMatrices,
         dt: float,
-        load: Callable[[float], np.ndarray] | None = None,
+        load: Callable[[float], np.ndarray],
         start: tuple[np.ndarray, np.ndarray] | None = None,
     ):
         self._workers: list[_Worker] = []
@@ -251,7 +253,7 @@ class StepOperator:
         self._Kx, self._d, self._Mh_d = vectors[4:]
         self._parts = shared[7 * n :].reshape(len(blocks), 3)
         self._phase = 0  # the slot of x_{n-1}, and of the load, at the next step
-        self._ahead: float | None = None  # the time of the next slot's load
+        self._ahead: int | None = None  # the step whose load the next slot holds
         self._lu: list[tuple[int, SuperLU]] | None = []
         self.worker_fill = 0
         if start is not None:  # solved in place by block (_own)
@@ -341,41 +343,38 @@ class StepOperator:
         os.close(done)
         self._workers.append(_Worker(pid, i, w_cmd, w_done))
 
-    def advance(self, state: SimState, F: np.ndarray | float) -> SimState:
-        """The state one step after state, in the pair, with its record:
-        under the load vector F, or under the operator's load at time F.
+    def advance(self, state: SimState) -> SimState:
+        """The state one step after state, in the pair, with its record,
+        under the load F(n dt) of its step n = state.step.
 
         A state other than the pair's own is copied in first. This process
-        puts the load in the phase's slot, unless it built it ahead, sends
-        each worker the phase, or else steps every block itself, and, given
-        a time, builds the next step's load, at (step + 1) dt, in the other
-        slot before it waits for the workers.
+        puts F(n dt) in the phase's slot, unless it built it ahead, sends
+        each worker the phase, or else steps every block itself, and builds
+        the next step's load, F((n + 1) dt), in the other slot before it
+        waits for the workers.
         """
-        k = self._phase
+        k, n = self._phase, state.step
         prev, curr = self._pair[k], self._pair[1 - k]
         if state.xi_prev is not prev or state.xi_curr is not curr:
             # Copied first: the state may hold the pair's buffers swapped.
             prev[:], curr[:] = state.xi_prev.copy(), state.xi_curr.copy()
-        at_time = not isinstance(F, np.ndarray)
-        if not at_time or F != self._ahead:
-            self._F[k][:] = self.load(F) if at_time else F
+        if n != self._ahead:
+            self._F[k][:] = self.load(n * self.dt)
         self._ahead = None
         for w in self._workers:
             os.write(w.cmd, bytes([k]))
         if not self._workers:
             self._advance(k)
-        if at_time:
-            t = (state.step + 1) * self.dt
-            try:
-                self._F[1 - k][:] = self.load(t)
-                self._ahead = t
-            except Exception:  # raised again by the step at t, not by this one
-                pass
+        try:
+            self._F[1 - k][:] = self.load((n + 1) * self.dt)
+            self._ahead = n + 1
+        except Exception:  # raised again by step n + 1, not by this one
+            pass
         for w in self._workers:
             if not os.read(w.done, 1):
                 raise RuntimeError(f"step worker {w.pid} exited")
         self._phase = 1 - k
-        return SimState(curr, prev, state.step + 1, self._total(self._parts))
+        return SimState(curr, prev, n + 1, self._total(self._parts))
 
     def _advance(self, k: int) -> None:
         """Step this process's rows r from (x_{n-1}, x_n) in the pair's slots
@@ -427,10 +426,10 @@ class StepOperator:
             E, kinetic, flux = parts.sum(axis=0)
         return float(E), float(kinetic), float(flux)
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """L^{-1} rhs: the step from rest under the load rhs."""
-        rest = np.zeros_like(rhs)
-        return self.advance(SimState(rest, rest, 0), rhs).xi_curr.copy()
+    def solve(self) -> np.ndarray:
+        """L^{-1} F(0): the step from rest at step 0 under the load."""
+        rest = np.zeros(self.K.shape[0])
+        return self.advance(SimState(rest, rest, 0)).xi_curr.copy()
 
     def close(self) -> None:
         if self._workers:
@@ -463,13 +462,9 @@ def snap_time_step(dt_raw: float, t_end: float) -> tuple[float, int]:
     return t_end / n, n
 
 
-def leapfrog_step(
-    op: StepOperator, state: SimState, F: np.ndarray | float
-) -> SimState:
-    """Advance one step under the load F, or op's load at time F
-    (StepOperator.advance); the run's energy check reports a non-finite
-    state."""
-    return op.advance(state, F)
+# march steps through this module global, not op.advance, so that a
+# profiler can swap it to time each step: bench/child.py does.
+leapfrog_step = StepOperator.advance
 
 
 def taylor_first_step(op: StepOperator) -> np.ndarray:
@@ -544,7 +539,7 @@ def march(
         state = SimState(xi0, xi1, 1)
         status: Stable | Unstable = Stable(steps=p.n_steps)
         while state.step < p.n_steps:
-            state = leapfrog_step(op, state, state.step * dt)
+            state = leapfrog_step(op, state)
             E = observe(state.step, state.xi_curr, *state.observed)
             peak_E = max(peak_E, E)
             if not np.isfinite(E) or records[-1].kinetic > INSTABILITY_RATIO * peak_E:

@@ -189,6 +189,18 @@ def top_level_function(path: str, name: str) -> ast.FunctionDef:
     return function
 
 
+def class_method(path: str, cls: str, name: str) -> ast.FunctionDef:
+    """The method name of the module-level class cls in path."""
+    [method] = [
+        m
+        for node in parse(path).body
+        if isinstance(node, ast.ClassDef) and node.name == cls
+        for m in node.body
+        if isinstance(m, FUNCTION) and m.name == name
+    ]
+    return method
+
+
 @pytest.mark.parametrize("name", ["leapfrog_step", "taylor_first_step"])
 def test_one_time_loop(name):
     # Every command steps through dynamics.march: one starter call and one
@@ -214,19 +226,26 @@ def test_the_time_loop_steps_an_algebraic_system():
     ]
 
 
+def test_a_step_takes_its_time_from_its_state_and_its_load_from_its_operator():
+    # One step form: advance(state) steps from state.step = n under the
+    # operator's load at n dt, which every operator has; march steps through
+    # the module global leapfrog_step, which is advance itself.
+    op = dynamics.StepOperator
+    assert list(inspect.signature(op.advance).parameters) == ["self", "state"]
+    load = inspect.signature(op).parameters["load"]
+    assert load.default is inspect.Parameter.empty
+    assert dynamics.leapfrog_step is op.advance
+    advance = class_method("src/galbrun/dynamics.py", "StepOperator", "advance")
+    assert calls(advance, "isinstance") == []
+
+
 def test_one_sparse_scatter():
     # The operators and the vorticity load map are all summed by
     # _Pattern.scatter: np.add.at has one call site in the package, there.
     sites = call_sites("at")
     assert len(sites) == 1, sites
     path, line = sites[0].split(":")
-    [scatter] = [
-        method
-        for node in parse(path).body
-        if isinstance(node, ast.ClassDef) and node.name == "_Pattern"
-        for method in node.body
-        if isinstance(method, FUNCTION) and method.name == "scatter"
-    ]
+    scatter = class_method(path, "_Pattern", "scatter")
     assert scatter.lineno <= int(line) <= scatter.end_lineno
 
 
@@ -245,7 +264,7 @@ def test_one_writer_per_output_file():
 
 def test_abc_variants_are_named_once():
     # AbcVariant lives in assembly, whose build_system branches on its
-    # members and spells no variant as a string.
+    # members and spells no variant as a string; nor does RunConfig.validate.
     defined = [
         path
         for path in SRC_MODULES
@@ -254,9 +273,10 @@ def test_abc_variants_are_named_once():
         )
     ]
     assert defined == ["src/galbrun/assembly.py"]
-    build = top_level_function("src/galbrun/assembly.py", "build_system")
-    literals = {n.value for n in ast.walk(build) if isinstance(n, ast.Constant)}
-    assert literals.isdisjoint({"stable", "naive", "none"})
+    validate = class_method("src/galbrun/config.py", "RunConfig", "validate")
+    for f in (top_level_function("src/galbrun/assembly.py", "build_system"), validate):
+        literals = {n.value for n in ast.walk(f) if isinstance(n, ast.Constant)}
+        assert literals.isdisjoint({"stable", "naive", "none"}), f.name
 
 
 def test_the_boundary_is_one_ring():
