@@ -103,11 +103,11 @@ def minimum_edge_length(mesh: Mesh) -> float:
 
 
 # Elements per pass of _Pattern.scatter: at 4,096 a pass's temporaries set
-# build_system's traced peak at 160x40 (507 against 415 B per triangle).
+# build_system's traced peak (measured at c8a0802).
 _CHUNK = 2048
 # Row groups per pass of _Pattern.scatter's CSR fill: at 2,048 a pass's
-# temporaries set build_system's traced peak at 160x40 (416 against 407 B
-# per triangle), and at 512 its time at 320x80 rose by 6%.
+# temporaries set build_system's traced peak, and at 512 the fill ran
+# slower (measured at f912ee5).
 _RUN = 1024
 
 
@@ -375,8 +375,8 @@ def build_system(
     K = assemble_a(mesh, dofs, M, s, tri)
     Mh = assemble_mass(mesh, dofs, tri)
     BC = assemble_b(mesh, dofs, M, tri)
-    # Freed before the sums allocate K and BC, the pattern's 3.4 MB (320x80)
-    # is reused.
+    # Freed before the sums allocate K and BC, which reuse the pattern's memory
+    # (measured at c8a0802).
     del tri
     if abc != AbcVariant.NONE:
         BC = BC + assemble_c(mesh, dofs, M)

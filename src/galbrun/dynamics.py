@@ -125,15 +125,14 @@ def factorize(A: sp.spmatrix) -> SuperLU:
     ignores: at 320x80 the step operator fills to 4.9M entries under it.
     SuperLU's forward solve scatters column updates supernode by supernode;
     its transposed solve (trans="T") gathers them, and on the same factors
-    took 0.80 against 1.02 ms at 160x40 and 6.26 against 7.10 ms at 320x80
-    (2-core Xeon, one BLAS thread).
+    it is the faster solve (measured at 34b775e).
 
     The panels are one column wide, not SuperLU's default 20, whose
     workspace grows with the panel width. On the step operator's two blocks
     at 320x80 the fill stays 1,648,410 + 1,598,418 entries and the solve
-    2.4-3.0 ms a block (within 5%), factoring takes 49-60 ms a block
-    instead of 79-95, and a step worker's peak above the fork falls from
-    14.2-14.6 to 6.9-7.6 MB. The width changes the factor's rounding only.
+    time the same, while factoring is faster and a step worker's peak above
+    the fork lower (measured at ef72a3c). The width changes the factor's
+    rounding only.
     """
     return splu(A.T.tocsc(), permc_spec="MMD_AT_PLUS_A", panel_size=1)
 
@@ -157,7 +156,7 @@ def _diagonal_block(A: sp.csr_matrix, r: slice) -> sp.csr_matrix:
 
 
 # Both blocks need this many dofs for the workers: the break-even when one worker
-# served one block. Now in process wins at 160x40 (6.3k a block), workers at 240x60 (14.2k).
+# served one block (measured at f15e585). A change needs alternating benchmark pairs.
 WORKER_MIN_BLOCK = 3000
 _parent_ends: set[int] = set()  # this process's pipe ends to live workers
 
@@ -175,8 +174,8 @@ class _Worker:
 
 def _trim_heap() -> None:
     """Return the heap's free pages to the system (glibc's malloc_trim), so
-    that a forked worker does not start with them resident; elsewhere
-    nothing: 3.1-4.0 MB at 320x80, about 1 MB off the workers' peak."""
+    that a forked worker does not start with them resident, which lowers
+    the workers' peak (measured at 6c593e5); elsewhere nothing."""
     try:
         trim = ctypes.CDLL(None).malloc_trim
     except (AttributeError, OSError):
@@ -295,11 +294,11 @@ class StepOperator:
             q = self.components[i]
             mass = factorize(_diagonal_block(self.Mh, q))
             self._d[q] = mass.solve(self._d[q], trans="T")
-            # Kept until L's factor was built, this factor raised a bump
-            # start's worker peak at 320x80 from 92 to 111 MB.
+            # Kept until L's factor was built, this factor set a bump
+            # start's worker peak (measured at c8a0802).
             del mass
         # One block at a time, each freed before the next is built, and no
-        # full-size L: at 320x80 the peak RSS stayed about 4 MB lower. The
+        # full-size L, for a lower peak RSS (measured at 1adbc3c). The
         # fill (594,326 entries at 160x40, 3,246,828 at 320x80, as
         # SuperLU.nnz counts them) and the solution bits are those of one
         # LU of L, also with the workers.
@@ -307,17 +306,17 @@ class StepOperator:
         first, last = self.components[blocks[0]], self.components[blocks[-1]]
         self._r = r = slice(first.start, last.stop)
         # The row views come after the factors: allocated before them, these
-        # and a scratch vector raised the peak RSS at 320x80 by 3 MB.
+        # and a scratch vector raised the peak RSS (measured at 9a01fea).
         self._rows = [_row_block(A, r) for A in (self.K, self.BC, self.Mh)]
 
     def _fork(self, i: int) -> None:
         """Fork the worker that factors block i (_own) and reports its fill,
         SuperLU's own count of the factor's entries: reading lu.L or lu.U
-        would copy the factor (about 10 MB a block at 320x80). Then, on each
-        command, the phase k in one byte on a pipe, it steps the block in
-        the shared buffers under the load in slot k (_advance) and answers
-        with one byte, until its pipe's EOF or any error ends it through
-        os._exit."""
+        would build a CSC copy of the factor (measured at c8a0802). Then, on
+        each command, the phase k in one byte on a pipe, it steps the block
+        in the shared buffers under the load in slot k (_advance) and
+        answers with one byte, until its pipe's EOF or any error ends it
+        through os._exit."""
         (cmd, w_cmd), (w_done, done) = os.pipe(), os.pipe()
         _parent_ends.update((w_cmd, w_done))
         try:

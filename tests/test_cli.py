@@ -1,13 +1,14 @@
 """End-to-end checks of the argparse front end and its exit codes."""
 
 import os
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 import galbrun
-from galbrun.cli import main
+from galbrun.cli import build_parser, main
 
 
 def write_cfg(path, **overrides):
@@ -179,6 +180,48 @@ def test_bad_probe_argument_raises_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--probe", "1;2"])
     assert exc.value.code == 2
+
+
+def test_run_with_an_empty_out_dir_exits_two(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "a.cfg", out_dir="")
+    assert main(["run", "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert "output directory '' is an empty path" in err
+    assert out == ""  # no run started
+
+
+@pytest.mark.parametrize("command", ["run", "convergence", "stability-contrast"])
+def test_a_file_as_out_exits_two_before_any_run(command, tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "a.cfg")
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    assert main([command, "--config", cfg, "--out", str(taken)]) == 2
+    out, err = capsys.readouterr()
+    assert f"cannot make output directory {taken}" in err
+    assert out == ""  # no run started
+    assert taken.read_text() == "kept\n"
+
+
+def test_a_config_error_found_by_the_run_leaves_no_directory(tmp_path, capsys):
+    # The CLI makes new/out before the run finds the probe outside the duct.
+    cfg = write_cfg(tmp_path / "a.cfg")
+    out = tmp_path / "new" / "out"
+    assert main(["run", "--config", cfg, "--out", str(out), "--probe=9,0"]) == 2
+    assert "lies outside the duct" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+
+
+def test_readme_commands_parse():
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    with open(os.path.join(root, "README.md")) as f:
+        section = f.read().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("galbrun ")]
+    assert lines
+    for line in lines:
+        args = build_parser().parse_args(shlex.split(line)[1:])
+        if args.config is not None:
+            assert os.path.isfile(os.path.join(root, args.config)), line
 
 
 def test_unstable_run_still_exits_zero(tmp_path, capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import re
+import tokenize
 
 import numpy as np
 import pytest
@@ -87,6 +88,58 @@ def readme_config_keys() -> list[str]:
 def test_readme_table_names_every_config_key():
     fields = [f.name for f in dataclasses.fields(RunConfig)]
     assert sorted(readme_config_keys()) == sorted(fields)
+
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+# A host figure: a number or a range of numbers followed by a time, memory
+# or share unit, or a named CPU model.
+HOST_FIGURE = re.compile(
+    r"(?<![\w.])\d+(?:[.,]\d+)*(?:\s*[-–]\s*\d+(?:[.,]\d+)*)?\s*"
+    r"(?:ms|µs|s|MB|KB|GB|%|B per triangle|bytes per triangle)(?!\w)"
+    r"|\b(?:Xeon|EPYC|Ryzen|Opteron|Core i[3579])\b"
+)
+
+
+def host_figures(text: str) -> list[str]:
+    """The host figures in text, its line breaks folded."""
+    return HOST_FIGURE.findall(" ".join(text.split()))
+
+
+def python_prose(path: str) -> str:
+    """A module's comments and strings in order, with a break at any code
+    between them, so that no code token joins a match."""
+    parts = []
+    with open(path, encoding="utf-8") as f:
+        for tok in tokenize.generate_tokens(f.readline):
+            if tok.type == tokenize.COMMENT:
+                parts.append(tok.string.lstrip("#"))
+            elif tok.type == tokenize.STRING:
+                parts.append(tok.string)
+            elif tok.type not in (tokenize.NL, tokenize.NEWLINE):
+                parts.append("|")
+    return " ".join(parts)
+
+
+def read_readme() -> str:
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
+        return f.read()
+
+
+def test_readme_fits_in_220_lines():
+    assert len(read_readme().splitlines()) <= 220
+
+
+def test_docs_quote_no_host_figures():
+    # Figures of one host go stale; they live in CHANGES.md and BENCH_*.json,
+    # and the README's Performance section points to them.
+    head, _, performance = read_readme().partition("\n## Performance\n")
+    texts = {"README.md": head + performance.partition("\n## ")[2]}
+    src = os.path.join(ROOT, "src", "galbrun")
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            texts[name] = python_prose(os.path.join(src, name))
+    found = {name: host_figures(text) for name, text in texts.items()}
+    assert {name: figures for name, figures in found.items() if figures} == {}
 
 
 def test_parse_rejects_duplicates_and_garbage():
