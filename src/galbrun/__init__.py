@@ -14,7 +14,7 @@ from galbrun.mesh import (
     build_dof_map,
     build_duct_mesh,
 )
-from galbrun.assembly import AbcVariant, SystemMatrices, build_system
+from galbrun.assembly import AbcVariant, SystemMatrices, SystemRecipe, build_system
 from galbrun.physics import SourceSpec, TimeProfile
 from galbrun.dynamics import RunResult, SimState, Stable, StepOperator, Unstable, run_simulation
 from galbrun.config import ConfigError, RunConfig, load_config
@@ -34,6 +34,7 @@ __all__ = [
     "Stable",
     "StepOperator",
     "SystemMatrices",
+    "SystemRecipe",
     "TimeProfile",
     "Unstable",
     "build_dof_map",

@@ -9,7 +9,8 @@ with Mh the vector mass matrix, Ah the volume stiffness
 and Ch, Dh boundary forms supported on the artificial boundaries x = +-R.
 build_system returns the three operators the scheme uses: Mh, the
 stiffness K = Ah + Dh and the damping BC = Bh + Ch, less the boundary
-forms that an absorbing-condition variant drops.
+forms that an absorbing-condition variant drops. A SystemRecipe holds its
+arguments, so that the process that steps a system can build it.
 
 Sign conventions are fixed by the energy identity: with
 (Bh x)_i = 2M (dxi/dx, phi_i) and Ch carrying weight (1 - n_x M) on the
@@ -49,7 +50,8 @@ class AbcVariant(str, Enum):
 class SystemMatrices:
     """Mh xi'' + BC xi' + K xi = F: the mass, damping and stiffness of one
     absorbing-condition variant, all CSR, DofMap.components, and gamma, the
-    sorted free dofs on Gamma-/+, off which sym(BC) vanishes."""
+    sorted free dofs on Gamma-/+, off which sym(BC) vanishes. The rows of a
+    component that build_system was not asked for are empty."""
 
     Mh: sp.csr_matrix
     K: sp.csr_matrix
@@ -122,7 +124,8 @@ class _Pattern:
     columns run up to the largest entry of that table. The pairs in sorted
     order, and the slot of every element entry on them, are found once per
     pattern; build_system's volume forms share the triangles' and take their
-    triangle_gradients a chunk of elements at a time.
+    triangle_gradients a chunk of elements at a time. Only the blocks of
+    row_components are summed: the other components' rows stay empty.
 
     A block keyed by (row component, column group) is summed onto its slots
     with np.add.at, _CHUNK elements at a time in element order: the sums of
@@ -141,7 +144,9 @@ class _Pattern:
         cols: np.ndarray,
         dofs: DofMap,
         col_dofs: np.ndarray | None = None,
+        row_components: tuple[int, ...] = (0, 1),
     ):
+        self.row_components = row_components
         self.node_dofs = dofs.node_dofs.T.astype(np.int32)  # by component
         self.col_dofs = self.node_dofs if col_dofs is None else col_dofs.astype(np.int32)
         n = self.col_dofs.shape[1]
@@ -177,6 +182,8 @@ class _Pattern:
             e = slice(start, start + _CHUNK)
             slot = self.slot[e].ravel()
             for key, block in blocks(e).items():
+                if key[0] not in self.row_components:
+                    continue
                 if key not in sums:
                     sums[key] = np.zeros(len(self.cols))
                 np.add.at(sums[key], slot, block.ravel())
@@ -228,9 +235,12 @@ class _Pattern:
         return sp.csr_matrix((data, indices, indptr), shape=self.shape)
 
 
-def _cell_pattern(cells: np.ndarray, dofs: DofMap) -> _Pattern:
-    """The pattern of a form on (n_el, k) cells: each cell's k x k node pairs."""
-    return _Pattern(cells[:, :, None], cells[:, None, :], dofs)
+def _cell_pattern(
+    cells: np.ndarray, dofs: DofMap, rows: tuple[int, ...] = (0, 1)
+) -> _Pattern:
+    """The pattern of a form on (n_el, k) cells: each cell's k x k node
+    pairs, for the row components rows."""
+    return _Pattern(cells[:, :, None], cells[:, None, :], dofs, row_components=rows)
 
 
 def _diagonal(block: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
@@ -315,16 +325,22 @@ def _gamma_edges(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _edge_mass(
-    mesh: Mesh, dofs: DofMap, edge_weights: np.ndarray, edges: np.ndarray
+    mesh: Mesh,
+    dofs: DofMap,
+    edge_weights: np.ndarray,
+    edges: np.ndarray,
+    rows: tuple[int, ...] = (0, 1),
 ) -> sp.csr_matrix:
     """Per-component edge mass w * (len/6) * [[2,1],[1,2]] on given edges."""
     ell = np.linalg.norm(mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]], axis=1)
     block = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
     scaled = (edge_weights * ell)[:, None, None] * block
-    return _cell_pattern(edges, dofs).scatter(lambda e: _diagonal(scaled[e]))
+    return _cell_pattern(edges, dofs, rows).scatter(lambda e: _diagonal(scaled[e]))
 
 
-def assemble_c(mesh: Mesh, dofs: DofMap, M: float) -> sp.csr_matrix:
+def assemble_c(
+    mesh: Mesh, dofs: DofMap, M: float, rows: tuple[int, ...] = (0, 1)
+) -> sp.csr_matrix:
     """Absorbing-condition damping form on Gamma- u Gamma+.
 
     c(xi, eta) = int_Gamma (1 - n_x M) xi . eta, i.e. weight 1-M on the
@@ -332,10 +348,10 @@ def assemble_c(mesh: Mesh, dofs: DofMap, M: float) -> sp.csr_matrix:
     for |M| < 1; at M = 0 it is the plain boundary mass.
     """
     edges, n_x = _gamma_edges(mesh)
-    return _edge_mass(mesh, dofs, 1.0 - n_x * M, edges)
+    return _edge_mass(mesh, dofs, 1.0 - n_x * M, edges, rows)
 
 
-def assemble_d(mesh: Mesh, dofs: DofMap) -> sp.csr_matrix:
+def assemble_d(mesh: Mesh, dofs: DofMap, rows: tuple[int, ...] = (0, 1)) -> sp.csr_matrix:
     """Tangential coupling form on Gamma- u Gamma+.
 
     d(xi, eta) = int_Gamma R (dxi/dtau) . eta with R the quarter-turn
@@ -353,23 +369,32 @@ def assemble_d(mesh: Mesh, dofs: DofMap) -> sp.csr_matrix:
     # R dxi/dtau . eta = -(dv/dtau) eta_x + (du/dtau) eta_y: the x row of a
     # test node holds (+1/2, -1/2) at (a_y, b_y), its y row the negatives.
     xy = np.broadcast_to([[0.5, -0.5], [0.5, -0.5]], (edges.shape[0], 2, 2))
-    return _cell_pattern(edges, dofs).scatter(lambda e: {(0, 1): xy[e], (1, 0): -xy[e]})
+    return _cell_pattern(edges, dofs, rows).scatter(
+        lambda e: {(0, 1): xy[e], (1, 0): -xy[e]}
+    )
 
 
 def build_system(
-    mesh: Mesh, dofs: DofMap, M: float, s: float, abc: str = AbcVariant.STABLE
+    mesh: Mesh,
+    dofs: DofMap,
+    M: float,
+    s: float,
+    abc: str = AbcVariant.STABLE,
+    rows: tuple[int, ...] = (0, 1),
 ) -> SystemMatrices:
     """Assemble Mh, K and BC for one absorbing-condition variant.
 
     abc is "stable" (K = Ah + Dh, BC = Bh + Ch), "naive" (K = Ah,
     BC = Bh + Ch: Dh dropped, the classical characteristic-style condition,
     exact for plane waves but unstable for M != 0), or "none" (K = Ah,
-    BC = Bh: a closed box; pair with a closed-box dof map).
+    BC = Bh: a closed box; pair with a closed-box dof map). Only the rows
+    of the displacement components in rows (0 for x, 1 for y) are
+    assembled, with the bits of the whole system's; the others are empty.
     """
     if abs(M) >= 1.0:
         raise ValueError("mean flow must be subsonic, |M| < 1")
     abc = AbcVariant(abc)
-    tri = _cell_pattern(mesh.triangles, dofs)
+    tri = _cell_pattern(mesh.triangles, dofs, rows)
     # K, which couples the components, first: its scatter needs the most
     # memory, and the last one's sits on the other two matrices.
     K = assemble_a(mesh, dofs, M, s, tri)
@@ -379,9 +404,28 @@ def build_system(
     # (measured at c8a0802).
     del tri
     if abc != AbcVariant.NONE:
-        BC = BC + assemble_c(mesh, dofs, M)
+        BC = BC + assemble_c(mesh, dofs, M, rows)
     if abc == AbcVariant.STABLE:
-        K = K + assemble_d(mesh, dofs)
+        K = K + assemble_d(mesh, dofs, rows)
     gamma = dofs.node_dofs[mesh.gamma_node_mask()]
     gamma = np.sort(gamma[gamma >= 0])
     return SystemMatrices(Mh, K, BC, dofs.components, gamma)
+
+
+@dataclass(frozen=True)
+class SystemRecipe:
+    """build_system's arguments but rows: a system not yet built, whose
+    rows each process that steps them builds (dynamics.StepOperator)."""
+
+    mesh: Mesh
+    dofs: DofMap
+    M: float
+    s: float
+    abc: str = AbcVariant.STABLE
+
+    @property
+    def components(self) -> tuple[slice, ...]:
+        return self.dofs.components
+
+    def build(self, rows: tuple[int, ...] = (0, 1)) -> SystemMatrices:
+        return build_system(self.mesh, self.dofs, self.M, self.s, self.abc, rows)

@@ -16,6 +16,7 @@ import sys
 
 from galbrun.config import ConfigError, RunConfig, load_config
 from galbrun.dynamics import run_simulation, status_text
+from galbrun.output import output_directory
 from galbrun.studies import (
     cmd_abc_reflection,
     cmd_convergence,
@@ -88,28 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_out_dir(out: str | None) -> list[str]:
-    """Make the output directory before any run starts.
-
-    Returns the directories this made, innermost first, so that a
-    configuration error found later can leave no output behind. An empty
-    path, or one that os.makedirs cannot make, is a ConfigError.
-    """
-    if out is None:
-        return []
-    if not out:
-        raise ConfigError("output directory '' is an empty path; give --out or out_dir")
-    made, head = [], os.path.abspath(out)
-    while not os.path.exists(head):
-        made.append(head)
-        head = os.path.dirname(head)
-    try:
-        os.makedirs(out, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot make output directory {out}: {exc.strerror}") from exc
-    return made
-
-
 def _write_report(out: str | None, name: str, text: str) -> None:
     if out is None:
         return
@@ -121,45 +100,41 @@ def _write_report(out: str | None, name: str, text: str) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    made = []
     try:
         cfg = load_config(args.config) if args.config else None
         out = args.out
         if args.command == "run":
             cfg = cfg or RunConfig()
             out = cfg.out_dir if out is None else out
-        made = _make_out_dir(out)
+        with output_directory(out):
+            if args.command == "run":
+                result = run_simulation(cfg, out_dir=out, probes=tuple(args.probe))
+                for w in result.warnings:
+                    print(f"warning: {w}", file=sys.stderr)
+                print(f"status: {status_text(result.status, result.n_steps)}")
+                print(f"dt = {result.dt:.6g}, artifacts in {out}")
+                return 0
 
-        if args.command == "run":
-            result = run_simulation(cfg, out_dir=out, probes=tuple(args.probe))
-            for w in result.warnings:
-                print(f"warning: {w}", file=sys.stderr)
-            print(f"status: {status_text(result.status, result.n_steps)}")
-            print(f"dt = {result.dt:.6g}, artifacts in {out}")
-            return 0
+            if args.command == "convergence":
+                study = cmd_convergence(cfg, levels=args.levels)
+                print(study.text(), end="")
+                _write_report(out, "convergence_report.txt", study.text())
+                return 0
 
-        if args.command == "convergence":
-            study = cmd_convergence(cfg, levels=args.levels)
-            print(study.text(), end="")
-            _write_report(out, "convergence_report.txt", study.text())
-            return 0
+            if args.command == "abc-reflection":
+                report = cmd_abc_reflection(cfg)
+                print(report.text(), end="")
+                _write_report(out, "reflection_report.txt", report.text())
+                return 0
 
-        if args.command == "abc-reflection":
-            report = cmd_abc_reflection(cfg)
-            print(report.text(), end="")
-            _write_report(out, "reflection_report.txt", report.text())
-            return 0
-
-        if args.command == "stability-contrast":
-            report = cmd_stability_contrast(cfg, out_dir=out)
-            print(report.text(), end="")
-            _write_report(out, "contrast_report.txt", report.text())
-            return 0
+            if args.command == "stability-contrast":
+                report = cmd_stability_contrast(cfg, out_dir=out)
+                print(report.text(), end="")
+                _write_report(out, "contrast_report.txt", report.text())
+                return 0
 
         raise AssertionError(f"unhandled command {args.command}")
     except ConfigError as exc:
-        for d in made:  # the errors a run finds come before it writes
-            os.rmdir(d)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,7 +26,9 @@ sums in block order. A step from x_n takes its time t_n = n dt from the
 state and its load F(t_n) from the operator. As SuperLU holds the GIL, on
 large meshes one forked worker steps each block while the run builds the
 next step's load, and otherwise the run steps both: same bits, more CPU
-time.
+time. The process that steps a block builds the system from its recipe
+(assembly.SystemRecipe), after the fork, and keeps only its own rows:
+with workers the run never assembles or holds K, BC or Mh.
 
 The logged energy (physics.energy) is the scheme's own: it pairs the
 staggered states through K, so the scheme balances it exactly
@@ -56,11 +58,12 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import SuperLU, splu
 
-from galbrun.assembly import AbcVariant, SystemMatrices, build_system, minimum_edge_length
+from galbrun.assembly import AbcVariant, SystemMatrices, SystemRecipe, minimum_edge_length
 from galbrun.config import ConfigError, InitKind, RunConfig, config_to_text
 from galbrun.mesh import DofMap, Mesh, build_dof_map, build_duct_mesh
 from galbrun.output import (
     EnergyRecord,
+    output_directory,
     vtk_geometry,
     write_energy_log,
     write_probe_log,
@@ -158,6 +161,7 @@ def _diagonal_block(A: sp.csr_matrix, r: slice) -> sp.csr_matrix:
 # Both blocks need this many dofs for the workers: the break-even when one worker
 # served one block (measured at f15e585). A change needs alternating benchmark pairs.
 WORKER_MIN_BLOCK = 3000
+_OBSERVE = 2  # the command to observe the pair in the load slots; 0 and 1 step
 _parent_ends: set[int] = set()  # this process's pipe ends to live workers
 
 
@@ -197,28 +201,32 @@ def _reap(workers: list[_Worker]) -> None:
 
 
 class StepOperator:
-    """The leapfrog step with L = Mh / dt^2 + BC / (2 dt) factorized, and
-    the system's mass Mh, stiffness K and damping BC, held, not copied.
+    """The leapfrog step with L = Mh / dt^2 + BC / (2 dt) factorized, for
+    the system's mass Mh, stiffness K and damping BC.
 
-    A process steps the dof range of the blocks it factored and writes each
-    block's (E, kinetic, flux) partials (_advance); the step's record sums
-    them in block order. The states sit in a pair of buffers, x_{n-1} in
-    slot k and x_n in slot 1 - k, and x_{n+1} takes the place of x_{n-1}.
-    The pair, K x_n, d_{n+1} (within a step, the right-hand side and then
-    the increment), Mh d_{n+1}, the partials and two load slots, by phase,
-    share one anonymous mmap with the worker processes (_fork) that, on
-    large meshes, factor and step one block each, while this process
-    builds the next step's load (advance); otherwise this process steps
+    system is the system's recipe (SystemRecipe), built by each process
+    that steps a block, or the system itself (SystemMatrices), built
+    before. A process steps the dof range of the blocks it factored, on
+    its rows of K, BC and Mh, and writes each block's (E, kinetic, flux)
+    partials (_advance); the step's record sums them in block order. The
+    states sit in a pair of buffers, x_{n-1} in slot k and x_n in slot
+    1 - k, and x_{n+1} takes the place of x_{n-1}. The pair, K x_n, d_{n+1}
+    (within a step, the right-hand side and then the increment), Mh d_{n+1},
+    the partials and two load slots, by phase, share one anonymous mmap
+    with the worker processes (_fork) that, on large meshes, build, factor
+    and step one block each, while this process builds the next step's
+    load (advance); otherwise this process builds the system and steps
     every block, then builds that load. load is the load F(t): the step
     from x_n takes F(n dt). start, when given, is the Taylor start's state
-    (xi0, zeta0) (taylor_first_step): whichever process factors a block
-    first solves that block of Mh a = F(0) - K xi0 - BC zeta0, and a is
-    then start_accel. close() reaps the workers.
+    (xi0, zeta0) (taylor_first_step): this process puts F(0) in a load slot
+    and whichever process factors a block first solves that block of
+    Mh a = F(0) - K xi0 - BC zeta0, and a is then start_accel. close()
+    reaps the workers.
     """
 
     def __init__(
         self,
-        mats: SystemMatrices,
+        system: SystemRecipe | SystemMatrices,
         dt: float,
         load: Callable[[float], np.ndarray],
         start: tuple[np.ndarray, np.ndarray] | None = None,
@@ -226,23 +234,9 @@ class StepOperator:
         self._workers: list[_Worker] = []
         if dt <= 0:
             raise ValueError("dt must be positive")
-        self.Mh, self.K, self.BC = mats.Mh, mats.K, mats.BC
-        self.components = blocks = mats.components
+        self.components = blocks = system.components
         self.dt, self.load, self.start = dt, load, start
-        # A process's rows of BC and Mh may reach only its own rows of d.
-        for r in blocks:
-            for A in (mats.BC, mats.Mh):
-                cols = A.indices[A.indptr[r.start] : A.indptr[r.stop]]
-                if cols.size and not r.start <= cols.min() <= cols.max() < r.stop:
-                    raise ValueError(
-                        "the mass or damping couples the two displacement components"
-                    )
-        # Each block's dofs on Gamma and sym(BC) on them, sliced first so as
-        # to make no full-size matrix: the block's outflow flux.
-        g = mats.gamma
-        self._gamma = [g[(r.start <= g) & (g < r.stop)] for r in blocks]
-        self._flux = [0.5 * (A + A.T) for A in (self.BC[g][:, g] for g in self._gamma)]
-        n = mats.K.shape[0]
+        n = blocks[-1].stop
         shared = np.frombuffer(mmap.mmap(-1, 8 * (7 * n + 3 * len(blocks))))
         vectors = shared[: 7 * n].reshape(7, n)
         # Fixed objects, not a fresh view per step: advance knows its own
@@ -255,8 +249,8 @@ class StepOperator:
         self._ahead: int | None = None  # the step whose load the next slot holds
         self._lu: list[tuple[int, SuperLU]] | None = []
         self.worker_fill = 0
-        if start is not None:  # solved in place by block (_own)
-            self._d[:] = load(0.0) - self.K @ start[0] - self.BC @ start[1]
+        if start is not None:  # the mass load's F(0), read by _own
+            self._F[0][:] = load(0.0)
         self._reap = weakref.finalize(self, _reap, self._workers)
         cpus = getattr(os, "sched_getaffinity", lambda pid: ())(0)
         large = min(r.stop - r.start for r in blocks) >= WORKER_MIN_BLOCK
@@ -264,8 +258,8 @@ class StepOperator:
             if len(blocks) == 2 <= len(cpus) and large and hasattr(os, "fork"):
                 _trim_heap()
                 for i in range(len(blocks)):
-                    self._fork(i)
-                for w in self._workers:  # both factor at once
+                    self._fork(system, i)
+                for w in self._workers:  # both build and factor at once
                     fill = os.read(w.done, 8)
                     if not fill:
                         r = blocks[w.block]
@@ -275,48 +269,82 @@ class StepOperator:
                         )
                     self.worker_fill += int.from_bytes(fill, "little")
             else:
-                self._own(range(len(blocks)))
+                self._own(system, range(len(blocks)))
         except BaseException:
             self.close()
             raise
         self.start_accel = None if start is None else self._d.copy()
 
-    def _block(self, r: slice) -> sp.spmatrix:
-        """L's diagonal block L[r, r]."""
-        Mh, BC = (_diagonal_block(A, r) for A in (self.Mh, self.BC))
+    def _block(self, Mh: sp.csr_matrix, BC: sp.csr_matrix, q: slice) -> sp.spmatrix:
+        """L's diagonal block L[q, q]."""
+        Mh, BC = (_diagonal_block(A, q) for A in (Mh, BC))
         return Mh / self.dt**2 + BC / (2.0 * self.dt)
 
-    def _own(self, blocks: range) -> None:
-        """Solve the blocks, by index, of the start's mass system, if any,
-        in d; factor them; and take their dof range r and its rows of K, BC
-        and Mh (_row_block): what this process steps."""
-        for i in blocks if self.start else ():  # Mh is block diagonal, like L
-            q = self.components[i]
-            mass = factorize(_diagonal_block(self.Mh, q))
-            self._d[q] = mass.solve(self._d[q], trans="T")
-            # Kept until L's factor was built, this factor set a bump
-            # start's worker peak (measured at c8a0802).
-            del mass
+    def _own(self, system: SystemRecipe | SystemMatrices, blocks: range) -> None:
+        """Take the blocks', by index, dof range r and its rows of K, BC and
+        Mh: what this process steps. From a recipe, this process builds
+        only those rows, as block i is the dofs of displacement component i.
+        Then solve the blocks of the start's mass system, if any, in d, and
+        factor them."""
+        if isinstance(system, SystemRecipe):
+            system = system.build(rows=tuple(blocks))
+        # Each _trim_heap here returns the free heap of a stage (the
+        # assembly, L's terms, the factoring) before the next one (the
+        # start's mass factor, L's factor, the steps) grows on top of it,
+        # which lowers a worker's peak (CHANGES.md).
+        _trim_heap()
+        first, last = self.components[blocks[0]], self.components[blocks[-1]]
+        self._r = r = slice(first.start, last.stop)
+        K, BC, Mh, g = system.K, system.BC, system.Mh, system.gamma
+        owned = [(i, self.components[i]) for i in blocks]
+        self._gamma, self._flux = {}, {}
+        for i, q in owned:
+            # A process's rows of BC and Mh may reach only its own rows of d.
+            for A in (BC, Mh):
+                cols = A.indices[A.indptr[q.start] : A.indptr[q.stop]]
+                if cols.size and not q.start <= cols.min() <= cols.max() < q.stop:
+                    raise ValueError(
+                        "the mass or damping couples the two displacement components"
+                    )
+            # The block's dofs on Gamma and sym(BC) on them, sliced first so
+            # as to make no full-size matrix: the block's outflow flux.
+            self._gamma[i] = gq = g[(q.start <= g) & (g < q.stop)]
+            A = BC[gq][:, gq]
+            self._flux[i] = 0.5 * (A + A.T)
+        if self.start is not None:  # Mh is block diagonal, like L
+            xi0, zeta0 = self.start
+            self._d[r] = (
+                self._F[0][r] - _row_block(K, r) @ xi0 - _row_block(BC, r) @ zeta0
+            )
+            for _, q in owned:
+                mass = factorize(_diagonal_block(Mh, q))
+                self._d[q] = mass.solve(self._d[q], trans="T")
+                # Kept until L's factor was built, this factor set a bump
+                # start's worker peak (measured at c8a0802).
+                del mass
         # One block at a time, each freed before the next is built, and no
         # full-size L, for a lower peak RSS (measured at 1adbc3c). The
         # fill (594,326 entries at 160x40, 3,246,828 at 320x80, as
         # SuperLU.nnz counts them) and the solution bits are those of one
         # LU of L, also with the workers.
-        self._lu = [(i, factorize(self._block(self.components[i]))) for i in blocks]
-        first, last = self.components[blocks[0]], self.components[blocks[-1]]
-        self._r = r = slice(first.start, last.stop)
+        self._lu = []
+        for i, q in owned:
+            L = self._block(Mh, BC, q)
+            _trim_heap()
+            self._lu.append((i, factorize(L)))
+            del L
         # The row views come after the factors: allocated before them, these
         # and a scratch vector raised the peak RSS (measured at 9a01fea).
-        self._rows = [_row_block(A, r) for A in (self.K, self.BC, self.Mh)]
+        self._rows = [_row_block(A, r) for A in (K, BC, Mh)]
+        _trim_heap()
 
-    def _fork(self, i: int) -> None:
-        """Fork the worker that factors block i (_own) and reports its fill,
-        SuperLU's own count of the factor's entries: reading lu.L or lu.U
-        would build a CSC copy of the factor (measured at c8a0802). Then, on
-        each command, the phase k in one byte on a pipe, it steps the block
-        in the shared buffers under the load in slot k (_advance) and
-        answers with one byte, until its pipe's EOF or any error ends it
-        through os._exit."""
+    def _fork(self, system: SystemRecipe | SystemMatrices, i: int) -> None:
+        """Fork the worker that builds and factors block i (_own) and reports
+        its fill, SuperLU's own count of the factor's entries: reading lu.L
+        or lu.U would build a CSC copy of the factor (measured at c8a0802).
+        Then, on each command, one byte on a pipe, it steps the block or
+        observes a pair in the shared buffers (_do) and answers with one
+        byte, until its pipe's EOF or any error ends it through os._exit."""
         (cmd, w_cmd), (w_done, done) = os.pipe(), os.pipe()
         _parent_ends.update((w_cmd, w_done))
         try:
@@ -330,17 +358,42 @@ class StepOperator:
             try:
                 for fd in _parent_ends:  # a copy left open would hide its EOF
                     os.close(fd)
-                self._own(range(i, i + 1))
+                self._own(system, range(i, i + 1))
                 [(_, lu)] = self._lu
                 os.write(done, lu.nnz.to_bytes(8, "little"))
                 while k := os.read(cmd, 1):
-                    self._advance(k[0])
+                    self._do(k[0])
                     os.write(done, b"\1")
             finally:
                 os._exit(0)
         os.close(cmd)
         os.close(done)
         self._workers.append(_Worker(pid, i, w_cmd, w_done))
+
+    def _order(self, k: int) -> None:
+        """Have every block do command k (_do): each worker its own, while
+        this process goes on until _wait, or else this process all."""
+        for w in self._workers:
+            os.write(w.cmd, bytes([k]))
+        if not self._workers:
+            self._do(k)
+
+    def _wait(self) -> None:
+        """Wait for every worker's answer to the command _order sent."""
+        for w in self._workers:
+            if not os.read(w.done, 1):
+                raise RuntimeError(f"step worker {w.pid} exited")
+
+    def _do(self, k: int) -> None:
+        """Command k for this process's rows r: a phase k steps (_advance),
+        and _OBSERVE forms the record of the pair (prev, curr) in the load
+        slots (observe) from (K prev)[r]."""
+        if k == _OBSERVE:
+            prev, curr = self._F
+            self._Kx[self._r] = self._rows[0] @ prev
+            self._record(prev, curr)
+        else:
+            self._advance(k)
 
     def advance(self, state: SimState) -> SimState:
         """The state one step after state, in the pair, with its record,
@@ -360,29 +413,23 @@ class StepOperator:
         if n != self._ahead:
             self._F[k][:] = self.load(n * self.dt)
         self._ahead = None
-        for w in self._workers:
-            os.write(w.cmd, bytes([k]))
-        if not self._workers:
-            self._advance(k)
+        self._order(k)
         try:
             self._F[1 - k][:] = self.load((n + 1) * self.dt)
             self._ahead = n + 1
         except Exception:  # raised again by step n + 1, not by this one
             pass
-        for w in self._workers:
-            if not os.read(w.done, 1):
-                raise RuntimeError(f"step worker {w.pid} exited")
+        self._wait()
         self._phase = 1 - k
         return SimState(curr, prev, n + 1, self._total(self._parts))
 
     def _advance(self, k: int) -> None:
         """Step this process's rows r from (x_{n-1}, x_n) in the pair's slots
         (k, 1 - k), under the load in slot k, to x_{n+1} in slot k, leaving
-        (K x_n)[r], d_{n+1}[r] = (x_{n+1} - x_n)[r] / dt, (Mh d_{n+1})[r]
-        and its blocks' partials of the new pair's record. The block solves run in place, so d[r] holds
-        the increment x_{n+1} - 2 x_n + x_{n-1} before the update. Every
-        product is taken row by row, so the bits are those of the full-size
-        products.
+        (K x_n)[r] and the record of the new pair (_record). The block
+        solves run in place, so d[r] holds the increment
+        x_{n+1} - 2 x_n + x_{n-1} before the update. Every product is taken
+        row by row, so the bits are those of the full-size products.
 
         A blown-up state can give inf - inf here; the run's energy check
         reports the non-finite result, so the warning is silenced.
@@ -396,27 +443,33 @@ class StepOperator:
                 q = self.components[i]
                 d[q] = lu.solve(d[q], trans="T")
             prev[r] = 2.0 * curr[r] - prev[r] + d[r]
-            d[r] = (prev[r] - curr[r]) / self.dt
-            self._Mh_d[r] = self._rows[2] @ d
-        for i, _ in self._lu:
-            self._parts[i] = self._observe(i, d, self._Mh_d, prev, self._Kx)
+        self._record(curr, prev)
 
-    def _observe(
-        self, i: int, d: np.ndarray, Mh_d: np.ndarray, x: np.ndarray, Kx: np.ndarray
-    ) -> tuple[float, float, float]:
-        """Block i's partials of observe."""
-        q, g = self.components[i], self._gamma[i]
-        E, kinetic = energy(d[q], Mh_d[q], x[q], Kx[q])
-        return E, kinetic, boundary_flux(d[g], self._flux[i])
+    def _record(self, old: np.ndarray, new: np.ndarray) -> None:
+        """This process's blocks' partials of the record of the pair
+        (old, new), given (K old)[r] in Kx: physics.energy of their rows of
+        d = (new - old) / dt, Mh d, new and K old, and physics.boundary_flux
+        of d on their dofs of gamma. Leaves d[r] and (Mh d)[r]."""
+        r, d, Mh_d, Kx = self._r, self._d, self._Mh_d, self._Kx
+        with np.errstate(invalid="ignore", over="ignore"):
+            d[r] = (new[r] - old[r]) / self.dt
+            Mh_d[r] = self._rows[2] @ d
+        for i, _ in self._lu:
+            q, g = self.components[i], self._gamma[i]
+            E, kinetic = energy(d[q], Mh_d[q], new[q], Kx[q])
+            self._parts[i] = E, kinetic, boundary_flux(d[g], self._flux[i])
 
     def observe(self, prev: np.ndarray, curr: np.ndarray) -> tuple[float, float, float]:
         """(E, kinetic, flux) of the pair (prev, curr): physics.energy on each
-        block's rows plus physics.boundary_flux on its dofs of gamma, summed
-        in block order, as a step sums them."""
-        d = (curr - prev) / self.dt
-        Mh_d, Kx, n = self.Mh @ d, self.K @ prev, len(self.components)
-        parts = [self._observe(i, d, Mh_d, curr, Kx) for i in range(n)]
-        return self._total(np.array(parts))
+        block's rows plus physics.boundary_flux on its dofs of gamma, formed
+        where the block is stepped and summed in block order, as a step sums
+        them. The pair goes through the load slots, so the next step builds
+        its load afresh."""
+        self._F[0][:], self._F[1][:] = prev, curr
+        self._ahead = None
+        self._order(_OBSERVE)
+        self._wait()
+        return self._total(self._parts)
 
     @staticmethod
     def _total(parts: np.ndarray) -> tuple[float, float, float]:
@@ -427,7 +480,7 @@ class StepOperator:
 
     def solve(self) -> np.ndarray:
         """L^{-1} F(0): the step from rest at step 0 under the load."""
-        rest = np.zeros(self.K.shape[0])
+        rest = np.zeros(self._d.shape[0])
         return self.advance(SimState(rest, rest, 0)).xi_curr.copy()
 
     def close(self) -> None:
@@ -497,10 +550,11 @@ class RunResult:
 
 @dataclass
 class Problem:
-    """What march steps: the system, n_steps of dt, the load F(t) and the
-    start (xi0, xi1), or xi0 and velocity zeta0 if xi1 is None."""
+    """What march steps: the system (StepOperator's input), n_steps of dt,
+    the load F(t) and the start (xi0, xi1), or xi0 and velocity zeta0 if
+    xi1 is None."""
 
-    mats: SystemMatrices
+    system: SystemRecipe | SystemMatrices
     dt: float
     n_steps: int
     rhs: RhsAssembler
@@ -523,7 +577,7 @@ def march(
     """
     dt, xi0, xi1 = p.dt, p.xi0, p.xi1
     start = None if xi1 is not None else (xi0, p.zeta0)
-    with closing(StepOperator(p.mats, dt, p.rhs, start)) as op:
+    with closing(StepOperator(p.system, dt, p.rhs, start)) as op:
         if xi1 is None:
             xi1 = taylor_first_step(op)
         records: list[EnergyRecord] = []
@@ -588,8 +642,10 @@ def run_simulation(
     Writes snapshots, the energy log, probes.csv (given probes), a metadata
     echo and a short report into out_dir when given; otherwise only the
     returned records and final state are kept. Partial outputs are kept
-    when the march stops Unstable. A mesh with no free dof, or a probe
-    outside the duct [-R, R] x [-h, h], raises ConfigError.
+    when the march stops Unstable. A mesh with no free dof, a probe outside
+    the duct [-R, R] x [-h, h], or an out_dir that is empty or cannot be
+    made (output_directory, before the mesh is built) raises ConfigError,
+    and leaves no directory that the run made.
     """
     warnings = cfg.validate()
     for px, py in probes:
@@ -598,11 +654,13 @@ def run_simulation(
                 f"probe {px},{py} lies outside the duct "
                 f"[-{cfg.R}, {cfg.R}] x [-{cfg.h}, {cfg.h}]"
             )
-    mesh = build_duct_mesh(cfg.geometry(), cfg.nx, cfg.ny)
-    dofs = build_dof_map(mesh, closed_box=(cfg.abc == AbcVariant.NONE))
-    if dofs.n_dofs == 0:
-        raise ConfigError(f"no free dof on a {cfg.nx}x{cfg.ny} mesh, abc = {cfg.abc}")
-    mats = build_system(mesh, dofs, cfg.M, cfg.s, abc=cfg.abc)
+    with output_directory(out_dir):
+        mesh = build_duct_mesh(cfg.geometry(), cfg.nx, cfg.ny)
+        dofs = build_dof_map(mesh, closed_box=(cfg.abc == AbcVariant.NONE))
+        if dofs.n_dofs == 0:
+            raise ConfigError(f"no free dof on a {cfg.nx}x{cfg.ny} mesh, abc = {cfg.abc}")
+    # Built by the process that steps it (StepOperator), not here.
+    system = SystemRecipe(mesh, dofs, cfg.M, cfg.s, cfg.abc)
 
     dt, n_steps = snap_time_step(
         plan_time_step(mesh, cfg.M, cfg.cfl_safety), cfg.t_end
@@ -615,13 +673,12 @@ def run_simulation(
             vorticity = CausalVorticity(source, cfg.M)
     rhs = RhsAssembler(mesh, dofs, loads, cfg.s, vorticity=vorticity)
     start = _initial_levels(cfg, mesh, dofs, dt)
-    problem = Problem(mats, dt, n_steps, rhs, *start)
+    problem = Problem(system, dt, n_steps, rhs, *start)
 
     steps = sorted({min(n_steps, max(0, round(ts / dt))) for ts in cfg.snapshot_times})
     snapshot_rank = {step: k for k, step in enumerate(steps)}  # the NNN of snap_NNN
 
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         meta = _metadata_text(cfg, mesh, dofs, dt, n_steps, warnings)
         with open(os.path.join(out_dir, "run_metadata.cfg"), "w", newline="\n") as f:
             f.write(meta)

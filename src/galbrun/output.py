@@ -4,17 +4,21 @@ Snapshots use the legacy ASCII unstructured-grid format so any standard
 visualization tool opens them directly; numbers carry 9 significant
 digits and lines end with LF regardless of platform. The energy log is a
 small CSV with a fixed header; formatting is deterministic so serial
-reruns are bit-identical.
+reruns are bit-identical. output_directory makes the artifact directory
+before any work starts.
 """
 
 from __future__ import annotations
 
 import csv
+import os
 from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
+from galbrun.config import ConfigError
 from galbrun.mesh import Mesh
 
 ENERGY_HEADER = ("step", "t", "E", "kinetic", "flux", "status")
@@ -22,6 +26,35 @@ ENERGY_HEADER = ("step", "t", "E", "kinetic", "flux", "status")
 # Rows formatted per % call. One call over a whole 320x80 mesh boxes about
 # 154k cell indices as Python ints at once; chunks bound that to a few MB.
 FORMAT_CHUNK_ROWS = 4096
+
+
+@contextmanager
+def output_directory(out: str | None) -> Iterator[None]:
+    """Make the output directory, if given, for the work in the block.
+
+    An empty path, or one that os.makedirs cannot make, is a ConfigError.
+    The block's own ConfigErrors come before it writes any output, so one
+    raised there removes the directories this made, innermost first, and
+    leaves no output behind.
+    """
+    made: list[str] = []
+    if out is not None:
+        if not out:
+            raise ConfigError("output directory '' is an empty path; give --out or out_dir")
+        head = os.path.abspath(out)
+        while not os.path.exists(head):
+            made.append(head)
+            head = os.path.dirname(head)
+        try:
+            os.makedirs(out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make output directory {out}: {exc.strerror}") from exc
+    try:
+        yield
+    except ConfigError:
+        for d in made:
+            os.rmdir(d)
+        raise
 
 
 @dataclass(frozen=True)

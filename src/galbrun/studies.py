@@ -110,7 +110,10 @@ def manufactured_case(M: float, s: float, omega: float = 2.0) -> MmsCase:
 def _mms_solve(
     case: MmsCase, mesh: Mesh, n_steps: int, t_end: float
 ) -> tuple[np.ndarray, Stable | Unstable, Problem, DofMap]:
-    """(x at t_end, verdict, problem, dofs) of n_steps steps on the closed box."""
+    """(x at t_end, verdict, problem, dofs) of n_steps steps on the closed box.
+
+    The problem holds the built system, whose Mh the studies' L2 norms read.
+    """
     dofs = build_dof_map(mesh, closed_box=True)
     mats = build_system(mesh, dofs, case.M, case.s, abc="none")
     rhs = RhsAssembler(mesh, dofs, case.loads, case.s)
@@ -176,7 +179,7 @@ def spatial_convergence(
         _, n_steps = snap_time_step(plan_time_step(mesh, M, cfl), t_end)
         xi, status, p, dofs = _mms_solve(case, mesh, n_steps, t_end)
         exact = dofs.restrict(case.xi(mesh.nodes, t_end))
-        err, Mh = xi - exact, p.mats.Mh
+        err, Mh = xi - exact, p.system.Mh
         error = math.sqrt((err @ (Mh @ err)) / (exact @ (Mh @ exact)))
         rows.append((f"n = {n:3d} (dt = {p.dt:.6g})", 2.0 / n, error, status))
     return ConvergenceReport("spatial", *zip(*rows))
@@ -199,13 +202,13 @@ def temporal_convergence(
     mesh = build_duct_mesh(DuctGeometry(1.0, 1.0), n, n)
     _, n0 = snap_time_step(plan_time_step(mesh, M, cfl), t_end)
     ref, ref_status, p, _ = _mms_solve(case, mesh, n0 * ref_factor, t_end)
-    scale = math.sqrt(ref @ (p.mats.Mh @ ref))
+    scale = math.sqrt(ref @ (p.system.Mh @ ref))
 
     rows = []
     for k in range(halvings):
         xi, status, p, _ = _mms_solve(case, mesh, n0 * 2**k, t_end)
         diff = xi - ref
-        error = math.sqrt(diff @ (p.mats.Mh @ diff)) / scale
+        error = math.sqrt(diff @ (p.system.Mh @ diff)) / scale
         rows.append((f"n = {n:3d} (dt = {p.dt:.6g})", p.dt, error, status))
     return ConvergenceReport("temporal", *zip(*rows), reference=ref_status)
 

@@ -317,6 +317,33 @@ def test_d_symmetric_with_wall_constraints(small_duct):
 # system wiring
 
 
+def row_range(A: sp.csr_matrix, r: slice) -> tuple[np.ndarray, ...]:
+    """The rows r of A as (indptr from 0, indices, data)."""
+    a, b = A.indptr[r.start], A.indptr[r.stop]
+    return A.indptr[r.start : r.stop + 1] - a, A.indices[a:b], A.data[a:b]
+
+
+@pytest.mark.parametrize("abc", ["stable", "naive", "none"])
+def test_build_system_builds_the_rows_asked_for(abc):
+    # A step worker builds only its component's rows: they must be the
+    # whole system's rows bit for bit, and the other component's rows empty.
+    mesh = build_duct_mesh(DuctGeometry(2.0, 1.0), 12, 4)
+    dofs = build_dof_map(mesh, closed_box=abc == "none")
+    M = 0.5  # with flow, so that BC holds entries in the closed box too
+    whole = build_system(mesh, dofs, M, s=1.0, abc=abc)
+    assert len(dofs.components) == 2
+    for i, r in enumerate(dofs.components):
+        part = build_system(mesh, dofs, M, s=1.0, abc=abc, rows=(i,))
+        assert part.components == whole.components
+        assert np.array_equal(part.gamma, whole.gamma)
+        for name in ("Mh", "K", "BC"):
+            A, B = getattr(whole, name), getattr(part, name)
+            assert B.shape == A.shape
+            assert B.nnz == A.indptr[r.stop] - A.indptr[r.start] > 0, name
+            for got, want in zip(row_range(B, r), row_range(A, r)):
+                assert np.array_equal(got, want), name
+
+
 def test_build_system_variants(small_duct):
     _, mesh, dofs = small_duct
     stable = build_system(mesh, dofs, M=0.5, s=1.0, abc="stable")

@@ -211,6 +211,16 @@ def test_a_config_error_found_by_the_run_leaves_no_directory(tmp_path, capsys):
     assert not (tmp_path / "new").exists()
 
 
+def test_a_study_run_that_finds_a_config_error_leaves_no_directory(tmp_path, capsys):
+    # stability-contrast makes new/out, and its first run new/out/s1, before
+    # that run finds no free dof on the mesh: neither is left behind.
+    cfg = write_cfg(tmp_path / "a.cfg", nx=1, ny=1, abc="none", M=0.0, source_kind="none")
+    out = tmp_path / "new" / "out"
+    assert main(["stability-contrast", "--config", cfg, "--out", str(out)]) == 2
+    assert "no free dof" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+
+
 def test_readme_commands_parse():
     root = os.path.join(os.path.dirname(__file__), os.pardir)
     with open(os.path.join(root, "README.md")) as f:

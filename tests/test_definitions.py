@@ -211,6 +211,8 @@ def test_one_time_loop(name):
 def test_the_time_loop_steps_an_algebraic_system():
     # The system carries its dofs of Gamma-/+ (SystemMatrices.gamma), so
     # march reads no mesh and no dof map, and StepOperator takes no gamma.
+    # StepOperator takes the system or its recipe (SystemRecipe), which the
+    # process that steps it builds.
     march = top_level_function("src/galbrun/dynamics.py", "march")
     names = {n.id for n in ast.walk(march) if isinstance(n, ast.Name)}
     names |= {n.attr for n in ast.walk(march) if isinstance(n, ast.Attribute)}
@@ -218,11 +220,11 @@ def test_the_time_loop_steps_an_algebraic_system():
     def params(f) -> list[str]:
         return list(inspect.signature(f).parameters)
 
-    assert params(dynamics.StepOperator) == ["mats", "dt", "load", "start"]
+    assert params(dynamics.StepOperator) == ["system", "dt", "load", "start"]
     assert params(dynamics.StepOperator.observe) == ["self", "prev", "curr"]
     assert params(dynamics.taylor_first_step) == ["op"]
     assert params(dynamics.Problem) == [
-        "mats", "dt", "n_steps", "rhs", "xi0", "xi1", "zeta0"
+        "system", "dt", "n_steps", "rhs", "xi0", "xi1", "zeta0"
     ]
 
 

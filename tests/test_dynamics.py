@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import errno
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -22,9 +23,11 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
+import galbrun.assembly
 from galbrun import dynamics
 from galbrun.assembly import (
     SystemMatrices,
+    SystemRecipe,
     assemble_a,
     assemble_b,
     assemble_c,
@@ -63,9 +66,10 @@ def linear_dof_vector(mesh, dofs):
     return dofs.restrict(field)
 
 
-def step_matrix(op: StepOperator):
-    """The operator L = Mh / dt^2 + BC / (2 dt) that op.solve inverts."""
-    return (op.Mh / op.dt**2 + op.BC / (2.0 * op.dt)).tocsr()
+def step_matrix(mats: SystemMatrices, dt: float):
+    """The operator L = Mh / dt^2 + BC / (2 dt) that a StepOperator of mats
+    and dt inverts."""
+    return (mats.Mh / dt**2 + mats.BC / (2.0 * dt)).tocsr()
 
 
 def test_plan_time_step_values(small_duct):
@@ -85,7 +89,7 @@ def test_step_operator_solve_round_trip(small_duct):
     b = rng.standard_normal(dofs.n_dofs)
     op = StepOperator(mats, dt=0.1, load=lambda t: b)
     x = op.solve()
-    L = step_matrix(op)
+    L = step_matrix(mats, 0.1)
     assert np.abs(L @ x - b).max() < 1e-10 * np.abs(b).max()
     # The factor is of L^T; with flow L is not symmetric, so a solve with
     # L^T in place of L fails the check above.
@@ -96,12 +100,21 @@ def test_step_operator_solve_round_trip(small_duct):
 
 
 def test_step_operator_holds_the_system_operators(small_duct):
-    # The run keeps one copy of each operator: the step operator refers to
-    # the matrices build_system returned.
+    # One copy of each operator: in process, the step operator steps on the
+    # arrays of the matrices it is given, and builds from a recipe the
+    # matrices of one build_system call, all rows of both components.
     _, mesh, dofs = small_duct
     mats = build_system(mesh, dofs, M=0.5, s=1.0)
     op = StepOperator(mats, dt=0.1, load=lambda t: np.zeros(dofs.n_dofs))
-    assert op.Mh is mats.Mh and op.K is mats.K and op.BC is mats.BC
+    assert op._r == slice(0, dofs.n_dofs)
+    for rows, A in zip(op._rows, (mats.K, mats.BC, mats.Mh)):
+        for name in ("data", "indices"):
+            assert np.shares_memory(getattr(rows, name), getattr(A, name))
+    built = StepOperator(
+        SystemRecipe(mesh, dofs, M=0.5, s=1.0), dt=0.1, load=lambda t: np.zeros(dofs.n_dofs)
+    )
+    for rows, A in zip(built._rows, (mats.K, mats.BC, mats.Mh)):
+        assert (rows != A).nnz == 0 and np.array_equal(rows.data, A.data)
 
 
 def force_worker(monkeypatch) -> None:
@@ -139,19 +152,24 @@ def test_step_operator_factor_is_fill_reducing():
     b = np.random.default_rng(5).standard_normal(dofs.n_dofs)
     with closing(StepOperator(mats, dt, load=lambda t: b)) as op:
         assert factor_fill(op) <= 628_000
-        want = spsolve(step_matrix(op).tocsc(), b)
+        want = spsolve(step_matrix(mats, dt).tocsc(), b)
         assert np.linalg.norm(op.solve() - want) <= 1e-13 * np.linalg.norm(want)
 
 
-def split_case(case: str) -> tuple[DofMap, SystemMatrices]:
-    """The system of one block-split case: the open duct at M = 0.5 with
+def split_recipe(case: str) -> SystemRecipe:
+    """The recipe of one block-split case: the open duct at M = 0.5 with
     each ABC, the closed box at M = 0, and a one-cell-high duct."""
     closed = case == "closed"
     mesh = build_duct_mesh(DuctGeometry(4.0, 1.0), 40, 1 if case == "ny1" else 10)
     dofs = build_dof_map(mesh, closed_box=closed)
     abc = {"closed": "none", "naive": "naive"}.get(case, "stable")
-    mats = build_system(mesh, dofs, M=0.0 if closed else 0.5, s=1.0, abc=abc)
-    return dofs, mats
+    return SystemRecipe(mesh, dofs, M=0.0 if closed else 0.5, s=1.0, abc=abc)
+
+
+def split_case(case: str) -> tuple[DofMap, SystemMatrices]:
+    """The dof map and system of one block-split case (split_recipe)."""
+    recipe = split_recipe(case)
+    return recipe.dofs, recipe.build()
 
 
 SPLIT_CASES = ["stable", "naive", "closed", "ny1"]
@@ -183,7 +201,7 @@ def test_step_operator_factors_one_block_per_component(case, monkeypatch):
             for comp, r in enumerate(factor_ranges(op)):
                 free = np.sort(dofs.node_dofs[:, comp])
                 assert np.array_equal(free[free >= 0], np.arange(r.start, r.stop))
-            whole = factorize(step_matrix(op))
+            whole = factorize(step_matrix(mats, 0.05))
             assert factor_fill(op) == whole.nnz
             assert np.array_equal(op.solve(), whole.solve(rhs, trans="T"))
 
@@ -230,18 +248,18 @@ def deadline(seconds: int):
         signal.signal(signal.SIGALRM, previous)
 
 
-def exp1_system() -> tuple[SystemMatrices, float]:
+def exp1_system() -> tuple[SystemRecipe, float]:
     cfg = load_config(os.path.join(CONFIG_DIR, "exp1_rotational.cfg"))
     mesh = build_duct_mesh(cfg.geometry(), cfg.nx, cfg.ny)
-    mats = build_system(mesh, build_dof_map(mesh), cfg.M, cfg.s, abc=cfg.abc)
+    recipe = SystemRecipe(mesh, build_dof_map(mesh), cfg.M, cfg.s, abc=cfg.abc)
     dt, _ = snap_time_step(plan_time_step(mesh, cfg.M, cfg.cfl_safety), cfg.t_end)
-    return mats, dt
+    return recipe, dt
 
 
-def closed_box_system(nx: int, ny: int) -> tuple[SystemMatrices, float]:
+def closed_box_system(nx: int, ny: int) -> tuple[SystemRecipe, float]:
     mesh = build_duct_mesh(DuctGeometry(4.0, 1.0), nx, ny)
     dofs = build_dof_map(mesh, closed_box=True)
-    return build_system(mesh, dofs, M=0.0, s=1.0, abc="none"), 0.01
+    return SystemRecipe(mesh, dofs, M=0.0, s=1.0, abc="none"), 0.01
 
 
 @pytest.mark.parametrize(
@@ -256,10 +274,13 @@ def closed_box_system(nx: int, ny: int) -> tuple[SystemMatrices, float]:
 def test_worker_solve_is_bit_identical(system, above, monkeypatch):
     # Above the crossover, on two CPUs, one worker process solves each
     # block; on one CPU, or below the crossover, no worker starts. Every
-    # way, a solve gives the bits of the in-process block factors.
+    # way, with the system built by the process that steps it (its recipe)
+    # or built before (its matrices), a solve gives the bits of the
+    # in-process block factors.
     if above and not hasattr(os, "fork"):
         pytest.skip("no os.fork on this platform")
-    mats, dt = system()
+    recipe, dt = system()
+    mats = recipe.build()
     blocks = mats.components
     assert (min(r.stop - r.start for r in blocks) >= dynamics.WORKER_MIN_BLOCK) == above
 
@@ -274,12 +295,96 @@ def test_worker_solve_is_bit_identical(system, above, monkeypatch):
     rhs = np.random.default_rng(3).standard_normal((3, mats.Mh.shape[0]))
     for cpus, worker in (({0, 1}, above), ({0}, False)):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-        # The load is the rhs row the loop has reached.
-        with closing(StepOperator(mats, dt, load=lambda t: b)) as op:
-            assert len(op._workers) == (2 if worker else 0)
-            for b in rhs:
-                assert np.array_equal(op.solve(), want(b))
+        for given in (recipe, mats):
+            # The load is the rhs row the loop has reached.
+            with closing(StepOperator(given, dt, load=lambda t: b)) as op:
+                assert len(op._workers) == (2 if worker else 0)
+                for b in rhs:
+                    assert np.array_equal(op.solve(), want(b))
     assert no_child_left()
+
+
+def operator_bits(
+    system: SystemRecipe | SystemMatrices,
+    dt: float,
+    load,
+    start: tuple[np.ndarray, np.ndarray | None, np.ndarray | None],
+) -> tuple[int, list[np.ndarray]]:
+    """The workers that a StepOperator of system started, and its bits from
+    the start (xi0, xi1, zeta0): the second level (the Taylor start when
+    xi1 is None), the starter pair's record, and four steps' states and
+    records."""
+    xi0, xi1, zeta0 = start
+    with closing(
+        StepOperator(system, dt, load, None if xi1 is not None else (xi0, zeta0))
+    ) as op:
+        if xi1 is None:
+            xi1 = taylor_first_step(op)
+        bits = [xi1, np.array(op.observe(xi0, xi1))]
+        state = SimState(xi0, xi1, 1)
+        for _ in range(4):
+            state = leapfrog_step(op, state)
+            bits += [state.xi_curr.copy(), np.array(state.observed)]
+        return len(op._workers), bits
+
+
+@pytest.mark.parametrize("init", ["bump", "plane_pulse"])
+@pytest.mark.parametrize("case", SPLIT_CASES[:3])
+def test_worker_built_operator_is_bit_identical(case, init, monkeypatch):
+    # Workers that build their own rows of the system (its recipe) and
+    # workers that take the rows of a system built before the fork must
+    # both give the in-process bits: the Taylor start's solve (bump) or the
+    # given second level (plane pulse), the starter pair's record, which
+    # the workers form, and every step.
+    recipe = split_recipe(case)
+    mesh, dofs, dt = recipe.mesh, recipe.dofs, 0.05
+    cfg = RunConfig(M=recipe.M, init_kind=init, init_center_x=-1.0, init_width=0.4)
+    start = _initial_levels(cfg, mesh, dofs, dt)
+    assert (start[1] is None) == (init == "bump")
+    F = np.random.default_rng(29).standard_normal(dofs.n_dofs)
+
+    def load(t: float) -> np.ndarray:
+        return np.cos(3.0 * t) * F
+
+    workers, want = operator_bits(recipe, dt, load, start)  # below the crossover
+    assert workers == 0
+    force_worker(monkeypatch)
+    for given in (recipe, recipe.build()):
+        workers, got = operator_bits(given, dt, load, start)
+        assert workers == 2
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+    assert no_child_left()
+
+
+def test_the_processes_that_step_the_system_build_it(monkeypatch, tmp_path):
+    # A run builds its system where it is stepped: in process, the run
+    # builds all of it once; with workers, each worker builds its own
+    # component's rows, and the run process builds nothing.
+    log, build = tmp_path / "builds", galbrun.assembly.build_system
+
+    def spy(mesh, dofs, M, s, abc="stable", rows=(0, 1)):
+        with open(log, "a") as f:  # the workers' calls too
+            f.write(f"{os.getpid()} {' '.join(map(str, rows))}\n")
+        return build(mesh, dofs, M, s, abc, rows)
+
+    def builds() -> list[tuple[int, tuple[int, ...]]]:
+        lines = log.read_text().splitlines()
+        log.unlink()
+        return [(int(pid), tuple(map(int, rows))) for pid, *rows in map(str.split, lines)]
+
+    monkeypatch.setattr(galbrun.assembly, "build_system", spy)
+    run = os.getpid()
+    assert run_simulation(base_config()).stable  # below the crossover
+    assert builds() == [(run, (0, 1))]
+    force_worker(monkeypatch)
+    assert run_simulation(base_config()).stable
+    assert no_child_left()
+    got = builds()
+    assert run not in [pid for pid, _ in got]
+    assert len({pid for pid, _ in got}) == 2
+    assert sorted(rows for _, rows in got) == [(0,), (1,)]
 
 
 @pytest.fixture
@@ -396,7 +501,7 @@ def test_worker_handshake_copies_no_factor(monkeypatch):
     rhs = np.random.default_rng(8).standard_normal(mats.Mh.shape[0])
     with deadline(30), closing(StepOperator(mats, dt=0.05, load=lambda t: rhs)) as op:
         assert len(op._workers) == 2
-        whole = factor(step_matrix(op))
+        whole = factor(step_matrix(mats, 0.05))
         assert op.worker_fill == whole.nnz
         assert np.array_equal(op.solve(), whole.solve(rhs, trans="T"))
     assert no_child_left()
@@ -422,27 +527,89 @@ print(peak - rss, op.worker_fill)
 """
 
 
-def test_workers_peak_rss_stays_near_their_factors():
-    # In a fresh interpreter, each worker starts from its resident memory at
-    # the fork and adds its block's factor and SuperLU's workspace. At
-    # 320x80 the workers' peak rose 6.9-7.6 MB above it, 0.28-0.31 of 8
-    # bytes per factor entry, with one-column panels (factorize); with
-    # SuperLU's default 20-column panels, 14.2-14.6 MB (0.57-0.59); with a
-    # handshake that read lu.L and lu.U as well, 21.5-22.6 MB (0.89-0.94).
+# The benchmark child's environment (bench/run.py): one BLAS and OpenMP
+# thread, and no transparent huge pages asked for by numpy, which would
+# move the resident memory measured.
+CHILD_ENV = {
+    **dict.fromkeys(
+        (
+            "OMP_NUM_THREADS",
+            "OPENBLAS_NUM_THREADS",
+            "MKL_NUM_THREADS",
+            "BLIS_NUM_THREADS",
+            "VECLIB_MAXIMUM_THREADS",
+            "NUMEXPR_NUM_THREADS",
+        ),
+        "1",
+    ),
+    "NUMPY_MADVISE_HUGEPAGE": "0",
+}
+
+
+def run_script(script: str, *args: str) -> str:
+    """The stdout of script in a fresh interpreter, in CHILD_ENV."""
     if not hasattr(os, "fork") or not os.path.exists("/proc/self/status"):
         pytest.skip("needs os.fork and /proc/self/status")
     src = os.path.dirname(os.path.dirname(dynamics.__file__))
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-    out = subprocess.run(
-        [sys.executable, "-c", WORKER_PEAK],
-        env=env,
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=dict(os.environ, PYTHONPATH=src, **CHILD_ENV),
         capture_output=True,
         text=True,
         check=True,
         timeout=120,
     ).stdout
-    above_kib, fill = map(int, out.split())
+
+
+def test_workers_peak_rss_stays_near_their_factors():
+    # In a fresh interpreter, each worker starts from its resident memory at
+    # the fork and adds its block's factor and SuperLU's workspace. At
+    # 320x80 the workers' peak rose 5.6-5.9 MB above it, 0.23-0.24 of 8
+    # bytes per factor entry, with one-column panels (factorize) and the
+    # heap trimmed between the stages of StepOperator._own; without those
+    # trims, 6.9-7.6 MB (0.28-0.31); with SuperLU's default 20-column
+    # panels, 14.2-14.6 MB (0.57-0.59); with a handshake that read lu.L and
+    # lu.U as well, 21.5-22.6 MB (0.89-0.94).
+    above_kib, fill = map(int, run_script(WORKER_PEAK).split())
     assert above_kib * 1024 <= 0.45 * 8 * fill
+
+
+STEP_PEAKS = """
+import os, resource, sys
+from galbrun import dynamics
+from galbrun.assembly import SystemRecipe
+from galbrun.mesh import DuctGeometry, build_dof_map, build_duct_mesh
+
+dynamics.WORKER_MIN_BLOCK = 0
+os.sched_getaffinity = lambda pid: {0, 1}
+mesh = build_duct_mesh(DuctGeometry(4.0, 1.0), 320, 80)
+system = SystemRecipe(mesh, build_dof_map(mesh), M=0.5, s=1.0)
+if sys.argv[1] == "run":
+    system = system.build()
+op = dynamics.StepOperator(system, dt=0.01, load=lambda t: 1.0)
+workers = len(op._workers)
+op.solve()
+op.close()
+with open("/proc/self/status") as f:
+    run = next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+print(workers, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, run)
+"""
+
+
+def test_workers_that_build_their_rows_lower_both_peaks():
+    # The same operator at 320x80, its system built by the run before the
+    # fork, then built by the workers, each its own rows: the workers' peak
+    # (RUSAGE_CHILDREN) and the run's (VmHWM) must both fall. Measured on a
+    # 2-core host in CHILD_ENV, 6 runs each: the workers 82.3-82.6 MB
+    # against 74.0-74.4 MB, the run 83.0-84.1 MB against 66.1-66.2 MB. The
+    # margins are about three quarters of the smallest gaps, 7.9 and 16.8 MB.
+    kib = {}
+    for where in ("run", "workers"):
+        workers, *kib[where] = map(int, run_script(STEP_PEAKS, where).split())
+        assert workers == 2
+    (workers_before, run_before), (workers_after, run_after) = kib["run"], kib["workers"]
+    assert workers_after <= workers_before - 6 * 1024
+    assert run_after <= run_before - 14 * 1024
 
 
 def test_worker_that_dies_before_it_is_ready_is_named(monkeypatch):
@@ -641,8 +808,9 @@ def test_worker_silences_floating_point_warnings(worker_pids, capfd):
 
 
 def test_one_command_byte_per_step(monkeypatch):
-    # The run hands each worker one byte per step on its command pipe, and
-    # march steps n_steps - 1 times after the starter pair.
+    # The run hands each worker one byte per step on its command pipe, the
+    # step's phase, and march steps n_steps - 1 times after the starter
+    # pair, whose record the workers form on one byte of its own first.
     force_worker(monkeypatch)
     writes, fork, write = {}, StepOperator._fork, os.write
 
@@ -660,20 +828,42 @@ def test_one_command_byte_per_step(monkeypatch):
     res = run_simulation(base_config())
     assert res.stable and res.n_steps > 2
     assert len(writes) == 2
+    phases = [bytes([k % 2]) for k in range(res.n_steps - 1)]
     for sent in writes.values():
-        assert len(sent) == len(b"".join(sent)) == res.n_steps - 1
+        assert sent == [bytes([dynamics._OBSERVE])] + phases
     assert no_child_left()
 
 
-def test_run_without_free_dofs_is_refused():
+def test_run_without_free_dofs_is_refused(tmp_path):
     # The one-cell closed box eliminates every component: the x range is
     # empty, there is no y range, and a run would have nothing to solve.
+    # The output directory the run made for it goes again.
     dofs = build_dof_map(build_duct_mesh(DuctGeometry(2.0, 1.0), 1, 1), closed_box=True)
     assert dofs.n_dofs == 0
     assert dofs.components == (slice(0, 0),)
     cfg = RunConfig(nx=1, ny=1, abc="none", M=0.0, t_end=0.1, source_kind="none")
     with pytest.raises(ConfigError, match="no free dof"):
         run_simulation(cfg)
+    with pytest.raises(ConfigError, match="no free dof"):
+        run_simulation(cfg, out_dir=str(tmp_path / "new" / "out"))
+    assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("kind", ["empty", "file"])
+def test_an_unusable_out_dir_is_refused_before_the_mesh(kind, tmp_path, monkeypatch):
+    # The library path makes its output directory first, by the CLI's rule
+    # (output_directory): an empty path, or one that os.makedirs cannot make,
+    # is a ConfigError that names it, raised before any mesh is built.
+    out = ""
+    if kind == "file":
+        out = str(tmp_path / "file")
+        open(out, "w").close()
+    meshes = []
+    monkeypatch.setattr(dynamics, "build_duct_mesh", lambda *args: meshes.append(args))
+    name = "''" if kind == "empty" else re.escape(out) + ":"
+    with pytest.raises(ConfigError, match=f"output directory {name}"):
+        run_simulation(RunConfig(nx=8, ny=4, t_end=0.05), out_dir=out)
+    assert meshes == []
 
 
 def test_leapfrog_satisfies_three_level_relation(small_duct):
@@ -784,7 +974,7 @@ def test_scheme_rhs_matches_three_term_form(small_duct):
         - K_curr
         + F
     )
-    increment = three_level - step_matrix(op) @ (2.0 * curr - prev)
+    increment = three_level - step_matrix(mats, dt) @ (2.0 * curr - prev)
     assert np.abs(got - increment).max() < 1e-14 * np.abs(three_level).max()
 
 
