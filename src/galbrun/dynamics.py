@@ -28,7 +28,10 @@ large meshes one forked worker steps each block while the run builds the
 next step's load, and otherwise the run steps both: same bits, more CPU
 time. The process that steps a block builds the system from its recipe
 (assembly.SystemRecipe), after the fork, and keeps only its own rows:
-with workers the run never assembles or holds K, BC or Mh.
+with workers the run never assembles or holds K, BC or Mh. The same
+process starts the march on its rows: it forms the second level x_1, if
+not given, and its partials of the starter pair's record, so a worker and
+the run exchange one byte per step each way and nothing else.
 
 The logged energy (physics.energy) is the scheme's own: it pairs the
 staggered states through K, so the scheme balances it exactly
@@ -37,9 +40,10 @@ positive and the energy may go negative, so blow-up is judged by its
 kinetic part, which cannot. A non-finite update needs no check of its
 own: E scales as |x|^2 / dt^2, so it goes non-finite first.
 
-march is the one time loop: it starts, steps, observes and judges a
-Problem, which run_simulation builds from a configuration and the
-manufactured-solution study (galbrun.studies) from its own loads.
+march is the one time loop: from its step operator's first state it
+steps, observes and judges a Problem, which run_simulation builds from a
+configuration and the manufactured-solution study (galbrun.studies) from
+its own loads.
 """
 
 from __future__ import annotations
@@ -108,10 +112,10 @@ def status_text(status: Stable | Unstable, n_steps: int | None = None) -> str:
 class SimState:
     """Two consecutive displacement vectors; step indexes xi_curr.
 
-    observed is the pair's (E, kinetic, flux) (StepOperator.observe) when
-    the step that made the state formed it. A state a StepOperator made
-    lives in its buffers, whose next step overwrites xi_prev with the new
-    state.
+    observed is the pair's (E, kinetic, flux) when the StepOperator that
+    made the state formed it (its first state, or a step). A state a
+    StepOperator made lives in its buffers, whose next step overwrites
+    xi_prev with the new state.
     """
 
     xi_prev: np.ndarray
@@ -161,7 +165,6 @@ def _diagonal_block(A: sp.csr_matrix, r: slice) -> sp.csr_matrix:
 # Both blocks need this many dofs for the workers: the break-even when one worker
 # served one block (measured at f15e585). A change needs alternating benchmark pairs.
 WORKER_MIN_BLOCK = 3000
-_OBSERVE = 2  # the command to observe the pair in the load slots; 0 and 1 step
 _parent_ends: set[int] = set()  # this process's pipe ends to live workers
 
 
@@ -202,26 +205,34 @@ def _reap(workers: list[_Worker]) -> None:
 
 class StepOperator:
     """The leapfrog step with L = Mh / dt^2 + BC / (2 dt) factorized, for
-    the system's mass Mh, stiffness K and damping BC.
+    the system's mass Mh, stiffness K and damping BC, and its first state.
 
     system is the system's recipe (SystemRecipe), built by each process
     that steps a block, or the system itself (SystemMatrices), built
     before. A process steps the dof range of the blocks it factored, on
     its rows of K, BC and Mh, and writes each block's (E, kinetic, flux)
-    partials (_advance); the step's record sums them in block order. The
-    states sit in a pair of buffers, x_{n-1} in slot k and x_n in slot
-    1 - k, and x_{n+1} takes the place of x_{n-1}. The pair, K x_n, d_{n+1}
-    (within a step, the right-hand side and then the increment), Mh d_{n+1},
-    the partials and two load slots, by phase, share one anonymous mmap
-    with the worker processes (_fork) that, on large meshes, build, factor
-    and step one block each, while this process builds the next step's
-    load (advance); otherwise this process builds the system and steps
-    every block, then builds that load. load is the load F(t): the step
-    from x_n takes F(n dt). start, when given, is the Taylor start's state
-    (xi0, zeta0) (taylor_first_step): this process puts F(0) in a load slot
-    and whichever process factors a block first solves that block of
-    Mh a = F(0) - K xi0 - BC zeta0, and a is then start_accel. close()
-    reaps the workers.
+    partials (_record); a record sums them in block order. The states
+    sit in a pair of buffers, x_{n-1} in slot k and x_n in slot 1 - k, and
+    x_{n+1} takes the place of x_{n-1}. The pair, K x_n, d_{n+1} (within a
+    step, the right-hand side and then the increment), Mh d_{n+1}, the
+    partials and two load slots, by phase, share one anonymous mmap with
+    the worker processes (_fork) that, on large meshes, build, factor,
+    start and step one block each, while this process builds the next
+    step's load (advance); otherwise this process does all of it for every
+    block, then builds that load. load is the load F(t): the step from x_n
+    takes F(n dt).
+
+    start is the march's start (xi0, xi1, zeta0) as Problem holds it, or
+    rest if None: x_0 and a given x_1, or, if xi1 is None, x_0, its
+    velocity zeta0 and the second-order Taylor level
+
+        x_1 = xi0 + dt zeta0 + dt^2/2 Mh^{-1} (F(0) - K xi0 - BC zeta0).
+
+    This process puts x_0, and a given x_1, in the pair, and F(0) in a
+    load slot. Whichever process factors a block forms that block's rows
+    of x_1 and its partials of the starter pair's record (_own). first is
+    the state at step 1, (x_0, x_1) in the pair with that record, from
+    which a march steps. close() reaps the workers.
     """
 
     def __init__(
@@ -229,13 +240,13 @@ class StepOperator:
         system: SystemRecipe | SystemMatrices,
         dt: float,
         load: Callable[[float], np.ndarray],
-        start: tuple[np.ndarray, np.ndarray] | None = None,
+        start: tuple[np.ndarray, np.ndarray | None, np.ndarray | None] | None = None,
     ):
         self._workers: list[_Worker] = []
         if dt <= 0:
             raise ValueError("dt must be positive")
         self.components = blocks = system.components
-        self.dt, self.load, self.start = dt, load, start
+        self.dt, self.load = dt, load
         n = blocks[-1].stop
         shared = np.frombuffer(mmap.mmap(-1, 8 * (7 * n + 3 * len(blocks))))
         vectors = shared[: 7 * n].reshape(7, n)
@@ -249,8 +260,14 @@ class StepOperator:
         self._ahead: int | None = None  # the step whose load the next slot holds
         self._lu: list[tuple[int, SuperLU]] | None = []
         self.worker_fill = 0
-        if start is not None:  # the mass load's F(0), read by _own
-            self._F[0][:] = load(0.0)
+        xi0, xi1, zeta0 = (0.0, 0.0, None) if start is None else start
+        if xi1 is None and zeta0 is None:
+            raise ValueError("a start without xi1 needs the velocity zeta0")
+        self._pair[0][:] = xi0
+        if xi1 is None:  # a Taylor start: _own forms x_1 from F(0) and zeta0
+            self._F[0][:], self._zeta0 = load(0.0), zeta0
+        else:
+            self._pair[1][:], self._zeta0 = xi1, None
         self._reap = weakref.finalize(self, _reap, self._workers)
         cpus = getattr(os, "sched_getaffinity", lambda pid: ())(0)
         large = min(r.stop - r.start for r in blocks) >= WORKER_MIN_BLOCK
@@ -273,7 +290,7 @@ class StepOperator:
         except BaseException:
             self.close()
             raise
-        self.start_accel = None if start is None else self._d.copy()
+        self.first = SimState(*self._pair, 1, self._total(self._parts))
 
     def _block(self, Mh: sp.csr_matrix, BC: sp.csr_matrix, q: slice) -> sp.spmatrix:
         """L's diagonal block L[q, q]."""
@@ -284,8 +301,9 @@ class StepOperator:
         """Take the blocks', by index, dof range r and its rows of K, BC and
         Mh: what this process steps. From a recipe, this process builds
         only those rows, as block i is the dofs of displacement component i.
-        Then solve the blocks of the start's mass system, if any, in d, and
-        factor them."""
+        Then solve the blocks of a Taylor start's mass system in d, factor
+        them, and start on the rows r: the Taylor x_1, then (K x_0)[r] and
+        the starter pair's partials (_record)."""
         if isinstance(system, SystemRecipe):
             system = system.build(rows=tuple(blocks))
         # Each _trim_heap here returns the free heap of a stage (the
@@ -296,6 +314,7 @@ class StepOperator:
         first, last = self.components[blocks[0]], self.components[blocks[-1]]
         self._r = r = slice(first.start, last.stop)
         K, BC, Mh, g = system.K, system.BC, system.Mh, system.gamma
+        (x0, x1), zeta0 = self._pair, self._zeta0
         owned = [(i, self.components[i]) for i in blocks]
         self._gamma, self._flux = {}, {}
         for i, q in owned:
@@ -311,10 +330,9 @@ class StepOperator:
             self._gamma[i] = gq = g[(q.start <= g) & (g < q.stop)]
             A = BC[gq][:, gq]
             self._flux[i] = 0.5 * (A + A.T)
-        if self.start is not None:  # Mh is block diagonal, like L
-            xi0, zeta0 = self.start
+        if zeta0 is not None:  # Mh is block diagonal, like L
             self._d[r] = (
-                self._F[0][r] - _row_block(K, r) @ xi0 - _row_block(BC, r) @ zeta0
+                self._F[0][r] - _row_block(K, r) @ x0 - _row_block(BC, r) @ zeta0
             )
             for _, q in owned:
                 mass = factorize(_diagonal_block(Mh, q))
@@ -337,13 +355,18 @@ class StepOperator:
         # and a scratch vector raised the peak RSS (measured at 9a01fea).
         self._rows = [_row_block(A, r) for A in (K, BC, Mh)]
         _trim_heap()
+        if zeta0 is not None:
+            dt = self.dt
+            x1[r] = x0[r] + dt * zeta0[r] + 0.5 * dt * dt * self._d[r]
+        self._Kx[r] = self._rows[0] @ x0
+        self._record(x0, x1)
 
     def _fork(self, system: SystemRecipe | SystemMatrices, i: int) -> None:
-        """Fork the worker that builds and factors block i (_own) and reports
-        its fill, SuperLU's own count of the factor's entries: reading lu.L
-        or lu.U would build a CSC copy of the factor (measured at c8a0802).
-        Then, on each command, one byte on a pipe, it steps the block or
-        observes a pair in the shared buffers (_do) and answers with one
+        """Fork the worker that builds and factors block i and starts on its
+        rows (_own), then reports its fill, SuperLU's own count of the
+        factor's entries: reading lu.L or lu.U would build a CSC copy of the
+        factor (measured at c8a0802). Then, on each step's phase, one byte on
+        its command pipe, it steps the block (_advance) and answers with one
         byte, until its pipe's EOF or any error ends it through os._exit."""
         (cmd, w_cmd), (w_done, done) = os.pipe(), os.pipe()
         _parent_ends.update((w_cmd, w_done))
@@ -362,38 +385,13 @@ class StepOperator:
                 [(_, lu)] = self._lu
                 os.write(done, lu.nnz.to_bytes(8, "little"))
                 while k := os.read(cmd, 1):
-                    self._do(k[0])
+                    self._advance(k[0])
                     os.write(done, b"\1")
             finally:
                 os._exit(0)
         os.close(cmd)
         os.close(done)
         self._workers.append(_Worker(pid, i, w_cmd, w_done))
-
-    def _order(self, k: int) -> None:
-        """Have every block do command k (_do): each worker its own, while
-        this process goes on until _wait, or else this process all."""
-        for w in self._workers:
-            os.write(w.cmd, bytes([k]))
-        if not self._workers:
-            self._do(k)
-
-    def _wait(self) -> None:
-        """Wait for every worker's answer to the command _order sent."""
-        for w in self._workers:
-            if not os.read(w.done, 1):
-                raise RuntimeError(f"step worker {w.pid} exited")
-
-    def _do(self, k: int) -> None:
-        """Command k for this process's rows r: a phase k steps (_advance),
-        and _OBSERVE forms the record of the pair (prev, curr) in the load
-        slots (observe) from (K prev)[r]."""
-        if k == _OBSERVE:
-            prev, curr = self._F
-            self._Kx[self._r] = self._rows[0] @ prev
-            self._record(prev, curr)
-        else:
-            self._advance(k)
 
     def advance(self, state: SimState) -> SimState:
         """The state one step after state, in the pair, with its record,
@@ -413,13 +411,18 @@ class StepOperator:
         if n != self._ahead:
             self._F[k][:] = self.load(n * self.dt)
         self._ahead = None
-        self._order(k)
+        for w in self._workers:
+            os.write(w.cmd, bytes([k]))
+        if not self._workers:
+            self._advance(k)
         try:
             self._F[1 - k][:] = self.load((n + 1) * self.dt)
             self._ahead = n + 1
         except Exception:  # raised again by step n + 1, not by this one
             pass
-        self._wait()
+        for w in self._workers:
+            if not os.read(w.done, 1):
+                raise RuntimeError(f"step worker {w.pid} exited")
         self._phase = 1 - k
         return SimState(curr, prev, n + 1, self._total(self._parts))
 
@@ -458,18 +461,6 @@ class StepOperator:
             q, g = self.components[i], self._gamma[i]
             E, kinetic = energy(d[q], Mh_d[q], new[q], Kx[q])
             self._parts[i] = E, kinetic, boundary_flux(d[g], self._flux[i])
-
-    def observe(self, prev: np.ndarray, curr: np.ndarray) -> tuple[float, float, float]:
-        """(E, kinetic, flux) of the pair (prev, curr): physics.energy on each
-        block's rows plus physics.boundary_flux on its dofs of gamma, formed
-        where the block is stepped and summed in block order, as a step sums
-        them. The pair goes through the load slots, so the next step builds
-        its load afresh."""
-        self._F[0][:], self._F[1][:] = prev, curr
-        self._ahead = None
-        self._order(_OBSERVE)
-        self._wait()
-        return self._total(self._parts)
 
     @staticmethod
     def _total(parts: np.ndarray) -> tuple[float, float, float]:
@@ -519,17 +510,6 @@ def snap_time_step(dt_raw: float, t_end: float) -> tuple[float, int]:
 leapfrog_step = StepOperator.advance
 
 
-def taylor_first_step(op: StepOperator) -> np.ndarray:
-    """Second-order accurate start from op's start, the displacement and
-    velocity data (xi0, zeta0):
-
-    xi1 = xi0 + dt zeta0 + dt^2/2 Mh^{-1} (F0 - K xi0 - BC zeta0),
-
-    with the mass solve op's start_accel."""
-    xi0, zeta0 = op.start
-    return xi0 + op.dt * zeta0 + 0.5 * op.dt * op.dt * op.start_accel
-
-
 @dataclass
 class RunResult:
     status: Stable | Unstable
@@ -550,9 +530,9 @@ class RunResult:
 
 @dataclass
 class Problem:
-    """What march steps: the system (StepOperator's input), n_steps of dt,
-    the load F(t) and the start (xi0, xi1), or xi0 and velocity zeta0 if
-    xi1 is None."""
+    """What march steps: the system, n_steps of dt, the load F(t) and the
+    start (xi0, xi1), or xi0 and velocity zeta0 if xi1 is None: a
+    StepOperator's input."""
 
     system: SystemRecipe | SystemMatrices
     dt: float
@@ -575,11 +555,8 @@ def march(
     non-finite or the kinetic part exceeds INSTABILITY_RATIO times the
     largest E logged so far.
     """
-    dt, xi0, xi1 = p.dt, p.xi0, p.xi1
-    start = None if xi1 is not None else (xi0, p.zeta0)
-    with closing(StepOperator(p.system, dt, p.rhs, start)) as op:
-        if xi1 is None:
-            xi1 = taylor_first_step(op)
+    dt = p.dt
+    with closing(StepOperator(p.system, dt, p.rhs, (p.xi0, p.xi1, p.zeta0))) as op:
         records: list[EnergyRecord] = []
 
         def observe(step: int, x: np.ndarray, E: float, *rest: float) -> float:
@@ -587,9 +564,9 @@ def march(
             visit(step, x)
             return E
 
-        first = op.observe(xi0, xi1)
-        peak_E = max(observe(0, xi0, *first), observe(1, xi1, *first))
-        state = SimState(xi0, xi1, 1)
+        state = op.first  # rows 0 and 1 both log the starter pair
+        rows = enumerate((state.xi_prev, state.xi_curr))
+        peak_E = max(observe(step, x, *state.observed) for step, x in rows)
         status: Stable | Unstable = Stable(steps=p.n_steps)
         while state.step < p.n_steps:
             state = leapfrog_step(op, state)

@@ -201,11 +201,44 @@ def class_method(path: str, cls: str, name: str) -> ast.FunctionDef:
     return method
 
 
-@pytest.mark.parametrize("name", ["leapfrog_step", "taylor_first_step"])
-def test_one_time_loop(name):
-    # Every command steps through dynamics.march: one starter call and one
-    # step call in the package.
-    assert len(call_sites(name)) == 1, call_sites(name)
+def test_one_time_loop():
+    # Every command steps through dynamics.march: one step call in the
+    # package, from the one read of a step operator's first state (x.first,
+    # x not self: the _Pattern of assembly has a field of that name).
+    assert len(call_sites("leapfrog_step")) == 1, call_sites("leapfrog_step")
+    firsts = [
+        f"{path}:{node.lineno}"
+        for path in SRC_MODULES
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Attribute) and node.attr == "first"
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+    ]
+    assert len(firsts) == 1, firsts
+    path, line = firsts[0].split(":")
+    march = top_level_function("src/galbrun/dynamics.py", "march")
+    assert path == "src/galbrun/dynamics.py"
+    assert march.lineno <= int(line) <= march.end_lineno
+
+
+def test_the_step_operator_starts_the_march():
+    # The Taylor level x_1 = xi0 + dt zeta0 + dt^2/2 a is formed in one
+    # place, where a block is factored (StepOperator._own), and the worker
+    # commands are the step phases alone: no starter function, no
+    # observation command and no start acceleration handed back.
+    taylor = [
+        f"{path}:{node.name}.{m.name}" if m is not node else f"{path}:{node.name}"
+        for path in SRC_MODULES
+        for node in parse(path).body
+        for m in (node.body if isinstance(node, ast.ClassDef) else [node])
+        if isinstance(m, FUNCTION) and re.search(r"0\.5 \* dt \* dt", ast.unparse(m))
+    ]
+    assert taylor == ["src/galbrun/dynamics.py:StepOperator._own"]
+    for gone in ("taylor_first_step", "_OBSERVE"):
+        assert not hasattr(dynamics, gone)
+    for gone in ("observe", "_do", "_order", "_wait"):
+        assert not hasattr(dynamics.StepOperator, gone)
+    with open(os.path.join(ROOT, "src", "galbrun", "dynamics.py")) as f:
+        assert "start_accel" not in f.read()
 
 
 def test_the_time_loop_steps_an_algebraic_system():
@@ -221,11 +254,14 @@ def test_the_time_loop_steps_an_algebraic_system():
         return list(inspect.signature(f).parameters)
 
     assert params(dynamics.StepOperator) == ["system", "dt", "load", "start"]
-    assert params(dynamics.StepOperator.observe) == ["self", "prev", "curr"]
-    assert params(dynamics.taylor_first_step) == ["op"]
     assert params(dynamics.Problem) == [
         "system", "dt", "n_steps", "rhs", "xi0", "xi1", "zeta0"
     ]
+    # march hands the operator the whole start as the Problem holds it.
+    [build] = calls(march, "StepOperator")
+    start = build.args[3]
+    assert isinstance(start, ast.Tuple)
+    assert [ast.unparse(e) for e in start.elts] == ["p.xi0", "p.xi1", "p.zeta0"]
 
 
 def test_a_step_takes_its_time_from_its_state_and_its_load_from_its_operator():

@@ -49,7 +49,6 @@ from galbrun.dynamics import (
     run_simulation,
     snap_time_step,
     status_text,
-    taylor_first_step,
 )
 from galbrun.mesh import DofMap, DuctGeometry, build_dof_map, build_duct_mesh
 from galbrun.physics import boundary_flux, energy, make_energy_stiffness
@@ -311,17 +310,13 @@ def operator_bits(
     start: tuple[np.ndarray, np.ndarray | None, np.ndarray | None],
 ) -> tuple[int, list[np.ndarray]]:
     """The workers that a StepOperator of system started, and its bits from
-    the start (xi0, xi1, zeta0): the second level (the Taylor start when
-    xi1 is None), the starter pair's record, and four steps' states and
+    the start (xi0, xi1, zeta0): its first state's second level (the Taylor
+    start when xi1 is None) and record, and four steps' states and
     records."""
-    xi0, xi1, zeta0 = start
-    with closing(
-        StepOperator(system, dt, load, None if xi1 is not None else (xi0, zeta0))
-    ) as op:
-        if xi1 is None:
-            xi1 = taylor_first_step(op)
-        bits = [xi1, np.array(op.observe(xi0, xi1))]
-        state = SimState(xi0, xi1, 1)
+    with closing(StepOperator(system, dt, load, start)) as op:
+        state = op.first
+        assert state.step == 1 and np.array_equal(state.xi_prev, start[0])
+        bits = [state.xi_curr.copy(), np.array(state.observed)]
         for _ in range(4):
             state = leapfrog_step(op, state)
             bits += [state.xi_curr.copy(), np.array(state.observed)]
@@ -807,10 +802,13 @@ def test_worker_silences_floating_point_warnings(worker_pids, capfd):
     assert "Warning" not in capfd.readouterr().err
 
 
-def test_one_command_byte_per_step(monkeypatch):
+@pytest.mark.parametrize("init", ["none", "bump"])
+def test_one_command_byte_per_step(init, monkeypatch):
     # The run hands each worker one byte per step on its command pipe, the
-    # step's phase, and march steps n_steps - 1 times after the starter
-    # pair, whose record the workers form on one byte of its own first.
+    # step's phase, and nothing else: march steps n_steps - 1 times from the
+    # first state, whose second level and record the workers formed while
+    # they set up, from rest (a given second level) or from a bump (the
+    # Taylor level).
     force_worker(monkeypatch)
     writes, fork, write = {}, StepOperator._fork, os.write
 
@@ -825,12 +823,13 @@ def test_one_command_byte_per_step(monkeypatch):
 
     monkeypatch.setattr(StepOperator, "_fork", spy_fork)
     monkeypatch.setattr(os, "write", counted)
-    res = run_simulation(base_config())
+    res = run_simulation(base_config(init_kind=init))
     assert res.stable and res.n_steps > 2
+    assert (res.records[1].E > 0.0) == (init == "bump")
     assert len(writes) == 2
     phases = [bytes([k % 2]) for k in range(res.n_steps - 1)]
     for sent in writes.values():
-        assert sent == [bytes([dynamics._OBSERVE])] + phases
+        assert sent == phases
     assert no_child_left()
 
 
@@ -1011,13 +1010,13 @@ def test_taylor_start_exact_for_quadratic(small_duct):
     zero = np.zeros_like(w)
     # From rest the start's mass load is F0 itself.
     Fw = 2 * (mats.Mh @ w)
-    op = StepOperator(mats, dt, load=lambda t: Fw, start=(zero, zero))
-    xi1 = taylor_first_step(op)
+    op = StepOperator(mats, dt, load=lambda t: Fw, start=(zero, None, zero))
+    xi1 = op.first.xi_curr
     assert np.abs(xi1 - dt * dt * w).max() < 1e-12 * np.abs(w).max()
     # From rest, xi1 = dt^2/2 Mh^{-1} F0: the start's factor solves Mh.
     F0 = np.random.default_rng(6).standard_normal(dofs.n_dofs)
-    op = StepOperator(mats, dt, load=lambda t: F0, start=(zero, zero))
-    accel = taylor_first_step(op) / (0.5 * dt * dt)
+    op = StepOperator(mats, dt, load=lambda t: F0, start=(zero, None, zero))
+    accel = op.first.xi_curr / (0.5 * dt * dt)
     assert np.abs(mats.Mh @ accel - F0).max() < 1e-12 * np.abs(F0).max()
     # x(t) = u + v t + w t^2 under its own load: the operator forms the mass
     # load F(0) - K u - BC v, and the start is exact.
@@ -1026,10 +1025,16 @@ def test_taylor_start_exact_for_quadratic(small_duct):
     def F(t: float) -> np.ndarray:
         return Fw + mats.BC @ (v + 2 * t * w) + mats.K @ (u + t * v + t * t * w)
 
-    op = StepOperator(mats, dt, load=F, start=(u, v))
-    xi1 = taylor_first_step(op)
+    op = StepOperator(mats, dt, load=F, start=(u, None, v))
+    xi1 = op.first.xi_curr
     exact = u + dt * v + dt * dt * w
     assert np.abs(xi1 - exact).max() < 1e-12 * np.abs(exact).max()
+    # A start without xi1 needs zeta0; no start at all is rest.
+    with pytest.raises(ValueError, match="zeta0"):
+        StepOperator(mats, dt, load=F, start=(u, None, None))
+    rest = StepOperator(mats, dt, load=F).first
+    assert not rest.xi_prev.any() and not rest.xi_curr.any()
+    assert (rest.step, rest.observed) == (1, (0.0, 0.0, 0.0))
 
 
 def test_nonfinite_run_ends_unstable_on_the_energy_check():
